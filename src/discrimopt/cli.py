@@ -154,21 +154,8 @@ def _out_dir(args, cfg: ProblemConfig) -> Path:
     return path
 
 
-def _limit_threads(n):
-    if n is None:
-        return
-    # Thread counts affect only BLAS-level parallelism, never results.
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        log.debug("threadpoolctl not installed; --threads ignored")
-
-
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    _limit_threads(args.threads)
     algorithm = args.algorithm or cfg.algorithm
     out = _out_dir(args, cfg)
     try:
@@ -191,7 +178,6 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    _limit_threads(getattr(args, "threads", None))
     design, theta0 = _load_design_file(Path(args.design))
     # The criterion value needs the best-fit parameters for *this* design.
     fit = fit_parameters(cfg.pair, design, warm_start=theta0, cfg=cfg.params.fit_config())
@@ -207,7 +193,6 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    _limit_threads(args.threads)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise ConfigError("compare: the algorithm list must be nonempty")
@@ -260,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", required=True, help="problem configuration file")
     p_solve.add_argument("--algorithm", choices=ALGORITHMS, help="override the configured algorithm")
     p_solve.add_argument("--out", help="output directory (default: config's, else cwd)")
-    p_solve.add_argument("--threads", type=int, help="limit numerical thread pools")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a design against the optimality criterion")
@@ -272,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--config", required=True, help="problem configuration file")
     p_compare.add_argument("--algorithms", required=True, help="comma-separated algorithm names")
     p_compare.add_argument("--out", help="output directory")
-    p_compare.add_argument("--threads", type=int, help="limit numerical thread pools")
     p_compare.set_defaults(func=cmd_compare)
     return parser
 

@@ -149,3 +149,7 @@ class TestArgumentParsing:
     def test_solve_requires_config(self):
         with pytest.raises(SystemExit):
             main(["solve"])
+
+    def test_threads_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["solve", "--config", MM_CONFIG, "--threads", "1"])

@@ -4,11 +4,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from discrimopt import (
     IntegratorTol,
     KineticsInput,
     KineticsParams,
+    ModelEvaluationError,
     integrate_kinetics,
     make_kinetics_pair,
     make_mm_pair,
@@ -17,6 +19,7 @@ from discrimopt import (
     registered_models,
     registry_lookup,
 )
+from discrimopt.models import KINETICS_DEFAULTS, KINETICS_PARAMETER_SPACE, _dopri5
 
 FULL_LATTICE = list(
     itertools.product([0.5, 0.7, 0.9], [0.1, 0.2, 0.3], [0.0, 0.15, 0.3], [2.0, 4.0, 6.0, 8.0, 10.0])
@@ -57,8 +60,6 @@ class TestClosedForms:
             assert mm_eval(x, V, K) == pytest.approx((V * x) / (K + x), rel=1e-15)
 
     def test_division_guard(self):
-        from discrimopt import ModelEvaluationError
-
         with pytest.raises(ModelEvaluationError):
             mm_eval(1.0, 1.0, -1.0)
 
@@ -79,6 +80,13 @@ class TestParamValidation:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):
             KineticsInput(0.5, 0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "x", [(0.5, 0.1, 0.0, math.nan), (0.5, 0.1, 0.0, math.inf), (math.nan, 0.1, 0.0, 2.0)]
+    )
+    def test_nonfinite_input_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            KineticsInput(*x)
 
 
 class TestIntegrator:
@@ -128,6 +136,83 @@ class TestIntegrator:
             parallel = list(pool.map(lambda i: integrate_kinetics(params, i), inputs))
         for s, p in zip(serial, parallel):
             assert np.array_equal(s, p)
+
+
+def kinetics_rhs(p):
+    """The kinetics right-hand side, written out apart from the package."""
+
+    def rhs(a, b, _c):
+        a, b = max(a, 0.0), max(b, 0.0)
+        r1, r2, r3 = p.k1 * a**p.n1, p.k2 * b**p.n2, p.k3 * b**p.n3
+        return (-r1 + r3, r1 - r2 - r3, r2)
+
+    return rhs
+
+
+def reference_sample():
+    """(params, design point) pairs: the reference model, the corners and
+    random interior points of the alternative's box, on lattice points."""
+    rng = np.random.default_rng(20240501)
+    lo, hi = KINETICS_PARAMETER_SPACE.lower, KINETICS_PARAMETER_SPACE.upper
+    thetas = [lo + (hi - lo) * np.array(c) for c in itertools.product([0.0, 1.0], repeat=4)]
+    thetas += list(lo + (hi - lo) * rng.random((8, 4)))
+    params = [KineticsParams(**KINETICS_DEFAULTS)]
+    params += [KineticsParams(t[0], t[1], 0.0, t[2], t[3], 1.0) for t in thetas]
+    return [
+        (p, FULL_LATTICE[i]) for p in params for i in rng.choice(len(FULL_LATTICE), 24, replace=False)
+    ]
+
+
+class TestAgainstScipy:
+    """The Dormand-Prince kernel takes scipy RK45's steps: the same number of
+    right-hand-side evaluations, and values equal up to rounding."""
+
+    def test_matches_scipy_rk45(self):
+        sample = reference_sample()
+        assert len(sample) >= 500
+        tol = IntegratorTol()
+        for p, x in sample:
+            rhs = kinetics_rhs(p)
+            ref = solve_ivp(
+                lambda _, y: rhs(*y), (0.0, x[3]), x[:3], method="RK45", rtol=tol.rel, atol=tol.abs
+            )
+            assert ref.success
+            out = integrate_kinetics(p, KineticsInput(*x), tol)
+            np.testing.assert_allclose(out, ref.y[:, -1], rtol=1e-12, atol=0)
+            y, nfev = _dopri5(rhs, x[3], x[:3], tol.rel, tol.abs)
+            assert nfev == ref.nfev
+            assert np.array_equal(y, out)
+
+    def test_blow_up_fails_like_scipy(self):
+        # y' = y**2 from y(0) = 1 leaves every float before t = 1.
+        def rhs(a, b, c):
+            return (a * a, 0.0, 0.0)
+
+        ref = solve_ivp(
+            lambda _, y: rhs(*y), (0.0, 2.0), [1.0, 0.0, 0.0], method="RK45", rtol=1e-8, atol=1e-10
+        )
+        assert ref.status == -1
+        with pytest.raises(FloatingPointError, match="step size"):
+            _dopri5(rhs, 2.0, (1.0, 0.0, 0.0), 1e-8, 1e-10)
+
+
+class TestFailurePaths:
+    def test_overflow_raises_model_evaluation_error(self):
+        # The first trial step makes b ~ 1e274, and b**2 overflows.
+        params = KineticsParams(1e300, 0.2, 0.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ModelEvaluationError) as err:
+            integrate_kinetics(params, KineticsInput(1e-20, 0.0, 0.0, 1.0))
+        assert isinstance(err.value.__cause__, OverflowError)
+        assert np.array_equal(err.value.x, [1e-20, 0.0, 0.0, 1.0])
+
+    def test_step_underflow_raises_model_evaluation_error(self):
+        # k1 a0 is near the largest float, so the stage sums overflow to
+        # inf - inf = NaN; every step is rejected until it falls below
+        # 10 ulp(0). scipy's RK45 fails here too.
+        params = KineticsParams(1.7e308, 0.2, 0.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ModelEvaluationError, match="step size") as err:
+            integrate_kinetics(params, KineticsInput(0.9, 0.3, 0.3, 10.0))
+        assert np.array_equal(err.value.x, [0.9, 0.3, 0.3, 10.0])
 
 
 class TestRegistry:
