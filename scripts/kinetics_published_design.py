@@ -147,7 +147,7 @@ def main(argv=None) -> int:
     if args.solve_k1 is not None:
         print(f"\n4. Full 2adapt solve with k1 <= {args.solve_k1}")
         wide = with_k1_upper(pair, args.solve_k1)
-        result = two_adapt_md(wide, cfg.space, cfg.initial, None, cfg.params, cfg.gcfg)
+        result = two_adapt_md(wide, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
         status = "converged" if result.converged else "stalled" if result.stalled else "not converged"
         show(
             f"{status}, accuracy {result.accuracy:.1e}",

@@ -24,15 +24,16 @@ from .lsq import FitConfig, FitError, FitResult, fit_parameters, sobol_points
 from .lp import WeightLpInstance, WeightLpSolution, solve_weight_lp
 from .search import GlobalSearchConfig, maximize_distance
 from .algorithms import (
+    ALGORITHMS,
     AlgoParams,
     IterationRecord,
-    LsipProblem,
     OptimalityReport,
     SolveResult,
     SolverError,
-    blankenship_falk,
     check_optimality,
+    disc,
     disc_md,
+    solve,
     two_adapt_md,
     vdm,
 )
@@ -54,6 +55,7 @@ from .config import ConfigError, ProblemConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
+    "ALGORITHMS",
     "AlgoParams",
     "Box",
     "ConfigError",
@@ -68,7 +70,6 @@ __all__ = [
     "KineticsInput",
     "KineticsParams",
     "Lattice",
-    "LsipProblem",
     "ModelEvaluationError",
     "ModelPair",
     "OptimalityReport",
@@ -78,10 +79,10 @@ __all__ = [
     "SolverError",
     "WeightLpInstance",
     "WeightLpSolution",
-    "blankenship_falk",
     "canonical_key",
     "check_optimality",
     "directional_derivative",
+    "disc",
     "disc_md",
     "fit_parameters",
     "integrate_kinetics",
@@ -97,6 +98,7 @@ __all__ = [
     "registered_models",
     "registry_lookup",
     "sobol_points",
+    "solve",
     "solve_weight_lp",
     "squared_distance",
     "t_value",

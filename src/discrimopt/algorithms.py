@@ -1,17 +1,17 @@
 """Design optimization algorithms.
 
-A generic Blankenship & Falk engine for linear semi-infinite programs, its
-specialization to T-optimal weights on a fixed candidate set (the inner
-discretization loop), the outer loop that adaptively grows both the
-candidate set and the parameter discretization, a Vector Direction Method
-baseline, and equivalence-theorem verification.
+DISC, the inner loop: Blankenship & Falk cutting planes for T-optimal
+weights on a fixed candidate set.  2ADAPT, the outer loop that adaptively
+grows both the candidate set and the parameter discretization.  A Vector
+Direction Method baseline, and equivalence-theorem verification.  The three
+solvers share one signature and :func:`solve` runs any of them by name.
 """
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .core import (
     Design,
     DesignError,
     DesignSpace,
+    Lattice,
     ModelPair,
     canonical_key,
     mix_designs,
@@ -31,20 +32,24 @@ from .lsq import FitConfig, FitResult, fit_parameters
 from .search import GlobalSearchConfig, maximize_distance
 
 __all__ = [
+    "ALGORITHMS",
     "AlgoParams",
     "SolveResult",
     "IterationRecord",
-    "LsipProblem",
     "OptimalityReport",
     "SolverError",
-    "blankenship_falk",
     "disc_md",
     "two_adapt_md",
+    "disc",
     "vdm",
+    "solve",
     "check_optimality",
 ]
 
 log = logging.getLogger("discrimopt")
+
+# Solver names accepted by :func:`solve`, in the order of its solvers.
+ALGORITHMS = ("2adapt", "disc", "vdm")
 
 # Consecutive non-growing, non-improving outer iterations tolerated before a
 # run is declared stalled.  Accuracy is not monotone across outer iterations
@@ -55,11 +60,7 @@ _STALL_LIMIT = 6
 
 
 class SolverError(RuntimeError):
-    """A sub-solver failed; carries the iteration history gathered so far."""
-
-    def __init__(self, message, history=()):
-        super().__init__(message)
-        self.history = tuple(history)
+    """A sub-solver failed."""
 
 
 @dataclass(frozen=True)
@@ -94,19 +95,19 @@ class AlgoParams:
         return FitConfig(n_starts=self.n_theta_starts, lam=self.lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IterationRecord:
     phase: str  # "outer" | "disc" | "vdm"
     outer_iteration: int
-    inner_iteration: int | None
-    t_lp: float | None
+    inner_iteration: int | None = None
+    t_lp: float | None = None
     t_value: float
-    accuracy: float | None
+    accuracy: float | None = None
     n_theta: int
     n_candidates: int
-    lp_time: float
+    lp_time: float = 0.0
     ls_time: float
-    global_time: float
+    global_time: float = 0.0
     wall_time: float
 
 
@@ -135,64 +136,29 @@ class OptimalityReport:
         return self.min_support_gap <= eps and self.max_psi <= eps
 
 
-@dataclass(frozen=True)
-class LsipProblem:
-    """A linear SIP in oracle form for the Blankenship & Falk engine.
+def _fill_phi(pair, candidates, thetas, phi, rows=None):
+    """Evaluate the missing entries of a phi matrix in place.
 
-    ``solve_discretized`` solves the finite-constraint relaxation over the
-    current index discretization; ``minimize_constraint`` is the lower-level
-    global oracle returning the most violated index for a decision;
-    ``constraint`` evaluates g(decision, index).  The caller asserts that the
-    initial discretization yields a compact feasible region.
+    ``phi`` is a list of columns, one per parameter in ``thetas``, over the
+    candidates; NaN marks an entry not evaluated yet.  Columns are added for
+    new parameters and lengthened for new candidates.  A parameter bitwise
+    equal to an earlier one copies that column instead of evaluating it.
+    ``rows`` limits the evaluation to those candidates.
     """
-
-    solve_discretized: Callable[[Sequence[Any]], Any]
-    minimize_constraint: Callable[[Any], Any]
-    constraint: Callable[[Any, Any], float]
-    initial_indices: Sequence[Any]
-
-
-def blankenship_falk(
-    problem: LsipProblem, tol: float, max_iter: int
-) -> tuple[Any, list[Any], bool]:
-    """Alternate finite solves and most-violated-constraint searches.
-
-    Stops once the most violated constraint satisfies g >= -tol; the index
-    discretization grows by one element per non-terminal iteration.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    indices = list(problem.initial_indices)
-    if not indices:
-        raise ValueError("initial index discretization must be nonempty")
-    decision = None
-    for _ in range(max_iter):
-        decision = problem.solve_discretized(indices)
-        index = problem.minimize_constraint(decision)
-        g = problem.constraint(decision, index)
-        indices.append(index)
-        if g >= -tol:
-            return decision, indices, True
-    return decision, indices, False
-
-
-class _PhiCache:
-    """Memoizes squared distances keyed by canonically rounded (x, theta)."""
-
-    def __init__(self, pair: ModelPair):
-        self.pair = pair
-        self._data: dict[tuple, float] = {}
-
-    def __call__(self, x, theta) -> float:
-        key = (canonical_key(x), canonical_key(theta))
-        v = self._data.get(key)
-        if v is None:
-            v = squared_distance(self.pair, x, theta)
-            self._data[key] = v
-        return v
-
-    def column(self, candidates, theta) -> np.ndarray:
-        return np.array([self(x, theta) for x in candidates])
+    n = len(candidates)
+    wanted = range(n) if rows is None else rows
+    for j, theta in enumerate(thetas):
+        if j == len(phi):
+            phi.append(np.full(n, np.nan))
+        elif len(phi[j]) < n:
+            phi[j] = np.append(phi[j], np.full(n - len(phi[j]), np.nan))
+        col = phi[j]
+        missing = [i for i in wanted if np.isnan(col[i])]
+        if not missing:
+            continue
+        twin = next((k for k in range(j) if np.array_equal(thetas[k], theta)), None)
+        for i in missing:
+            col[i] = squared_distance(pair, candidates[i], theta) if twin is None else phi[twin][i]
 
 
 def disc_md(
@@ -202,18 +168,23 @@ def disc_md(
     theta_disc: list[np.ndarray],
     params: AlgoParams = AlgoParams(),
     *,
-    phi_cache: _PhiCache | None = None,
+    phi: list[np.ndarray] | None = None,
     history: list[IterationRecord] | None = None,
     outer_iteration: int = 0,
     clock_start: float | None = None,
 ) -> tuple[Design, list[np.ndarray], FitResult, bool]:
-    """T-optimal weights on a fixed finite candidate set.
+    """T-optimal weights on a fixed finite candidate set (DISC).
 
-    Alternates the weight LP over the current parameter discretization with
-    the regularized weighted least-squares fit, appending each fitted
-    parameter to the discretization, until the LP relaxation value and the
-    true inner minimum agree to ``eps_sip``.  This is the Blankenship & Falk
-    engine applied to the weight-linear semi-infinite formulation.
+    Blankenship & Falk cutting planes on the weight-linear semi-infinite
+    program: solve the weight LP over the current parameter discretization,
+    fit the parameters to the LP weights, and append the fit as a new cut,
+    until the cut binds: w . phi[:, new] - t_LP >= -eps_sip.  Returns the
+    pruned design, the grown discretization, the last fit, and whether the
+    cut bound within ``max_iter_sip`` iterations.
+
+    ``phi`` is the phi matrix of an earlier call over a prefix of these
+    candidates and discretization, as a list of columns; it is extended in
+    place to the returned discretization, so callers can carry it over.
     """
     candidates = [np.atleast_1d(np.asarray(c, dtype=float)) for c in candidates]
     if not candidates:
@@ -224,83 +195,54 @@ def disc_md(
     if not theta_disc:
         raise ValueError("initial parameter discretization must be nonempty")
 
-    phi = phi_cache or _PhiCache(pair)
     theta_disc = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_disc]
+    phi = [] if phi is None else phi
+    n_theta0 = len(theta_disc)
+    points = np.array(candidates)
     fit_cfg = params.fit_config()
     clock_start = clock_start if clock_start is not None else time.perf_counter()
+    _fill_phi(pair, candidates, theta_disc, phi)
+    warm = theta_disc[-1]
+    converged = False
 
-    state: dict[str, Any] = {"fit": None, "warm": theta_disc[-1], "inner": 0}
-
-    def solve_discretized(thetas):
+    for inner in range(1, params.max_iter_sip + 1):
         t0 = time.perf_counter()
-        matrix = np.column_stack([phi.column(candidates, th) for th in thetas])
-        sol = solve_weight_lp(WeightLpInstance(matrix))
-        state["lp_time"] = time.perf_counter() - t0
+        sol = solve_weight_lp(WeightLpInstance(np.column_stack(phi)))
+        lp_time = time.perf_counter() - t0
         if sol.status != "optimal":
-            raise SolverError(
-                f"weight LP failed (status {sol.status}) at inner iteration "
-                f"{state['inner']}",
-                history=history or (),
-            )
-        return sol.weights, sol.t
-
-    def minimize_constraint(decision):
-        w, t_lp = decision
+            raise SolverError(f"weight LP failed (status {sol.status}) at inner iteration {inner}")
         t0 = time.perf_counter()
-        fit = fit_parameters(
-            pair, Design(np.array(candidates), w), warm_start=state["warm"], cfg=fit_cfg
-        )
+        fit = fit_parameters(pair, Design(points, sol.weights), warm_start=warm, cfg=fit_cfg)
         ls_time = time.perf_counter() - t0
-        state["fit"] = fit
-        state["warm"] = fit.theta_hat
-        state["inner"] += 1
+        warm = fit.theta_hat
         if history is not None:
             history.append(
                 IterationRecord(
                     phase="disc",
                     outer_iteration=outer_iteration,
-                    inner_iteration=state["inner"],
-                    t_lp=t_lp,
+                    inner_iteration=inner,
+                    t_lp=sol.t,
                     t_value=fit.objective,
-                    accuracy=None,
-                    n_theta=state["inner"] + len(theta_disc),
+                    n_theta=n_theta0 + inner,
                     n_candidates=len(candidates),
-                    lp_time=state.get("lp_time", 0.0),
+                    lp_time=lp_time,
                     ls_time=ls_time,
-                    global_time=0.0,
                     wall_time=time.perf_counter() - clock_start,
                 )
             )
-        return fit.theta_hat
+        theta_disc.append(fit.theta_hat)
+        _fill_phi(pair, candidates, theta_disc, phi)
+        if sol.weights @ phi[-1] - sol.t >= -params.eps_sip:
+            converged = True
+            break
 
-    def constraint(decision, theta):
-        w, t_lp = decision
-        return float(w @ phi.column(candidates, theta)) - t_lp
-
-    problem = LsipProblem(
-        solve_discretized=solve_discretized,
-        minimize_constraint=minimize_constraint,
-        constraint=constraint,
-        initial_indices=theta_disc,
-    )
-    decision, grown, converged = blankenship_falk(
-        problem, tol=params.eps_sip, max_iter=params.max_iter_sip
-    )
-    w, _ = decision
-    design = prune_design(Design(np.array(candidates), w), params.prune_threshold)
-    return design, grown, state["fit"], converged
+    design = prune_design(Design(points, sol.weights), params.prune_threshold)
+    return design, theta_disc, fit, converged
 
 
 def _initial_theta_disc(pair, initial, theta_disc0, fit_cfg):
-    if theta_disc0:
-        return [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_disc0]
-    fit = fit_parameters(pair, initial, cfg=fit_cfg)
-    return [fit.theta_hat]
-
-
-def _support_gap(pair, design, theta_hat, tval, phi):
-    """min over support of phi(x_i, theta_hat) - T; <= 0 up to fit error."""
-    return min(phi(x, theta_hat) for x in design.points) - tval
+    # disc_md converts the parameters to arrays.
+    return list(theta_disc0) if theta_disc0 else [fit_parameters(pair, initial, cfg=fit_cfg).theta_hat]
 
 
 def _validate_initial(space: DesignSpace, initial: Design):
@@ -313,9 +255,11 @@ def two_adapt_md(
     pair: ModelPair,
     space: DesignSpace,
     initial: Design,
-    theta_disc0: Sequence[np.ndarray] | None = None,
     params: AlgoParams = AlgoParams(),
     gcfg: GlobalSearchConfig = GlobalSearchConfig(),
+    *,
+    theta_disc0: Sequence[np.ndarray] | None = None,
+    history: list[IterationRecord] | None = None,
 ) -> SolveResult:
     """Nested adaptive discretization of parameters and design points.
 
@@ -324,17 +268,20 @@ def two_adapt_md(
     the design point maximizing the squared model distance.  Terminates once
     the equivalence-theorem criterion holds at tolerance ``params.eps``:
     the support attains the criterion value and the global scan maximum
-    exceeds it by at most eps.
+    exceeds it by at most eps.  The phi matrix over the candidates and the
+    parameter discretization carries over from one outer iteration to the
+    next.  Records are appended to ``history`` when one is given, so they
+    survive a sub-solver's exception.
     """
     _validate_initial(space, initial)
     t0 = time.perf_counter()
-    phi = _PhiCache(pair)
+    history = [] if history is None else history
     fit_cfg = params.fit_config()
     theta_disc = _initial_theta_disc(pair, initial, theta_disc0, fit_cfg)
 
     candidates = [p.copy() for p in initial.points]
-    candidate_keys = {canonical_key(p) for p in candidates}
-    history: list[IterationRecord] = []
+    rows = {canonical_key(p): i for i, p in enumerate(candidates)}
+    phi: list[np.ndarray] = []
     design = initial
     fit = None
     accuracy = np.inf
@@ -346,15 +293,8 @@ def two_adapt_md(
 
     for n in range(1, params.max_iter + 1):
         design, theta_disc, fit, _ = disc_md(
-            pair,
-            candidates,
-            design,
-            theta_disc,
-            params,
-            phi_cache=phi,
-            history=history,
-            outer_iteration=n,
-            clock_start=t0,
+            pair, candidates, design, theta_disc, params,
+            phi=phi, history=history, outer_iteration=n, clock_start=t0,
         )
         ls0 = time.perf_counter()
         fit = fit_parameters(pair, design, warm_start=fit.theta_hat, cfg=fit_cfg)
@@ -363,24 +303,22 @@ def two_adapt_md(
         tval = fit.objective
 
         g0 = time.perf_counter()
-        x_new, max_phi = maximize_distance(
-            pair, fit.theta_hat, space, gcfg, prefer=candidates
-        )
+        x_new, max_phi = maximize_distance(pair, fit.theta_hat, space, gcfg, prefer=candidates)
         global_time = time.perf_counter() - g0
         accuracy = max_phi - tval
-        support_gap = _support_gap(pair, design, fit.theta_hat, tval, phi)
+        # min over the support of phi(x_i, theta_hat) - T; <= 0 up to fit error.
+        support = [rows[canonical_key(p)] for p in design.points]
+        _fill_phi(pair, candidates, theta_disc, phi, rows=support)
+        support_gap = phi[-1][support].min() - tval
 
         history.append(
             IterationRecord(
                 phase="outer",
                 outer_iteration=n,
-                inner_iteration=None,
-                t_lp=None,
                 t_value=tval,
                 accuracy=accuracy,
                 n_theta=len(theta_disc),
                 n_candidates=len(candidates),
-                lp_time=0.0,
                 ls_time=ls_time,
                 global_time=global_time,
                 wall_time=time.perf_counter() - t0,
@@ -388,11 +326,7 @@ def two_adapt_md(
         )
         log.info(
             "outer %d: T=%.6e accuracy=%.2e candidates=%d thetas=%d",
-            n,
-            tval,
-            accuracy,
-            len(candidates),
-            len(theta_disc),
+            n, tval, accuracy, len(candidates), len(theta_disc),
         )
 
         if support_gap <= params.eps and accuracy <= params.eps:
@@ -400,10 +334,10 @@ def two_adapt_md(
             break
 
         key = canonical_key(x_new)
-        grew = key not in candidate_keys
+        grew = key not in rows
         if grew:
+            rows[key] = len(candidates)
             candidates.append(np.atleast_1d(np.asarray(x_new, dtype=float)))
-            candidate_keys.add(key)
         improved = accuracy < best_accuracy
         best_accuracy = min(best_accuracy, accuracy)
         if not grew and not improved:
@@ -415,9 +349,7 @@ def two_adapt_md(
                 log.warning(
                     "stalled after %d outer iterations: new point %s duplicates "
                     "an existing candidate and accuracy %.3e stopped improving",
-                    n,
-                    x_new,
-                    accuracy,
+                    n, x_new, accuracy,
                 )
                 break
         else:
@@ -436,12 +368,51 @@ def two_adapt_md(
     )
 
 
+def disc(
+    pair: ModelPair,
+    space: DesignSpace,
+    initial: Design,
+    params: AlgoParams = AlgoParams(),
+    gcfg: GlobalSearchConfig = GlobalSearchConfig(),
+    *,
+    theta_disc0: Sequence[np.ndarray] | None = None,
+    history: list[IterationRecord] | None = None,
+) -> SolveResult:
+    """DISC on its own: :func:`disc_md` on a fixed candidate set, then the certificate.
+
+    The candidates are the whole lattice when the design space is finite,
+    otherwise the points of the initial design.  Converged means the inner
+    loop converged and the global scan maximum of psi is at most eps.
+    """
+    _validate_initial(space, initial)
+    t0 = time.perf_counter()
+    history = [] if history is None else history
+    candidates = list(space.enumerate()) if isinstance(space, Lattice) else list(initial.points)
+    theta_disc = _initial_theta_disc(pair, initial, theta_disc0, params.fit_config())
+    design, grown, fit, converged = disc_md(
+        pair, candidates, initial, theta_disc, params, history=history, clock_start=t0
+    )
+    report = check_optimality(pair, design, fit.theta_hat, space, gcfg)
+    return SolveResult(
+        design=design,
+        theta_hat=fit.theta_hat,
+        t_value=fit.objective,
+        accuracy=report.max_psi,
+        iterations=len(grown) - len(theta_disc),
+        converged=converged and report.max_psi <= params.eps,
+        history=tuple(history),
+        runtime_seconds=time.perf_counter() - t0,
+    )
+
+
 def vdm(
     pair: ModelPair,
     space: DesignSpace,
     initial: Design,
     params: AlgoParams = AlgoParams(),
     gcfg: GlobalSearchConfig = GlobalSearchConfig(),
+    *,
+    history: list[IterationRecord] | None = None,
 ) -> SolveResult:
     """Vector Direction Method baseline.
 
@@ -451,9 +422,8 @@ def vdm(
     """
     _validate_initial(space, initial)
     t0 = time.perf_counter()
-    phi = _PhiCache(pair)
+    history = [] if history is None else history
     fit_cfg = params.fit_config()
-    history: list[IterationRecord] = []
     design = initial
     fit = None
     accuracy = np.inf
@@ -476,13 +446,10 @@ def vdm(
             IterationRecord(
                 phase="vdm",
                 outer_iteration=k,
-                inner_iteration=None,
-                t_lp=None,
                 t_value=tval,
                 accuracy=accuracy,
                 n_theta=0,
                 n_candidates=design.n_points,
-                lp_time=0.0,
                 ls_time=ls_time,
                 global_time=global_time,
                 wall_time=time.perf_counter() - t0,
@@ -510,6 +477,29 @@ def vdm(
         history=tuple(history),
         runtime_seconds=time.perf_counter() - t0,
     )
+
+
+def solve(
+    name: str,
+    pair: ModelPair,
+    space: DesignSpace,
+    initial: Design,
+    params: AlgoParams = AlgoParams(),
+    gcfg: GlobalSearchConfig = GlobalSearchConfig(),
+    *,
+    history: list[IterationRecord] | None = None,
+) -> SolveResult:
+    """Run the solver named ``name``, one of :data:`ALGORITHMS`.
+
+    Records are appended to ``history`` as they are made, so a caller that
+    passes a list keeps them when a sub-solver raises.
+    """
+    # Looked up at call time, so that a rebinding of a solver's module name
+    # (a wrapper, a patch) is the one called.
+    solvers = dict(zip(ALGORITHMS, (two_adapt_md, disc, vdm)))
+    if name not in solvers:
+        raise ValueError(f"unknown algorithm {name!r}; known: {list(ALGORITHMS)}")
+    return solvers[name](pair, space, initial, params, gcfg, history=history)
 
 
 def _golden_section_step(pair, design, spike, warm, fit_cfg, iters=20):

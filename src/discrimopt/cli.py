@@ -17,42 +17,19 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import (
-    SolveResult,
-    SolverError,
-    check_optimality,
-    disc_md,
-    two_adapt_md,
-    vdm,
-)
-from .config import ALGORITHMS, ConfigError, ProblemConfig, load_config
-from .core import Box, Design, DesignError, Lattice, ModelEvaluationError, squared_distance
+from .algorithms import ALGORITHMS, IterationRecord, SolveResult, SolverError, check_optimality, solve
+from .config import ConfigError, ProblemConfig, load_config
+from .core import Box, Design, DesignError, ModelEvaluationError, squared_distance
 from .lsq import FitError, fit_parameters
 
 __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_compare"]
 
 log = logging.getLogger("discrimopt")
-
-_HISTORY_FIELDS = [
-    "phase",
-    "outer_iteration",
-    "inner_iteration",
-    "t_lp",
-    "t_value",
-    "accuracy",
-    "n_theta",
-    "n_candidates",
-    "lp_time",
-    "ls_time",
-    "global_time",
-    "wall_time",
-]
-
 
 def _fmt(value):
     """Serialize numbers at full precision (well above 12 significant digits)."""
@@ -65,7 +42,7 @@ def _fmt(value):
 
 def _write_history(records, path: Path):
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_HISTORY_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(IterationRecord)])
         writer.writeheader()
         for rec in records:
             writer.writerow({k: _fmt(v) for k, v in asdict(rec).items()})
@@ -108,43 +85,8 @@ def _load_design_file(path: Path) -> tuple[Design, np.ndarray | None]:
     return design, None if theta is None else np.asarray(theta, dtype=float)
 
 
-def _run_algorithm(name: str, cfg: ProblemConfig) -> SolveResult:
-    params = cfg.params_for(name)
-    if name == "2adapt":
-        return two_adapt_md(cfg.pair, cfg.space, cfg.initial, None, params, cfg.gcfg)
-    if name == "vdm":
-        return vdm(cfg.pair, cfg.space, cfg.initial, params, cfg.gcfg)
-    if name == "disc":
-        return _run_disc(cfg, params)
-    raise ConfigError(f"unknown algorithm {name!r}; known: {list(ALGORITHMS)}")
-
-
-def _run_disc(cfg: ProblemConfig, params) -> SolveResult:
-    """Fixed-candidate weight optimization: the full lattice when the design
-    space is finite, otherwise the support of the initial design."""
-    import time
-
-    if isinstance(cfg.space, Lattice):
-        candidates = list(cfg.space.enumerate())
-    else:
-        candidates = list(cfg.initial.points)
-    fit0 = fit_parameters(cfg.pair, cfg.initial, cfg=params.fit_config())
-    history: list = []
-    t0 = time.perf_counter()
-    design, _, fit, converged = disc_md(
-        cfg.pair, candidates, cfg.initial, [fit0.theta_hat], params, history=history, clock_start=t0
-    )
-    report = check_optimality(cfg.pair, design, fit.theta_hat, cfg.space, cfg.gcfg)
-    return SolveResult(
-        design=design,
-        theta_hat=fit.theta_hat,
-        t_value=fit.objective,
-        accuracy=report.max_psi,
-        iterations=len(history),
-        converged=converged and report.max_psi <= params.eps,
-        history=tuple(history),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+def _solve(name: str, cfg: ProblemConfig, history=None) -> SolveResult:
+    return solve(name, cfg.pair, cfg.space, cfg.initial, cfg.params_for(name), cfg.gcfg, history=history)
 
 
 def _out_dir(args, cfg: ProblemConfig) -> Path:
@@ -158,10 +100,11 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     algorithm = args.algorithm or cfg.algorithm
     out = _out_dir(args, cfg)
+    history: list = []
     try:
-        result = _run_algorithm(algorithm, cfg)
-    except SolverError as exc:
-        _write_history(exc.history, out / "history.csv")
+        result = _solve(algorithm, cfg, history)
+    except (FitError, ModelEvaluationError, SolverError) as exc:
+        _write_history(history, out / "history.csv")
         log.error("solver failed: %s (history flushed to %s)", exc, out / "history.csv")
         return 1
     _write_design(result, out / "design.json")
@@ -202,7 +145,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args, cfg)
     rows = []
     for name in algorithms:
-        result = _run_algorithm(name, cfg)
+        result = _solve(name, cfg)
         rows.append(
             {
                 "algorithm": name,
@@ -218,17 +161,7 @@ def cmd_compare(args) -> int:
             f"runtime={result.runtime_seconds:.1f}s"
         )
     with (out / "comparison.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "algorithm",
-                "reached_accuracy",
-                "t_value",
-                "runtime_seconds",
-                "iterations",
-                "support_size",
-            ],
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     return 0

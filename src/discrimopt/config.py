@@ -13,14 +13,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .algorithms import AlgoParams
+from .algorithms import ALGORITHMS, AlgoParams
 from .core import Box, Design, DesignError, DesignSpace, Lattice, ModelPair, ParameterSpace
 from .models import registry_lookup
 from .search import GlobalSearchConfig
 
 __all__ = ["ConfigError", "ProblemConfig", "load_config", "params_for"]
-
-ALGORITHMS = ("2adapt", "disc", "vdm")
 
 _ALGO_KEYS = {
     "eps": "eps",
@@ -69,14 +67,8 @@ def params_for(algorithm: str, overrides: dict) -> AlgoParams:
     The VDM conventionally runs unregularized (every support point keeps
     positive weight) with a higher iteration budget; explicit overrides win.
     """
-    kwargs = {"max_iter": 1000, "lam": 0.0} if algorithm == "vdm" else {}
-    for key, target in _ALGO_KEYS.items():
-        if key in overrides:
-            kwargs[target] = overrides[key]
-    try:
-        return AlgoParams(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"algorithm: {exc}") from exc
+    defaults = {"max_iter": 1000, "lambda": 0.0} if algorithm == "vdm" else {}
+    return _parse_overrides({**defaults, **overrides}, _ALGO_KEYS, "algorithm", AlgoParams)
 
 
 def _expect_mapping(node, path):

@@ -49,8 +49,10 @@ class WeightLpSolution:
 def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution:
     """Solve the maximin weight LP with the HiGHS dual simplex.
 
-    Duplicate constraint columns are removed before solving.  Weights are
-    clamped to [0, inf) and renormalized so downstream design invariants hold.
+    When the simplex reports failure, the LP is solved again with the HiGHS
+    interior point method.  Duplicate constraint columns are removed before
+    solving.  Weights are clamped to [0, inf) and renormalized so downstream
+    design invariants hold.
     """
     phi = instance.phi
     n = instance.n_points
@@ -73,21 +75,22 @@ def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution:
     a_ub = np.hstack([-phi.T, np.ones((m, 1))])
     a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
     bounds = [(0.0, None)] * n + [(None, None)]
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(m),
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=bounds,
-        method="highs",
-        options={
-            # Defaults (1e-7) are looser than the cutting-plane gaps the
-            # caller drives toward; tighten so fresh cuts actually bind.
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
+    options = {
+        # Defaults (1e-7) are looser than the cutting-plane gaps the caller
+        # drives toward; tighten so fresh cuts actually bind.
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10,
+    }
+    # At these tolerances the dual simplex fails on some ill-conditioned
+    # instances (135 x 4 on the kinetics lattice) that the interior point
+    # method solves.
+    for method in ("highs", "highs-ipm"):
+        res = linprog(
+            c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=[1.0], bounds=bounds,
+            method=method, options=options,
+        )
+        if res.success and res.x is not None:
+            break
     if not res.success or res.x is None:
         w = np.full(n, 1.0 / n) if res.x is None else np.clip(res.x[:n], 0.0, None)
         if w.sum() <= 0:
