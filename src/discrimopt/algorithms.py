@@ -103,7 +103,7 @@ class IterationRecord:
     t_lp: float | None = None
     t_value: float
     accuracy: float | None = None
-    n_theta: int
+    n_theta: int = 0
     n_candidates: int
     lp_time: float = 0.0
     ls_time: float
@@ -203,7 +203,6 @@ def disc_md(
     clock_start = clock_start if clock_start is not None else time.perf_counter()
     _fill_phi(pair, candidates, theta_disc, phi)
     warm = theta_disc[-1]
-    converged = False
 
     for inner in range(1, params.max_iter_sip + 1):
         t0 = time.perf_counter()
@@ -232,17 +231,12 @@ def disc_md(
             )
         theta_disc.append(fit.theta_hat)
         _fill_phi(pair, candidates, theta_disc, phi)
-        if sol.weights @ phi[-1] - sol.t >= -params.eps_sip:
-            converged = True
+        converged = bool(sol.weights @ phi[-1] - sol.t >= -params.eps_sip)
+        if converged:
             break
 
     design = prune_design(Design(points, sol.weights), params.prune_threshold)
     return design, theta_disc, fit, converged
-
-
-def _initial_theta_disc(pair, initial, theta_disc0, fit_cfg):
-    # disc_md converts the parameters to arrays.
-    return list(theta_disc0) if theta_disc0 else [fit_parameters(pair, initial, cfg=fit_cfg).theta_hat]
 
 
 def _validate_initial(space: DesignSpace, initial: Design):
@@ -277,14 +271,14 @@ def two_adapt_md(
     t0 = time.perf_counter()
     history = [] if history is None else history
     fit_cfg = params.fit_config()
-    theta_disc = _initial_theta_disc(pair, initial, theta_disc0, fit_cfg)
+    if not theta_disc0:
+        theta_disc0 = [fit_parameters(pair, initial, cfg=fit_cfg).theta_hat]
+    theta_disc = list(theta_disc0)
 
     candidates = [p.copy() for p in initial.points]
     rows = {canonical_key(p): i for i, p in enumerate(candidates)}
     phi: list[np.ndarray] = []
     design = initial
-    fit = None
-    accuracy = np.inf
     best_accuracy = np.inf
     stall = 0
     stalled = False
@@ -303,7 +297,9 @@ def two_adapt_md(
         tval = fit.objective
 
         g0 = time.perf_counter()
-        x_new, max_phi = maximize_distance(pair, fit.theta_hat, space, gcfg, prefer=candidates)
+        x_new, max_phi = maximize_distance(
+            pair, fit.theta_hat, space, gcfg, prefer=candidates
+        )
         global_time = time.perf_counter() - g0
         accuracy = max_phi - tval
         # min over the support of phi(x_i, theta_hat) - T; <= 0 up to fit error.
@@ -326,7 +322,11 @@ def two_adapt_md(
         )
         log.info(
             "outer %d: T=%.6e accuracy=%.2e candidates=%d thetas=%d",
-            n, tval, accuracy, len(candidates), len(theta_disc),
+            n,
+            tval,
+            accuracy,
+            len(candidates),
+            len(theta_disc),
         )
 
         if support_gap <= params.eps and accuracy <= params.eps:
@@ -349,7 +349,9 @@ def two_adapt_md(
                 log.warning(
                     "stalled after %d outer iterations: new point %s duplicates "
                     "an existing candidate and accuracy %.3e stopped improving",
-                    n, x_new, accuracy,
+                    n,
+                    x_new,
+                    accuracy,
                 )
                 break
         else:
@@ -375,7 +377,6 @@ def disc(
     params: AlgoParams = AlgoParams(),
     gcfg: GlobalSearchConfig = GlobalSearchConfig(),
     *,
-    theta_disc0: Sequence[np.ndarray] | None = None,
     history: list[IterationRecord] | None = None,
 ) -> SolveResult:
     """DISC on its own: :func:`disc_md` on a fixed candidate set, then the certificate.
@@ -388,9 +389,9 @@ def disc(
     t0 = time.perf_counter()
     history = [] if history is None else history
     candidates = list(space.enumerate()) if isinstance(space, Lattice) else list(initial.points)
-    theta_disc = _initial_theta_disc(pair, initial, theta_disc0, params.fit_config())
+    fit0 = fit_parameters(pair, initial, cfg=params.fit_config())
     design, grown, fit, converged = disc_md(
-        pair, candidates, initial, theta_disc, params, history=history, clock_start=t0
+        pair, candidates, initial, [fit0.theta_hat], params, history=history, clock_start=t0
     )
     report = check_optimality(pair, design, fit.theta_hat, space, gcfg)
     return SolveResult(
@@ -398,7 +399,7 @@ def disc(
         theta_hat=fit.theta_hat,
         t_value=fit.objective,
         accuracy=report.max_psi,
-        iterations=len(grown) - len(theta_disc),
+        iterations=len(grown) - 1,
         converged=converged and report.max_psi <= params.eps,
         history=tuple(history),
         runtime_seconds=time.perf_counter() - t0,
@@ -426,7 +427,6 @@ def vdm(
     fit_cfg = params.fit_config()
     design = initial
     fit = None
-    accuracy = np.inf
     converged = False
     k = 0
 
@@ -448,7 +448,6 @@ def vdm(
                 outer_iteration=k,
                 t_value=tval,
                 accuracy=accuracy,
-                n_theta=0,
                 n_candidates=design.n_points,
                 ls_time=ls_time,
                 global_time=global_time,

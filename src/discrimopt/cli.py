@@ -31,6 +31,7 @@ __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_compare"]
 
 log = logging.getLogger("discrimopt")
 
+
 def _fmt(value):
     """Serialize numbers at full precision (well above 12 significant digits)."""
     if value is None:

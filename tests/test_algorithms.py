@@ -1,21 +1,29 @@
+import importlib.resources
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import discrimopt.algorithms as algorithms
 from discrimopt import (
+    ALGORITHMS,
     AlgoParams,
     Box,
     Design,
     FitConfig,
     GlobalSearchConfig,
     Lattice,
-    LsipProblem,
     ModelPair,
     ParameterSpace,
-    blankenship_falk,
+    SolverError,
+    WeightLpSolution,
     check_optimality,
+    disc,
     disc_md,
     fit_parameters,
+    load_config,
     make_mm_pair,
+    solve,
     two_adapt_md,
     vdm,
 )
@@ -24,54 +32,6 @@ from conftest import linear_vs_constant
 
 TOY_BOX = Box([0.0], [1.0])
 TIGHT = AlgoParams(eps=1e-8, eps_sip=1e-12, max_iter_sip=60)
-
-
-class TestBlankenshipFalk:
-    @staticmethod
-    def _interval_problem(initial):
-        """min x s.t. x >= y for all y in [0, 1]; optimum x = 1."""
-        return LsipProblem(
-            solve_discretized=lambda ys: max(ys),
-            minimize_constraint=lambda x: 1.0,
-            constraint=lambda x, y: x - y,
-            initial_indices=initial,
-        )
-
-    def test_binding_index_present_converges_in_one_iteration(self):
-        problem = self._interval_problem([1.0])
-        x, indices, converged = blankenship_falk(problem, tol=1e-9, max_iter=10)
-        assert converged and x == 1.0
-        assert len(indices) == 2  # one appended check index
-
-    def test_grows_until_binding(self):
-        problem = self._interval_problem([0.0])
-        x, indices, converged = blankenship_falk(problem, tol=1e-9, max_iter=10)
-        assert converged and x == 1.0
-
-    def test_iteration_limit(self):
-        # An oracle that keeps finding new violations never converges.
-        state = {"k": 0}
-
-        def oracle(x):
-            state["k"] += 1
-            return 1.0 + state["k"]
-
-        problem = LsipProblem(
-            solve_discretized=lambda ys: max(ys),
-            minimize_constraint=oracle,
-            constraint=lambda x, y: x - y,
-            initial_indices=[0.0],
-        )
-        _, _, converged = blankenship_falk(problem, tol=1e-9, max_iter=5)
-        assert not converged
-
-    def test_validates_inputs(self):
-        problem = self._interval_problem([0.0])
-        with pytest.raises(ValueError):
-            blankenship_falk(problem, tol=0.0, max_iter=5)
-        empty = self._interval_problem([])
-        with pytest.raises(ValueError):
-            blankenship_falk(empty, tol=1e-9, max_iter=5)
 
 
 class TestDiscMd:
@@ -140,6 +100,77 @@ class TestDiscMd:
         with pytest.raises(ValueError, match="discretization"):
             disc_md(toy_pair, [np.array([0.0])], toy_optimum, [])
 
+    def test_validates_sip_settings(self):
+        with pytest.raises(ValueError):
+            AlgoParams(eps_sip=0.0)
+        with pytest.raises(ValueError):
+            AlgoParams(max_iter_sip=0)
+
+    def test_binding_theta_converges_in_one_iteration(self, toy_pair):
+        # The initial theta already minimizes the distance at the only
+        # candidate, so the first cut binds.
+        history = []
+        initial = Design(np.array([[0.3]]), np.array([1.0]))
+        _, thetas, _, converged = disc_md(
+            toy_pair, [np.array([0.3])], initial, [np.array([0.3])], TIGHT, history=history
+        )
+        assert converged
+        assert len(history) == 1
+        assert len(thetas) == 2  # one appended cut
+
+    def test_grows_until_binding(self, toy_pair, toy_optimum):
+        history = []
+        candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
+        _, thetas, fit, converged = disc_md(
+            toy_pair, candidates, toy_optimum, [np.array([0.1])], TIGHT, history=history
+        )
+        assert converged
+        assert len(history) > 1
+        assert len(thetas) == 1 + len(history)
+        assert fit.objective == pytest.approx(0.25, abs=1e-8)
+
+    def test_iteration_limit(self, toy_pair, toy_optimum):
+        history = []
+        candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
+        params = AlgoParams(eps_sip=1e-12, max_iter_sip=2)
+        _, thetas, _, converged = disc_md(
+            toy_pair, candidates, toy_optimum, [np.array([0.1])], params, history=history
+        )
+        assert not converged
+        assert len(history) == 2 and len(thetas) == 3
+
+    def test_lp_failure_names_its_inner_iteration(self, toy_pair, toy_optimum, monkeypatch):
+        calls = []
+        original = algorithms.solve_weight_lp
+
+        def second_fails(instance):
+            calls.append(instance)
+            if len(calls) < 2:
+                return original(instance)
+            n = instance.n_points
+            return WeightLpSolution(np.full(n, 1.0 / n), 0.0, "infeasible_numerics")
+
+        monkeypatch.setattr(algorithms, "solve_weight_lp", second_fails)
+        candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
+        with pytest.raises(SolverError, match="at inner iteration 2"):
+            disc_md(toy_pair, candidates, toy_optimum, [np.array([0.1])], TIGHT)
+
+    def test_each_candidate_theta_pair_evaluated_once(self, monkeypatch):
+        # The phi matrix carried between outer iterations evaluates every
+        # (candidate, theta) pair at most once, repeated thetas included.
+        seen = Counter()
+        original = algorithms.squared_distance
+
+        def counted(pair, x, theta):
+            seen[np.asarray(x, dtype=float).tobytes(), np.asarray(theta, dtype=float).tobytes()] += 1
+            return original(pair, x, theta)
+
+        monkeypatch.setattr(algorithms, "squared_distance", counted)
+        cfg = load_config(importlib.resources.files("discrimopt") / "configs" / "mm.config")
+        result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        assert result.converged
+        assert seen and max(seen.values()) == 1
+
 
 class TestTwoAdaptMd:
     def test_toy_reaches_closed_form_optimum(self, toy_pair):
@@ -204,6 +235,61 @@ class TestTwoAdaptMd:
         phases = {r.phase for r in result.history}
         assert phases == {"disc", "outer"}
         assert result.runtime_seconds > 0
+
+
+class TestDisc:
+    def test_lattice_uses_every_point(self, toy_pair):
+        lat = Lattice(([0.0, 0.25, 0.5, 0.75, 1.0],))
+        initial = Design(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
+        result = disc(toy_pair, lat, initial, TIGHT)
+        # T is flat at the optimum, so the certificate (max psi <= 1e-8) is
+        # out of reach of the 1e-12 cut tolerance; the value is not.
+        assert result.t_value == pytest.approx(0.25, abs=1e-9)
+        assert {round(p[0], 6) for p in result.design.points} == {0.0, 1.0}
+        assert result.iterations == len(result.history)
+        assert {r.phase for r in result.history} == {"disc"}
+
+    def test_box_uses_initial_points(self, toy_pair):
+        initial = Design(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
+        result = disc(toy_pair, TOY_BOX, initial, TIGHT)
+        assert result.t_value == pytest.approx(0.0625, abs=1e-7)
+        assert not result.converged  # the box optimum needs the end points
+
+
+class TestSolve:
+    def test_dispatches_by_name(self, toy_pair):
+        initial = Design(np.array([[0.5]]), np.array([1.0]))
+        direct = two_adapt_md(toy_pair, TOY_BOX, initial, TIGHT)
+        named = solve("2adapt", toy_pair, TOY_BOX, initial, TIGHT)
+        assert named.t_value == direct.t_value
+        assert np.array_equal(named.design.points, direct.design.points)
+
+    def test_unknown_name_rejected(self, toy_pair, toy_optimum):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            solve("simplex", toy_pair, TOY_BOX, toy_optimum)
+
+    def test_solvers_looked_up_at_call_time(self, toy_pair, toy_optimum, monkeypatch):
+        called = []
+        monkeypatch.setattr(algorithms, "vdm", lambda *args, **kwargs: called.append(args))
+        solve("vdm", toy_pair, TOY_BOX, toy_optimum)
+        assert len(called) == 1
+
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_history_kept_when_a_sub_solver_raises(self, name, toy_pair):
+        calls = []
+
+        def alternative(x, theta):
+            calls.append(x)
+            if len(calls) > 100:
+                raise RuntimeError("injected failure")
+            return np.array([theta[0]])
+
+        pair = ModelPair(lambda x: np.array([x[0]]), alternative, toy_pair.parameter_space)
+        initial = Design(np.array([[0.5]]), np.array([1.0]))
+        history = []
+        with pytest.raises(Exception, match="injected failure|starts failed"):
+            solve(name, pair, TOY_BOX, initial, TIGHT, history=history)
+        assert history
 
 
 class TestVdm:

@@ -1,15 +1,37 @@
 import csv
+import dataclasses
 import importlib.resources
+import itertools
 import json
 import textwrap
 
 import numpy as np
 import pytest
 
+import discrimopt.algorithms as algorithms
+from discrimopt import FitError, WeightLpSolution, make_mm_pair, register_model
 from discrimopt.cli import main
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
 MM_CONFIG = str(CONFIG_DIR / "mm.config")
+TIME_COLUMNS = {"lp_time", "ls_time", "global_time", "wall_time"}
+
+
+def _mm_failing_after(params):
+    """The mm pair whose alternative raises from its ``fail_after``-th call on."""
+    fail_after = int(params.pop("fail_after"))
+    pair = make_mm_pair(**params)
+    calls = itertools.count()
+
+    def alternative(x, theta):
+        if next(calls) >= fail_after:
+            raise RuntimeError("injected failure")
+        return pair.alternative(x, theta)
+
+    return dataclasses.replace(pair, alternative=alternative)
+
+
+register_model("mm_failing_after", _mm_failing_after)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +43,35 @@ def mm_solution(tmp_path_factory):
 
 def read_design(out):
     return json.loads((out / "design.json").read_text())
+
+
+def read_history(out):
+    with (out / "history.csv").open() as fh:
+        return list(csv.DictReader(fh))
+
+
+def without_times(rows):
+    return [{k: v for k, v in r.items() if k not in TIME_COLUMNS} for r in rows]
+
+
+def write_mm_config(path, model="mm_vs_modmm", params="{}"):
+    path.write_text(
+        textwrap.dedent(
+            f"""
+            model:
+              name: {model}
+              reference_params: {params}
+            design_space:
+              type: box
+              lower: [0.001]
+              upper: [5.0]
+            initial_design:
+              points: [[1.0], [2.0], [3.0], [4.0]]
+              weights: [0.25, 0.25, 0.25, 0.25]
+            """
+        )
+    )
+    return str(path)
 
 
 class TestSolve:
@@ -88,6 +139,67 @@ class TestSolve:
     def test_missing_config_exit_one(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "x.config")]) == 1
 
+    def test_disc_algorithm(self, tmp_path):
+        # DISC on the four initial points cannot reach the box optimum.
+        code = main(["solve", "--config", MM_CONFIG, "--algorithm", "disc", "--out", str(tmp_path)])
+        assert code == 2
+        payload = read_design(tmp_path)
+        assert payload["converged"] is False
+        assert payload["accuracy"] > 1e-5
+        rows = read_history(tmp_path)
+        assert {r["phase"] for r in rows} == {"disc"}
+        assert len(rows) == payload["iterations"]
+        assert {p[0] for p in payload["support"]} <= {1.0, 2.0, 3.0, 4.0}
+
+
+class TestFailurePaths:
+    """Every sub-solver failure exits 1 and flushes the history gathered so far."""
+
+    @pytest.mark.parametrize("algorithm, fail_after", [("2adapt", 5000), ("vdm", 5000), ("disc", 2000)])
+    def test_model_failure_flushes_history(self, algorithm, fail_after, tmp_path, mm_solution):
+        cfg = write_mm_config(
+            tmp_path / "failing.config", "mm_failing_after", f"{{fail_after: {fail_after}}}"
+        )
+        code = main(["solve", "--config", cfg, "--algorithm", algorithm, "--out", str(tmp_path)])
+        assert code == 1
+        assert not (tmp_path / "design.json").exists()
+        rows = read_history(tmp_path)
+        assert rows
+        if algorithm == "2adapt":
+            # The rows are those of the full solve up to the failure.
+            full = read_history(mm_solution[1])
+            assert len(rows) < len(full)
+            assert without_times(rows) == without_times(full[: len(rows)])
+
+    def test_fit_failure_flushes_history(self, tmp_path, monkeypatch):
+        fits = itertools.count()
+        original = algorithms.fit_parameters
+
+        def sixth_fails(*args, **kwargs):
+            if next(fits) == 5:
+                raise FitError("injected fit failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "fit_parameters", sixth_fails)
+        assert main(["solve", "--config", MM_CONFIG, "--out", str(tmp_path)]) == 1
+        # The initial fit, then four inner or refit fits, each with a record.
+        assert len(read_history(tmp_path)) == 4
+
+    def test_lp_failure_flushes_history(self, tmp_path, monkeypatch, caplog):
+        lps = itertools.count()
+        original = algorithms.solve_weight_lp
+
+        def third_fails(instance):
+            if next(lps) == 2:
+                n = instance.n_points
+                return WeightLpSolution(np.full(n, 1.0 / n), 0.0, "infeasible_numerics")
+            return original(instance)
+
+        monkeypatch.setattr(algorithms, "solve_weight_lp", third_fails)
+        assert main(["solve", "--config", MM_CONFIG, "--out", str(tmp_path)]) == 1
+        assert "weight LP failed" in caplog.text
+        assert len(read_history(tmp_path)) >= 2
+
 
 class TestVerify:
     def test_roundtrip_accepts_solver_output(self, mm_solution, capsys):
@@ -139,6 +251,17 @@ class TestCompare:
         assert rows[0]["algorithm"] == "2adapt"
         assert float(rows[0]["t_value"]) == pytest.approx(1.1854e-3, abs=2e-5)
         assert int(rows[0]["support_size"]) >= 2
+
+    def test_two_algorithms(self, tmp_path):
+        code = main(
+            ["compare", "--config", MM_CONFIG, "--algorithms", "2adapt,disc", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        with (tmp_path / "comparison.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["algorithm"] for r in rows] == ["2adapt", "disc"]
+        assert float(rows[0]["t_value"]) == pytest.approx(1.1854e-3, abs=2e-5)
+        assert float(rows[1]["t_value"]) < float(rows[0]["t_value"])
 
 
 class TestArgumentParsing:

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from discrimopt import WeightLpInstance, solve_weight_lp
+from discrimopt import (
+    Lattice,
+    WeightLpInstance,
+    make_kinetics_pair,
+    solve_weight_lp,
+    squared_distance,
+)
 
 
 def brute_force_maximin(phi, resolution=1e-3):
@@ -66,6 +72,25 @@ class TestSolveWeightLp:
         a = solve_weight_lp(WeightLpInstance(phi))
         b = solve_weight_lp(WeightLpInstance(phi_dup))
         assert a.t == pytest.approx(b.t, abs=1e-12)
+
+    def test_kinetics_instance_failing_the_dual_simplex(self):
+        # The fourth weight LP of DISC on the kinetics lattice: 135 x 4, on
+        # which the HiGHS dual simplex reports failure at these tolerances.
+        pair = make_kinetics_pair()
+        lattice = Lattice(
+            ([0.5, 0.7, 0.9], [0.1, 0.2, 0.3], [0.0, 0.15, 0.3], [2.0, 4.0, 6.0, 8.0, 10.0])
+        )
+        thetas = [
+            (1.0, 0.29439922473408364, 3.122180356107001, 2.546299219882528),
+            (1.0, 0.1881401142639104, 2.6289625901264166, 1.9503132658916882),
+            (1.0, 0.5, 2.9900491110863094, 2.594042988364661),
+            (1.0, 0.16929162367934245, 2.9259695407758515, 1.811329844399902),
+        ]
+        phi = np.array([[squared_distance(pair, x, th) for th in thetas] for x in lattice.enumerate()])
+        sol = solve_weight_lp(WeightLpInstance(phi))
+        assert phi.shape == (135, 4)
+        assert sol.status == "optimal"
+        assert sol.t == pytest.approx(np.min(sol.weights @ phi), rel=1e-8)
 
     def test_solution_invariants(self):
         phi = np.array([[0.3, 1.2, 0.1], [0.9, 0.2, 0.5], [0.4, 0.4, 0.4]])
