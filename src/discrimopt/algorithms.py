@@ -164,7 +164,6 @@ def _fill_phi(pair, candidates, thetas, phi, rows=None):
 def disc_md(
     pair: ModelPair,
     candidates: Sequence[np.ndarray],
-    initial: Design,
     theta_disc: list[np.ndarray],
     params: AlgoParams = AlgoParams(),
     *,
@@ -278,7 +277,6 @@ def two_adapt_md(
     candidates = [p.copy() for p in initial.points]
     rows = {canonical_key(p): i for i, p in enumerate(candidates)}
     phi: list[np.ndarray] = []
-    design = initial
     best_accuracy = np.inf
     stall = 0
     stalled = False
@@ -287,7 +285,7 @@ def two_adapt_md(
 
     for n in range(1, params.max_iter + 1):
         design, theta_disc, fit, _ = disc_md(
-            pair, candidates, design, theta_disc, params,
+            pair, candidates, theta_disc, params,
             phi=phi, history=history, outer_iteration=n, clock_start=t0,
         )
         ls0 = time.perf_counter()
@@ -391,7 +389,7 @@ def disc(
     candidates = list(space.enumerate()) if isinstance(space, Lattice) else list(initial.points)
     fit0 = fit_parameters(pair, initial, cfg=params.fit_config())
     design, grown, fit, converged = disc_md(
-        pair, candidates, initial, [fit0.theta_hat], params, history=history, clock_start=t0
+        pair, candidates, [fit0.theta_hat], params, history=history, clock_start=t0
     )
     report = check_optimality(pair, design, fit.theta_hat, space, gcfg)
     return SolveResult(

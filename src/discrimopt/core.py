@@ -238,13 +238,17 @@ class ModelPair:
     """Fixed reference model f1(x) and parameterized alternative f2(x, theta).
 
     Both evaluators must return length ``d_y`` responses (scalars are
-    accepted for ``d_y == 1``) and be deterministic.
+    accepted for ``d_y == 1``) and be deterministic.  ``alternative_jac``,
+    when given, returns ``(f2(x, theta), d f2 / d theta)`` with shapes
+    ``(d_y,)`` and ``(d_y, p)`` from one call; its response must equal
+    ``alternative``'s.  Without it, fits use finite differences.
     """
 
     reference: Callable[[np.ndarray], np.ndarray]
     alternative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     parameter_space: ParameterSpace
     d_y: int = 1
+    alternative_jac: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 
     def eval_reference(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -282,6 +286,32 @@ class ModelPair:
                 theta=theta,
             )
         return y
+
+    def eval_alternative_jac(self, x, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Response and parameter Jacobian from one ``alternative_jac`` call."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        try:
+            y, jac = self.alternative_jac(x, theta)
+            y = np.atleast_1d(np.asarray(y, dtype=float))
+            jac = np.asarray(jac, dtype=float)
+        except ModelEvaluationError:
+            raise
+        except Exception as exc:
+            raise ModelEvaluationError(
+                f"alternative model Jacobian failed at x={x}, theta={theta}: {exc}",
+                x=x,
+                theta=theta,
+            ) from exc
+        expected = ((self.d_y,), (self.d_y, theta.shape[0]))
+        if (y.shape, jac.shape) != expected:
+            raise ModelEvaluationError(
+                f"alternative model Jacobian returned shapes {y.shape} and {jac.shape}, "
+                f"expected {expected[0]} and {expected[1]}",
+                x=x,
+                theta=theta,
+            )
+        return y, jac
 
 
 def squared_distance(pair: ModelPair, x, theta2) -> float:

@@ -70,7 +70,8 @@ def maximize_distance(
     equivalent lattice points never displace known ones.  Box spaces use a
     dense coordinate grid followed by bound-constrained local refinement
     from the best grid cells.  Model evaluation failures at individual
-    candidates are skipped.
+    candidates are skipped, and one during a local refinement abandons that
+    refinement.
     """
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if isinstance(space, Lattice):
@@ -125,20 +126,19 @@ def maximize_distance(
     bounds = list(zip(space.lower, space.upper))
 
     def neg_phi(x):
-        try:
-            return -squared_distance(pair, x, theta_hat)
-        except ModelEvaluationError:
-            return np.inf
+        return -squared_distance(pair, x, theta_hat)
 
     for v0, x0 in scored[: cfg.refine_top]:
-        res = minimize(
-            neg_phi,
-            x0,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"ftol": cfg.local_tol, "gtol": cfg.local_tol, "eps": 1e-7},
-        )
-        if not np.isfinite(res.fun):
+        try:
+            res = minimize(
+                neg_phi,
+                x0,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"ftol": cfg.local_tol, "gtol": cfg.local_tol, "eps": 1e-7},
+            )
+        except ModelEvaluationError:
+            # A failed evaluation ends this refinement; the grid value stands.
             continue
         x = np.clip(res.x, space.lower, space.upper)
         v = -float(res.fun)

@@ -294,11 +294,9 @@ def test_small_lattice_brute_force_equivalence():
     pair = make_mm_pair()
     levels = [0.2, 0.8, 1.6, 2.8, 5.0]
     candidates = [np.array([x]) for x in levels]
-    initial = Design(np.array(candidates), np.full(5, 0.2))
     _, _, fit, converged = disc_md(
         pair,
         candidates,
-        initial,
         [np.array([1.0, 1.0])],
         AlgoParams(eps_sip=1e-6, max_iter_sip=40),
     )

@@ -36,19 +36,17 @@ TIGHT = AlgoParams(eps=1e-8, eps_sip=1e-12, max_iter_sip=60)
 
 class TestDiscMd:
     def test_single_candidate_gets_all_weight(self, toy_pair):
-        initial = Design(np.array([[0.3]]), np.array([1.0]))
         design, thetas, fit, converged = disc_md(
-            toy_pair, [np.array([0.3])], initial, [np.array([0.0])], AlgoParams()
+            toy_pair, [np.array([0.3])], [np.array([0.0])], AlgoParams()
         )
         assert converged
         assert design.n_points == 1 and design.weights[0] == 1.0
         assert fit.theta_hat[0] == pytest.approx(0.3, abs=1e-6)
 
-    def test_toy_two_candidates(self, toy_pair, toy_optimum):
+    def test_toy_two_candidates(self, toy_pair):
         design, thetas, fit, converged = disc_md(
             toy_pair,
             [np.array([0.0]), np.array([1.0])],
-            toy_optimum,
             [np.array([0.0])],
             TIGHT,
         )
@@ -59,11 +57,9 @@ class TestDiscMd:
     def test_mm_on_published_support(self):
         pair = make_mm_pair()
         candidates = [np.array([0.386]), np.array([2.596]), np.array([5.0])]
-        initial = Design(np.array(candidates), np.full(3, 1 / 3))
         design, _, fit, converged = disc_md(
             pair,
             candidates,
-            initial,
             [np.array([1.0, 1.0])],
             AlgoParams(eps_sip=1e-8, max_iter_sip=40),
         )
@@ -73,12 +69,11 @@ class TestDiscMd:
         assert weights[2.596] == pytest.approx(0.3896, abs=0.01)
         assert weights[5.0] == pytest.approx(0.2198, abs=0.01)
 
-    def test_lp_relaxation_values_nonincreasing(self, toy_pair, toy_optimum):
+    def test_lp_relaxation_values_nonincreasing(self, toy_pair):
         history = []
         disc_md(
             toy_pair,
             [np.array([0.0]), np.array([0.5]), np.array([1.0])],
-            toy_optimum,
             [np.array([0.1])],
             TIGHT,
             history=history,
@@ -87,18 +82,17 @@ class TestDiscMd:
         assert len(t_lps) >= 2
         assert all(b <= a + 1e-10 for a, b in zip(t_lps, t_lps[1:]))
 
-    def test_rejects_duplicate_candidates(self, toy_pair, toy_optimum):
+    def test_rejects_duplicate_candidates(self, toy_pair):
         with pytest.raises(ValueError, match="distinct"):
             disc_md(
                 toy_pair,
                 [np.array([0.0]), np.array([0.0])],
-                toy_optimum,
                 [np.array([0.0])],
             )
 
-    def test_rejects_empty_discretization(self, toy_pair, toy_optimum):
+    def test_rejects_empty_discretization(self, toy_pair):
         with pytest.raises(ValueError, match="discretization"):
-            disc_md(toy_pair, [np.array([0.0])], toy_optimum, [])
+            disc_md(toy_pair, [np.array([0.0])], [])
 
     def test_validates_sip_settings(self):
         with pytest.raises(ValueError):
@@ -110,36 +104,35 @@ class TestDiscMd:
         # The initial theta already minimizes the distance at the only
         # candidate, so the first cut binds.
         history = []
-        initial = Design(np.array([[0.3]]), np.array([1.0]))
         _, thetas, _, converged = disc_md(
-            toy_pair, [np.array([0.3])], initial, [np.array([0.3])], TIGHT, history=history
+            toy_pair, [np.array([0.3])], [np.array([0.3])], TIGHT, history=history
         )
         assert converged
         assert len(history) == 1
         assert len(thetas) == 2  # one appended cut
 
-    def test_grows_until_binding(self, toy_pair, toy_optimum):
+    def test_grows_until_binding(self, toy_pair):
         history = []
         candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
         _, thetas, fit, converged = disc_md(
-            toy_pair, candidates, toy_optimum, [np.array([0.1])], TIGHT, history=history
+            toy_pair, candidates, [np.array([0.1])], TIGHT, history=history
         )
         assert converged
         assert len(history) > 1
         assert len(thetas) == 1 + len(history)
         assert fit.objective == pytest.approx(0.25, abs=1e-8)
 
-    def test_iteration_limit(self, toy_pair, toy_optimum):
+    def test_iteration_limit(self, toy_pair):
         history = []
         candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
         params = AlgoParams(eps_sip=1e-12, max_iter_sip=2)
         _, thetas, _, converged = disc_md(
-            toy_pair, candidates, toy_optimum, [np.array([0.1])], params, history=history
+            toy_pair, candidates, [np.array([0.1])], params, history=history
         )
         assert not converged
         assert len(history) == 2 and len(thetas) == 3
 
-    def test_lp_failure_names_its_inner_iteration(self, toy_pair, toy_optimum, monkeypatch):
+    def test_lp_failure_names_its_inner_iteration(self, toy_pair, monkeypatch):
         calls = []
         original = algorithms.solve_weight_lp
 
@@ -153,7 +146,7 @@ class TestDiscMd:
         monkeypatch.setattr(algorithms, "solve_weight_lp", second_fails)
         candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
         with pytest.raises(SolverError, match="at inner iteration 2"):
-            disc_md(toy_pair, candidates, toy_optimum, [np.array([0.1])], TIGHT)
+            disc_md(toy_pair, candidates, [np.array([0.1])], TIGHT)
 
     def test_each_candidate_theta_pair_evaluated_once(self, monkeypatch):
         # The phi matrix carried between outer iterations evaluates every
@@ -215,10 +208,7 @@ class TestTwoAdaptMd:
         result = two_adapt_md(toy_pair, lat, initial, params=TIGHT)
         assert result.converged
         candidates = list(lat.enumerate())
-        full = Design(np.array(candidates), np.full(len(candidates), 0.2))
-        design, _, fit, _ = disc_md(
-            toy_pair, candidates, full, [np.array([0.2])], TIGHT
-        )
+        design, _, fit, _ = disc_md(toy_pair, candidates, [np.array([0.2])], TIGHT)
         assert result.t_value == pytest.approx(fit.objective, abs=1e-6)
 
     def test_explicit_initial_discretization_used(self, toy_pair):

@@ -18,17 +18,28 @@ TIME_COLUMNS = {"lp_time", "ls_time", "global_time", "wall_time"}
 
 
 def _mm_failing_after(params):
-    """The mm pair whose alternative raises from its ``fail_after``-th call on."""
+    """The mm pair whose model raises from its ``fail_after``-th call on.
+
+    ``alternative`` and ``alternative_jac`` share one call counter, so the
+    failure reaches fits (which call the Jacobian) and searches alike.
+    """
     fail_after = int(params.pop("fail_after"))
     pair = make_mm_pair(**params)
     calls = itertools.count()
 
-    def alternative(x, theta):
-        if next(calls) >= fail_after:
-            raise RuntimeError("injected failure")
-        return pair.alternative(x, theta)
+    def failing(fn):
+        def call(x, theta):
+            if next(calls) >= fail_after:
+                raise RuntimeError("injected failure")
+            return fn(x, theta)
 
-    return dataclasses.replace(pair, alternative=alternative)
+        return call
+
+    return dataclasses.replace(
+        pair,
+        alternative=failing(pair.alternative),
+        alternative_jac=failing(pair.alternative_jac),
+    )
 
 
 register_model("mm_failing_after", _mm_failing_after)

@@ -160,6 +160,46 @@ class TestSquaredDistance:
             squared_distance(pair, [0.5], [0.5])
 
 
+class TestAlternativeJac:
+    @staticmethod
+    def pair_with_jac(jac):
+        return ModelPair(
+            reference=lambda x: np.array([x[0]]),
+            alternative=lambda x, th: np.array([th[0] * x[0]]),
+            parameter_space=ParameterSpace([0.0, 0.0], [1.0, 1.0]),
+            alternative_jac=jac,
+        )
+
+    def test_response_and_jacobian_as_arrays(self):
+        pair = self.pair_with_jac(lambda x, th: (th[0] * x[0], [[x[0], 0.0]]))
+        y, jac = pair.eval_alternative_jac([0.5], [0.2, 0.3])
+        assert y.shape == (1,) and y[0] == pytest.approx(0.1, abs=1e-15)
+        assert np.array_equal(jac, [[0.5, 0.0]])
+
+    def test_failure_carries_inputs(self):
+        def bad(x, th):
+            raise RuntimeError("boom")
+
+        with pytest.raises(ModelEvaluationError, match="boom") as err:
+            self.pair_with_jac(bad).eval_alternative_jac([0.5], [0.2, 0.3])
+        assert np.array_equal(err.value.x, [0.5])
+        assert np.array_equal(err.value.theta, [0.2, 0.3])
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            ([0.1, 0.2], [[0.5, 0.0]]),  # two responses for d_y = 1
+            ([0.1], [0.5, 0.0]),  # Jacobian not (d_y, p)
+            ([0.1], [[0.5]]),  # one column for two parameters
+            ([0.1],),  # no Jacobian at all
+        ],
+    )
+    def test_wrong_shapes_rejected(self, out):
+        pair = self.pair_with_jac(lambda x, th: out)
+        with pytest.raises(ModelEvaluationError):
+            pair.eval_alternative_jac([0.5], [0.2, 0.3])
+
+
 class TestTValue:
     def test_single_point_equals_distance(self, toy_pair):
         d = Design(np.array([[0.2]]), np.array([1.0]))

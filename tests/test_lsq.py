@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from discrimopt import (
     make_mm_pair,
     sobol_points,
 )
+
+from conftest import linear_vs_constant
 
 
 class TestSobolPoints:
@@ -115,6 +119,52 @@ class TestFitParameters:
         )
         fit = fit_parameters(pair, toy_optimum, cfg=FitConfig(lam=0.0))
         assert fit.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
+
+    def test_failing_jacobian_starts_skipped(self, toy_optimum):
+        def flaky_jac(x, theta):
+            if theta[0] > 0.9:
+                raise RuntimeError("diverged")
+            return np.array([theta[0]]), np.array([[1.0]])
+
+        pair = dataclasses.replace(linear_vs_constant(), alternative_jac=flaky_jac)
+        fit = fit_parameters(pair, toy_optimum, cfg=FitConfig(lam=0.0))
+        assert fit.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("failing", ["alternative", "alternative_jac"])
+    def test_every_start_failing_raises_fit_error(self, toy_optimum, failing):
+        # Without a Jacobian the fit calls `alternative`; with one, only
+        # `alternative_jac`.
+        def broken(x, theta):
+            raise RuntimeError("diverged")
+
+        pair = dataclasses.replace(linear_vs_constant(), **{failing: broken})
+        with pytest.raises(FitError) as err:
+            fit_parameters(pair, toy_optimum, warm_start=[0.5], cfg=FitConfig(n_starts=3))
+        assert [i for i, _ in err.value.skipped] == [0, 1, 2, 3]
+
+    def test_exact_jacobian_evaluates_each_theta_once(self):
+        # The Jacobian reuses the residual evaluation at the same theta.
+        base = make_mm_pair()
+        seen = []
+
+        def counted_jac(x, theta):
+            seen.append((float(x[0]), tuple(theta)))
+            return base.alternative_jac(x, theta)
+
+        pair = dataclasses.replace(base, alternative_jac=counted_jac)
+        design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
+        fit = fit_parameters(pair, design, cfg=FitConfig(n_starts=1))
+        assert len(seen) == len(set(seen))
+        assert fit.theta_hat == pytest.approx([1.86, 2.15], abs=0.02)
+
+    def test_exact_and_finite_difference_fits_agree(self):
+        exact = make_mm_pair()
+        approx = dataclasses.replace(exact, alternative_jac=None)
+        design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
+        a = fit_parameters(exact, design, cfg=FitConfig(n_starts=3))
+        b = fit_parameters(approx, design, cfg=FitConfig(n_starts=3))
+        assert a.objective == pytest.approx(b.objective, rel=1e-8)
+        assert a.theta_hat == pytest.approx(b.theta_hat, rel=1e-5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,12 @@ from discrimopt import (
     registered_models,
     registry_lookup,
 )
-from discrimopt.models import KINETICS_DEFAULTS, KINETICS_PARAMETER_SPACE, _dopri5
+from discrimopt.models import (
+    KINETICS_DEFAULTS,
+    KINETICS_PARAMETER_SPACE,
+    _dopri5,
+    integrate_kinetics_jac,
+)
 
 FULL_LATTICE = list(
     itertools.product([0.5, 0.7, 0.9], [0.1, 0.2, 0.3], [0.0, 0.15, 0.3], [2.0, 4.0, 6.0, 8.0, 10.0])
@@ -194,6 +199,89 @@ class TestAgainstScipy:
         assert ref.status == -1
         with pytest.raises(FloatingPointError, match="step size"):
             _dopri5(rhs, 2.0, (1.0, 0.0, 0.0), 1e-8, 1e-10)
+
+
+def central_difference_jacobian(f, theta, rel_step=1e-6):
+    """d f / d theta by central differences with steps relative to theta."""
+    theta = np.asarray(theta, dtype=float)
+    columns = []
+    for j in range(theta.size):
+        h = rel_step * max(1.0, abs(theta[j]))
+        up, down = theta.copy(), theta.copy()
+        up[j] += h
+        down[j] -= h
+        columns.append((f(up) - f(down)) / (2 * h))
+    return np.column_stack(columns)
+
+
+class TestSensitivities:
+    """Exact Jacobians of the alternative models."""
+
+    def test_kinetics_states_equal_plain_kernel_on_lattice(self):
+        lo, hi = KINETICS_PARAMETER_SPACE.lower, KINETICS_PARAMETER_SPACE.upper
+        tol = IntegratorTol()
+        for th in (lo, hi, (lo + hi) / 2, [1.0, 0.2568, 3.0591, 2.4137]):
+            p = KineticsParams(th[0], th[1], 0.0, th[2], th[3], 1.0)
+            rhs = kinetics_rhs(p)
+            for x in FULL_LATTICE:
+                y, _ = integrate_kinetics_jac(p, KineticsInput(*x), tol)
+                plain, _ = _dopri5(rhs, x[3], x[:3], tol.rel, tol.abs)
+                assert np.array_equal(y, plain)
+
+    def test_kinetics_jacobian_matches_central_differences(self):
+        # Differences of solves at a tight tolerance; the exact Jacobian runs
+        # at the model's own tolerance.
+        rng = np.random.default_rng(7)
+        lo, hi = KINETICS_PARAMETER_SPACE.lower, KINETICS_PARAMETER_SPACE.upper
+        pair = make_kinetics_pair()
+        tight = IntegratorTol(rel=1e-12, abs=1e-14)
+        for _ in range(12):
+            theta = lo + (hi - lo) * rng.random(4)
+            x = np.array([*rng.uniform([0.5, 0.1, 0.0], [0.9, 0.3, 0.3]), rng.uniform(2.0, 10.0)])
+            inp = KineticsInput(*x)
+
+            def f(th):
+                return integrate_kinetics(KineticsParams(th[0], th[1], 0.0, th[2], th[3], 1.0), inp, tight)
+
+            y, jac = pair.eval_alternative_jac(x, theta)
+            assert np.array_equal(y, pair.eval_alternative(x, theta))
+            expected = central_difference_jacobian(f, theta)
+            np.testing.assert_allclose(jac, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+
+    def test_mm_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(8)
+        pair = make_mm_pair()
+        lo, hi = pair.parameter_space.lower, pair.parameter_space.upper
+        for _ in range(50):
+            theta = lo + (hi - lo) * rng.random(2)
+            x = rng.uniform(0.0, 5.0, 1)
+            y, jac = pair.eval_alternative_jac(x, theta)
+            assert np.array_equal(y, pair.eval_alternative(x, theta))
+            expected = central_difference_jacobian(lambda th: pair.eval_alternative(x, th), theta)
+            np.testing.assert_allclose(jac, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+
+    def test_kinetics_jacobian_conserves_mass(self):
+        p = KineticsParams(0.8, 0.3, 0.0, 2.5, 2.0, 1.0)
+        _, jac = integrate_kinetics_jac(p, KineticsInput(0.7, 0.2, 0.15, 6.0))
+        assert np.array_equal(jac[2], -(jac[0] + jac[1]))
+        assert jac[0, 1] == 0.0 and jac[0, 3] == 0.0
+
+    def test_clipped_concentration_has_zero_power_law_derivative(self):
+        # With a0 = 0, a stays 0, so nothing depends on k1 or n1.
+        p = KineticsParams(0.8, 0.3, 0.0, 2.5, 2.0, 1.0)
+        _, jac = integrate_kinetics_jac(p, KineticsInput(0.0, 0.2, 0.15, 6.0))
+        assert np.all(np.isfinite(jac))
+        assert np.all(jac[:, [0, 2]] == 0.0)
+
+    def test_reversible_system_rejected(self):
+        with pytest.raises(ValueError, match="irreversible"):
+            integrate_kinetics_jac(KineticsParams(**KINETICS_DEFAULTS), KineticsInput(0.5, 0.1, 0.0, 2.0))
+
+    def test_failure_raises_model_evaluation_error(self):
+        params = KineticsParams(1e300, 0.2, 0.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ModelEvaluationError) as err:
+            integrate_kinetics_jac(params, KineticsInput(1e-20, 0.0, 0.0, 1.0))
+        assert isinstance(err.value.__cause__, OverflowError)
 
 
 class TestFailurePaths:
