@@ -21,8 +21,8 @@ components of theta_hat that sit on a bound.  Run from the repository root:
     PYTHONPATH=src python scripts/kinetics_published_design.py
     PYTHONPATH=src python scripts/kinetics_published_design.py --solve-k1 1.5
 
-Parts 1-3 take a few minutes on one core; the optional solve takes several
-more.
+Parts 1-3 take under a minute on one core (about 25 s on a 2-core machine
+with Python 3.11); the optional solve takes longer.
 """
 from __future__ import annotations
 
@@ -34,7 +34,9 @@ import time
 
 import numpy as np
 
-from discrimopt import Design, ParameterSpace, fit_parameters, load_config, two_adapt_md
+from discrimopt import Design, ParameterSpace, two_adapt_md
+from discrimopt.config import load_config
+from discrimopt.lsq import fit_parameters
 
 PUBLISHED_SUPPORT = [
     [0.5, 0.1, 0.0, 2.0],
@@ -79,13 +81,11 @@ def with_k1_upper(pair, k1_upper):
 def grid_search(pair, design, fit_cfg):
     """Exhaustive grid over the parameter box, then local fits from the best points."""
     box = pair.parameter_space
-    refs = [pair.eval_reference(x) for x in design.points]
+    refs = pair.eval_reference(design.points)
 
     def criterion(theta):
-        return sum(
-            w * float(np.sum((ref - pair.eval_alternative(x, theta)) ** 2))
-            for w, ref, x in zip(design.weights, refs, design.points)
-        )
+        residuals = refs - pair.eval_alternative(design.points, theta)
+        return float(design.weights @ np.sum(residuals**2, axis=1))
 
     axes = [np.linspace(lo, hi, GRID_LEVELS) for lo, hi in zip(box.lower, box.upper)]
     scored = sorted(

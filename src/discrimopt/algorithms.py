@@ -157,8 +157,10 @@ def _fill_phi(pair, candidates, thetas, phi, rows=None):
         if not missing:
             continue
         twin = next((k for k in range(j) if np.array_equal(thetas[k], theta)), None)
-        for i in missing:
-            col[i] = squared_distance(pair, candidates[i], theta) if twin is None else phi[twin][i]
+        if twin is None:
+            col[missing] = squared_distance(pair, np.array([candidates[i] for i in missing]), theta)
+        else:
+            col[missing] = phi[twin][missing]
 
 
 def disc_md(
@@ -539,7 +541,7 @@ def check_optimality(
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     tval = t_value(pair, design, theta_hat)
     worst, max_phi = maximize_distance(pair, theta_hat, space, gcfg)
-    gaps = [squared_distance(pair, x, theta_hat) - tval for x in design.points]
+    gaps = squared_distance(pair, design.points, theta_hat) - tval
     return OptimalityReport(
         max_psi=float(max_phi - tval),
         min_support_gap=float(min(gaps)),

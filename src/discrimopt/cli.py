@@ -69,9 +69,8 @@ def _write_psi_curve(cfg: ProblemConfig, result: SolveResult, path: Path):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "psi"])
-        for x in xs:
-            psi = squared_distance(cfg.pair, [x], result.theta_hat) - result.t_value
-            writer.writerow([_fmt(float(x)), _fmt(float(psi))])
+        psi = squared_distance(cfg.pair, xs[:, None], result.theta_hat) - result.t_value
+        writer.writerows([_fmt(float(x)), _fmt(float(p))] for x, p in zip(xs, psi))
 
 
 def _load_design_file(path: Path) -> tuple[Design, np.ndarray | None]:

@@ -8,8 +8,8 @@ directional derivative psi.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "Lattice",
     "ParameterSpace",
     "ModelPair",
+    "pointwise",
     "canonical_key",
     "squared_distance",
     "t_value",
@@ -233,15 +234,22 @@ class ParameterSpace:
         )
 
 
+def pointwise(fn):
+    """Batch a per-point model callable ``fn(x, *theta)``: one call per row of X, stacked."""
+    return lambda X, *theta: np.array([np.atleast_1d(np.asarray(fn(x, *theta), dtype=float)) for x in X])
+
+
 @dataclass(frozen=True)
 class ModelPair:
-    """Fixed reference model f1(x) and parameterized alternative f2(x, theta).
+    """Fixed reference model f1(X) and parameterized alternative f2(X, theta).
 
-    Both evaluators must return length ``d_y`` responses (scalars are
-    accepted for ``d_y == 1``) and be deterministic.  ``alternative_jac``,
-    when given, returns ``(f2(x, theta), d f2 / d theta)`` with shapes
-    ``(d_y,)`` and ``(d_y, p)`` from one call; its response must equal
-    ``alternative``'s.  Without it, fits use finite differences.
+    Both evaluators take the design points as the rows of X, shape (n, d),
+    and return the responses as the rows of an (n, d_y) array; they must be
+    deterministic.  ``pointwise`` adapts per-point callables.
+    ``alternative_jac``, when given, returns ``(f2(X, theta), d f2 / d theta)``
+    with shapes (n, d_y) and (n, d_y, p) from one call; its responses must
+    equal ``alternative``'s.  Without it, fits use finite differences.  The
+    ``eval_*`` methods take a 1-D X as one point.
     """
 
     reference: Callable[[np.ndarray], np.ndarray]
@@ -250,93 +258,63 @@ class ModelPair:
     d_y: int = 1
     alternative_jac: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 
-    def eval_reference(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def eval_reference(self, X) -> np.ndarray:
+        """Reference responses (n, d_y) at the rows of X."""
+        return self._evaluate("reference", X)[0]
+
+    def eval_alternative(self, X, theta) -> np.ndarray:
+        """Alternative responses (n, d_y) at the rows of X."""
+        return self._evaluate("alternative", X, theta)[0]
+
+    def eval_alternative_jac(self, X, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Alternative responses (n, d_y) and Jacobians (n, d_y, p) from one call."""
+        return tuple(self._evaluate("alternative_jac", X, theta))
+
+    def _evaluate(self, name: str, X, theta=None) -> list[np.ndarray]:
+        """Call one model callable on the rows of X, with one error wrap and one shape check."""
+        x = np.asarray(X, dtype=float)
+        X = np.atleast_2d(x)
+        theta = None if theta is None else np.atleast_1d(np.asarray(theta, dtype=float))
+        args = () if theta is None else (theta,)
+        jac = name == "alternative_jac"
         try:
-            y = np.atleast_1d(np.asarray(self.reference(x), dtype=float))
+            out = getattr(self, name)(X, *args)
+            out = [np.asarray(a, dtype=float) for a in (out if jac else (out,))]
         except ModelEvaluationError:
             raise
         except Exception as exc:
             raise ModelEvaluationError(
-                f"reference model failed at x={x}: {exc}", x=x
+                f"{name} model failed at x={x}, theta={theta}: {exc}", x=x, theta=theta
             ) from exc
-        if y.shape != (self.d_y,):
+        shapes = [a.shape for a in out]
+        expected = [(len(X), self.d_y)]
+        if jac:
+            expected.append((len(X), self.d_y, len(theta)))
+        if shapes != expected:
             raise ModelEvaluationError(
-                f"reference model returned shape {y.shape}, expected ({self.d_y},)", x=x
+                f"{name} model returned shapes {shapes}, expected {expected}", x=x, theta=theta
             )
-        return y
-
-    def eval_alternative(self, x, theta) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        try:
-            y = np.atleast_1d(np.asarray(self.alternative(x, theta), dtype=float))
-        except ModelEvaluationError:
-            raise
-        except Exception as exc:
-            raise ModelEvaluationError(
-                f"alternative model failed at x={x}, theta={theta}: {exc}",
-                x=x,
-                theta=theta,
-            ) from exc
-        if y.shape != (self.d_y,):
-            raise ModelEvaluationError(
-                f"alternative model returned shape {y.shape}, expected ({self.d_y},)",
-                x=x,
-                theta=theta,
-            )
-        return y
-
-    def eval_alternative_jac(self, x, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Response and parameter Jacobian from one ``alternative_jac`` call."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        try:
-            y, jac = self.alternative_jac(x, theta)
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-            jac = np.asarray(jac, dtype=float)
-        except ModelEvaluationError:
-            raise
-        except Exception as exc:
-            raise ModelEvaluationError(
-                f"alternative model Jacobian failed at x={x}, theta={theta}: {exc}",
-                x=x,
-                theta=theta,
-            ) from exc
-        expected = ((self.d_y,), (self.d_y, theta.shape[0]))
-        if (y.shape, jac.shape) != expected:
-            raise ModelEvaluationError(
-                f"alternative model Jacobian returned shapes {y.shape} and {jac.shape}, "
-                f"expected {expected[0]} and {expected[1]}",
-                x=x,
-                theta=theta,
-            )
-        return y, jac
+        return out
 
 
-def squared_distance(pair: ModelPair, x, theta2) -> float:
-    """Squared (Euclidean) distance between reference and alternative at x."""
-    r = pair.eval_reference(x) - pair.eval_alternative(x, theta2)
-    return float(r @ r)
+def squared_distance(pair: ModelPair, X, theta2) -> np.ndarray:
+    """Squared (Euclidean) distances (n,) between reference and alternative at the rows of X."""
+    return np.array([r @ r for r in pair.eval_reference(X) - pair.eval_alternative(X, theta2)])
 
 
 def t_value(pair: ModelPair, design: Design, theta2) -> float:
     """Weighted squared distance sum_i w_i * phi(x_i, theta2)."""
-    return float(
-        sum(
-            wi * squared_distance(pair, xi, theta2)
-            for xi, wi in zip(design.points, design.weights)
-        )
-    )
+    phi = squared_distance(pair, design.points, theta2)
+    return float(sum(wi * p for p, wi in zip(phi, design.weights)))
 
 
-def directional_derivative(pair: ModelPair, design: Design, theta_hat, x) -> float:
-    """psi(x, xi) = phi(x, theta_hat) - T(xi, theta_hat).
+def directional_derivative(pair: ModelPair, design: Design, theta_hat, X) -> np.ndarray:
+    """psi(x, xi) = phi(x, theta_hat) - T(xi, theta_hat) at the rows of X.
 
     ``theta_hat`` must be the fitted parameter for ``design``; the pairing is
     the caller's responsibility so one fit can back many psi evaluations.
     """
-    return squared_distance(pair, x, theta_hat) - t_value(pair, design, theta_hat)
+    return squared_distance(pair, X, theta_hat) - t_value(pair, design, theta_hat)
 
 
 def mix_designs(a: Design, b: Design, alpha: float) -> Design:

@@ -6,11 +6,10 @@ with deterministic Sobol multistart.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import qmc
 
 from .core import Design, ModelEvaluationError, ModelPair, ParameterSpace, t_value
 
@@ -52,11 +51,59 @@ class FitResult:
     start_index: int
 
 
+# Primitive polynomials and initial direction numbers of Sobol dimensions
+# 2-32 (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008), as scipy.stats.qmc ships
+# them; dimension 1 has all direction numbers 1.
+_SOBOL_POLY = (3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103, 109, 115, 131, 137,
+               143, 145, 157, 167, 171, 185, 191, 193, 203, 211, 213)
+_SOBOL_VINIT = (
+    (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
+    (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11), (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49),
+    (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5), (1, 3, 1, 15, 13, 25),
+    (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103), (1, 3, 7, 13, 13, 15, 69),
+    (1, 1, 3, 13, 7, 35, 63), (1, 3, 5, 9, 1, 25, 53), (1, 3, 1, 13, 9, 35, 107),
+    (1, 3, 1, 5, 27, 61, 31), (1, 1, 5, 11, 19, 41, 61), (1, 3, 5, 3, 3, 13, 69),
+    (1, 1, 7, 13, 1, 19, 1), (1, 3, 7, 5, 13, 19, 59), (1, 1, 3, 9, 25, 29, 41),
+    (1, 3, 5, 13, 23, 1, 55), (1, 3, 7, 3, 13, 59, 17),
+)
+_SOBOL_BITS = 30
+
+
+def _sobol_unit(dim: int, n: int) -> np.ndarray:
+    """Points 1..n of the unscrambled Sobol sequence in [0, 1)^dim, dim <= 32.
+
+    Gray-code order with scipy's 30-bit direction numbers, so the points
+    equal ``qmc.Sobol(dim, scramble=False).random(n + 1)[1:]`` exactly.
+    """
+    bits = _SOBOL_BITS
+    v = [[1] * bits]
+    for p, vinit in zip(_SOBOL_POLY[: dim - 1], _SOBOL_VINIT):
+        m = p.bit_length() - 1
+        row = list(vinit)
+        for j in range(m, bits):
+            new = row[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v.append(row)
+    v = [[vj << (bits - 1 - j) for j, vj in enumerate(row)] for row in v]
+    quasi = [0] * dim
+    unit = np.empty((n, dim))
+    for i in range(n):
+        lowest_zero = (~i & (i + 1)).bit_length() - 1
+        quasi = [q ^ row[lowest_zero] for q, row in zip(quasi, v)]
+        unit[i] = quasi
+    return unit * 2.0**-bits
+
+
 def sobol_points(dim: int, n: int, box: ParameterSpace) -> list[np.ndarray]:
     """First n post-origin points of the unscrambled Sobol sequence in the box.
 
     The all-zeros initial point is skipped: it maps to a box corner, which is
-    a poor start for kinetic models.  Deterministic across runs.
+    a poor start for kinetic models.  Deterministic across runs.  Up to 32
+    dimensions the points come from the embedded direction numbers, which
+    keeps ``scipy.stats`` off the import path; above that from scipy.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -64,10 +111,15 @@ def sobol_points(dim: int, n: int, box: ParameterSpace) -> list[np.ndarray]:
         raise ValueError(f"dim {dim} does not match box dimension {box.dimension}")
     if n == 0:
         return []
-    with warnings.catch_warnings():
-        # n + 1 is generally not a power of two; balance is irrelevant here.
-        warnings.simplefilter("ignore", UserWarning)
-        unit = qmc.Sobol(d=dim, scramble=False).random(n + 1)[1:]
+    if dim <= len(_SOBOL_POLY) + 1:
+        unit = _sobol_unit(dim, n)
+    else:
+        from scipy.stats import qmc
+
+        with warnings.catch_warnings():
+            # n + 1 is generally not a power of two; balance is irrelevant here.
+            warnings.simplefilter("ignore", UserWarning)
+            unit = qmc.Sobol(d=dim, scramble=False).random(n + 1)[1:]
     return [box.lower + u * (box.upper - box.lower) for u in unit]
 
 
@@ -77,38 +129,29 @@ def _stacked_residuals(pair: ModelPair, design: Design, lam: float):
     The regularizer enters as a uniform extra weight per point, which gives
     the same objective as a separate penalty block with half the residuals.
     The Jacobian is ``"2-point"`` (finite differences) unless the pair has
-    ``alternative_jac``.  Then one call per point gives both residual and
-    Jacobian rows, and the Jacobian callable returns the rows stored for the
-    last theta, evaluating afresh only for a theta it has not seen last.
+    ``alternative_jac``.  Then one call over the support gives both residual
+    and Jacobian rows, and the Jacobian callable returns the rows stored for
+    the last theta, evaluating afresh only for a theta it has not seen last.
     """
-    sqrt_w = np.sqrt(design.weights + lam)
-    refs = [pair.eval_reference(x) for x in design.points]
+    points = design.points
+    sqrt_w = np.sqrt(design.weights + lam)[:, None]
+    refs = pair.eval_reference(points)
 
     if pair.alternative_jac is None:
 
         def residuals(theta):
-            return np.concatenate(
-                [
-                    s * (ref - pair.eval_alternative(x, theta))
-                    for s, ref, x in zip(sqrt_w, refs, design.points)
-                ]
-            )
+            return (sqrt_w * (refs - pair.eval_alternative(points, theta))).ravel()
 
         return residuals, "2-point"
 
-    d_y = pair.d_y
     last_theta, last = None, None
 
     def evaluate(theta):
         nonlocal last_theta, last
         if last_theta is None or not np.array_equal(last_theta, theta):
-            r = np.empty(d_y * len(refs))
-            jac = np.empty((d_y * len(refs), theta.shape[0]))
-            for i, (s, ref, x) in enumerate(zip(sqrt_w, refs, design.points)):
-                y, jac_i = pair.eval_alternative_jac(x, theta)
-                r[i * d_y:(i + 1) * d_y] = s * (ref - y)
-                jac[i * d_y:(i + 1) * d_y] = -s * jac_i
-            last_theta, last = theta.copy(), (r, jac)
+            y, jac = pair.eval_alternative_jac(points, theta)
+            r = (sqrt_w * (refs - y)).ravel()
+            last_theta, last = theta.copy(), (r, (-sqrt_w[:, :, None] * jac).reshape(r.size, -1))
         return last
 
     def residuals(theta):

@@ -31,16 +31,16 @@ __all__ = [
 _DIVISION_GUARD = 1e-15
 
 
-def mm_eval(x: float, V: float, K: float) -> float:
-    """Michaelis-Menten rate V*x / (K + x)."""
+def mm_eval(x, V, K):
+    """Michaelis-Menten rate V*x / (K + x), elementwise for an array x."""
     denom = K + x
-    if abs(denom) <= _DIVISION_GUARD:
+    if (np.abs(denom) <= _DIVISION_GUARD).any():
         raise ModelEvaluationError(f"Michaelis-Menten denominator K + x = {denom} too small", x=x)
     return V * x / denom
 
 
-def modmm_eval(x: float, V: float, K: float, F: float) -> float:
-    """Modified Michaelis-Menten rate: V*x / (K + x) + F*x."""
+def modmm_eval(x, V, K, F):
+    """Modified Michaelis-Menten rate: V*x / (K + x) + F*x, elementwise for an array x."""
     return mm_eval(x, V, K) + F * x
 
 
@@ -97,6 +97,7 @@ def _initial_step(rhs, t_end, a, b, c, fa, fb, fc, rtol, atol):
     """scipy's ``select_initial_step`` for an error estimator of order 4.
 
     ``rhs`` maps the three states to their derivatives and is called once.
+    Returns the step and whether clipping to ``t_end`` changed it.
     """
     sa, sb, sc = atol + abs(a) * rtol, atol + abs(b) * rtol, atol + abs(c) * rtol
     xa, xb, xc = a / sa, b / sb, c / sc
@@ -104,6 +105,7 @@ def _initial_step(rhs, t_end, a, b, c, fa, fb, fc, rtol, atol):
     xa, xb, xc = fa / sa, fb / sb, fc / sc
     d1 = math.sqrt(xa * xa + xb * xb + xc * xc) / _SQRT3
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    bound = h0 > t_end
     h0 = min(h0, t_end)
     ga, gb, gc = rhs(a + h0 * fa, b + h0 * fb, c + h0 * fc)
     if h0 == 0:
@@ -117,7 +119,8 @@ def _initial_step(rhs, t_end, a, b, c, fa, fb, fc, rtol, atol):
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
+    h = min(100 * h0, h1)
+    return min(h, t_end), bound or h > t_end
 
 
 # In the step loops and right-hand sides below, `q if q > p else p` is
@@ -125,8 +128,8 @@ def _initial_step(rhs, t_end, a, b, c, fa, fb, fc, rtol, atol):
 # -0.0 included, without the cost of a builtin call.
 
 
-def _dopri5(rhs, t_end, y0, rtol, atol):
-    """Integrate the autonomous three-state system y' = rhs(a, b, c) from 0 to t_end.
+def _dopri5(rhs, times, y0, rtol, atol, out=None):
+    """Integrate the autonomous three-state system y' = rhs(a, b, c) from 0 to each time.
 
     The Dormand-Prince 5(4) pair (Dormand & Prince, 1980) on Python floats,
     with the step-size control of scipy's RK45 (Hairer, Norsett & Wanner,
@@ -135,108 +138,133 @@ def _dopri5(rhs, t_end, y0, rtol, atol):
     scipy's to ~1e-15 relative, not bit for bit, because NumPy's dot products
     use fused multiply-adds.
 
-    Returns ((a, b, c) at t_end, number of rhs evaluations).  Raises
-    FloatingPointError when the step falls below 10 ulp(t); overflow in rhs
-    raises OverflowError.
+    ``times`` is one end time, or a sorted tuple of distinct end times
+    integrated in one pass.  Where a step would pass the next time, the pass
+    saves its state, finishes that time as a solve to it alone would (a
+    clipped step and the same controller, rejections included), and resumes
+    from the saved state; a time whose initial step is clipped is solved
+    alone.  So every value equals that of a solve to its time alone, bit for
+    bit.
+
+    With one end time, returns ((a, b, c) at it, number of rhs evaluations).
+    With a tuple, appends (a, b, c) per time to ``out``, so that after a
+    failure ``len(out)`` indexes the failing time, and returns the number of
+    rhs evaluations.  Raises FloatingPointError when the step falls below
+    10 ulp(t); overflow in rhs raises OverflowError.
     """
+    if out is None:
+        out = []
+        nfev = _dopri5(rhs, (times,), y0, rtol, atol, out)
+        return out[0], nfev
     a, b, c = y0
     fa, fb, fc = rhs(a, b, c)
-    h_abs = _initial_step(rhs, t_end, a, b, c, fa, fb, fc, rtol, atol)
+    h_abs, bound = _initial_step(rhs, times[0], a, b, c, fa, fb, fc, rtol, atol)
     nfev = 2
+    if bound and len(times) > 1:
+        return (nfev + _dopri5(rhs, times[:1], y0, rtol, atol, out)
+                + _dopri5(rhs, times[1:], y0, rtol, atol, out))
 
     t = 0.0
-    while t < t_end:
-        min_step = 10 * math.ulp(t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            # Written so that a NaN step also fails instead of looping.
-            if not h_abs >= min_step:
-                raise FloatingPointError(
-                    f"required step size is less than spacing between numbers at t={t!r}"
+    saved = None
+    for t_end in times:
+        while t < t_end:
+            min_step = 10 * math.ulp(t)
+            if h_abs < min_step:
+                h_abs = min_step
+            if saved is None and t + h_abs > t_end:
+                saved = t, a, b, c, fa, fb, fc, h_abs
+            rejected = False
+            while True:
+                # Written so that a NaN step also fails instead of looping.
+                if not h_abs >= min_step:
+                    raise FloatingPointError(
+                        f"required step size is less than spacing between numbers at t={t!r}"
+                    )
+                t_new = t + h_abs
+                if t_new > t_end:
+                    t_new = t_end
+                h = t_new - t
+                h_abs = h
+
+                k2a, k2b, k2c = rhs(
+                    a + fa * (1 / 5) * h,
+                    b + fb * (1 / 5) * h,
+                    c + fc * (1 / 5) * h,
                 )
-            t_new = t + h_abs
-            if t_new > t_end:
-                t_new = t_end
-            h = t_new - t
-            h_abs = h
+                k3a, k3b, k3c = rhs(
+                    a + (fa * (3 / 40) + k2a * (9 / 40)) * h,
+                    b + (fb * (3 / 40) + k2b * (9 / 40)) * h,
+                    c + (fc * (3 / 40) + k2c * (9 / 40)) * h,
+                )
+                k4a, k4b, k4c = rhs(
+                    a + (fa * (44 / 45) + k2a * (-56 / 15) + k3a * (32 / 9)) * h,
+                    b + (fb * (44 / 45) + k2b * (-56 / 15) + k3b * (32 / 9)) * h,
+                    c + (fc * (44 / 45) + k2c * (-56 / 15) + k3c * (32 / 9)) * h,
+                )
+                k5a, k5b, k5c = rhs(
+                    a + (fa * (19372 / 6561) + k2a * (-25360 / 2187) + k3a * (64448 / 6561)
+                         + k4a * (-212 / 729)) * h,
+                    b + (fb * (19372 / 6561) + k2b * (-25360 / 2187) + k3b * (64448 / 6561)
+                         + k4b * (-212 / 729)) * h,
+                    c + (fc * (19372 / 6561) + k2c * (-25360 / 2187) + k3c * (64448 / 6561)
+                         + k4c * (-212 / 729)) * h,
+                )
+                k6a, k6b, k6c = rhs(
+                    a + (fa * (9017 / 3168) + k2a * (-355 / 33) + k3a * (46732 / 5247)
+                         + k4a * (49 / 176) + k5a * (-5103 / 18656)) * h,
+                    b + (fb * (9017 / 3168) + k2b * (-355 / 33) + k3b * (46732 / 5247)
+                         + k4b * (49 / 176) + k5b * (-5103 / 18656)) * h,
+                    c + (fc * (9017 / 3168) + k2c * (-355 / 33) + k3c * (46732 / 5247)
+                         + k4c * (49 / 176) + k5c * (-5103 / 18656)) * h,
+                )
+                ya = a + h * (fa * (35 / 384) + k3a * (500 / 1113) + k4a * (125 / 192)
+                              + k5a * (-2187 / 6784) + k6a * (11 / 84))
+                yb = b + h * (fb * (35 / 384) + k3b * (500 / 1113) + k4b * (125 / 192)
+                              + k5b * (-2187 / 6784) + k6b * (11 / 84))
+                yc = c + h * (fc * (35 / 384) + k3c * (500 / 1113) + k4c * (125 / 192)
+                              + k5c * (-2187 / 6784) + k6c * (11 / 84))
+                k7a, k7b, k7c = rhs(ya, yb, yc)
+                nfev += 6
 
-            k2a, k2b, k2c = rhs(
-                a + fa * (1 / 5) * h,
-                b + fb * (1 / 5) * h,
-                c + fc * (1 / 5) * h,
-            )
-            k3a, k3b, k3c = rhs(
-                a + (fa * (3 / 40) + k2a * (9 / 40)) * h,
-                b + (fb * (3 / 40) + k2b * (9 / 40)) * h,
-                c + (fc * (3 / 40) + k2c * (9 / 40)) * h,
-            )
-            k4a, k4b, k4c = rhs(
-                a + (fa * (44 / 45) + k2a * (-56 / 15) + k3a * (32 / 9)) * h,
-                b + (fb * (44 / 45) + k2b * (-56 / 15) + k3b * (32 / 9)) * h,
-                c + (fc * (44 / 45) + k2c * (-56 / 15) + k3c * (32 / 9)) * h,
-            )
-            k5a, k5b, k5c = rhs(
-                a + (fa * (19372 / 6561) + k2a * (-25360 / 2187) + k3a * (64448 / 6561)
-                     + k4a * (-212 / 729)) * h,
-                b + (fb * (19372 / 6561) + k2b * (-25360 / 2187) + k3b * (64448 / 6561)
-                     + k4b * (-212 / 729)) * h,
-                c + (fc * (19372 / 6561) + k2c * (-25360 / 2187) + k3c * (64448 / 6561)
-                     + k4c * (-212 / 729)) * h,
-            )
-            k6a, k6b, k6c = rhs(
-                a + (fa * (9017 / 3168) + k2a * (-355 / 33) + k3a * (46732 / 5247)
-                     + k4a * (49 / 176) + k5a * (-5103 / 18656)) * h,
-                b + (fb * (9017 / 3168) + k2b * (-355 / 33) + k3b * (46732 / 5247)
-                     + k4b * (49 / 176) + k5b * (-5103 / 18656)) * h,
-                c + (fc * (9017 / 3168) + k2c * (-355 / 33) + k3c * (46732 / 5247)
-                     + k4c * (49 / 176) + k5c * (-5103 / 18656)) * h,
-            )
-            ya = a + h * (fa * (35 / 384) + k3a * (500 / 1113) + k4a * (125 / 192)
-                          + k5a * (-2187 / 6784) + k6a * (11 / 84))
-            yb = b + h * (fb * (35 / 384) + k3b * (500 / 1113) + k4b * (125 / 192)
-                          + k5b * (-2187 / 6784) + k6b * (11 / 84))
-            yc = c + h * (fc * (35 / 384) + k3c * (500 / 1113) + k4c * (125 / 192)
-                          + k5c * (-2187 / 6784) + k6c * (11 / 84))
-            k7a, k7b, k7c = rhs(ya, yb, yc)
-            nfev += 6
+                pa, qa = abs(a), abs(ya)
+                pb, qb = abs(b), abs(yb)
+                pc, qc = abs(c), abs(yc)
+                xa = (fa * (-71 / 57600) + k3a * (71 / 16695) + k4a * (-71 / 1920)
+                      + k5a * (17253 / 339200) + k6a * (-22 / 525) + k7a * (1 / 40)) * h / (
+                    atol + (qa if qa > pa else pa) * rtol)
+                xb = (fb * (-71 / 57600) + k3b * (71 / 16695) + k4b * (-71 / 1920)
+                      + k5b * (17253 / 339200) + k6b * (-22 / 525) + k7b * (1 / 40)) * h / (
+                    atol + (qb if qb > pb else pb) * rtol)
+                xc = (fc * (-71 / 57600) + k3c * (71 / 16695) + k4c * (-71 / 1920)
+                      + k5c * (17253 / 339200) + k6c * (-22 / 525) + k7c * (1 / 40)) * h / (
+                    atol + (qc if qc > pc else pc) * rtol)
+                error_norm = math.sqrt(xa * xa + xb * xb + xc * xc) / _SQRT3
 
-            pa, qa = abs(a), abs(ya)
-            pb, qb = abs(b), abs(yb)
-            pc, qc = abs(c), abs(yc)
-            xa = (fa * (-71 / 57600) + k3a * (71 / 16695) + k4a * (-71 / 1920)
-                  + k5a * (17253 / 339200) + k6a * (-22 / 525) + k7a * (1 / 40)) * h / (
-                atol + (qa if qa > pa else pa) * rtol)
-            xb = (fb * (-71 / 57600) + k3b * (71 / 16695) + k4b * (-71 / 1920)
-                  + k5b * (17253 / 339200) + k6b * (-22 / 525) + k7b * (1 / 40)) * h / (
-                atol + (qb if qb > pb else pb) * rtol)
-            xc = (fc * (-71 / 57600) + k3c * (71 / 16695) + k4c * (-71 / 1920)
-                  + k5c * (17253 / 339200) + k6c * (-22 / 525) + k7c * (1 / 40)) * h / (
-                atol + (qc if qc > pc else pc) * rtol)
-            error_norm = math.sqrt(xa * xa + xb * xb + xc * xc) / _SQRT3
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = 10.0
+                    else:
+                        factor = 0.9 * error_norm**-0.2
+                        factor = factor if factor < 10.0 else 10.0
+                    if rejected:
+                        factor = factor if factor < 1.0 else 1.0
+                    h_abs *= factor
+                    break
+                factor = 0.9 * error_norm**-0.2
+                h_abs *= factor if factor > 0.2 else 0.2
+                rejected = True
 
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = 10.0
-                else:
-                    factor = 0.9 * error_norm**-0.2
-                    factor = factor if factor < 10.0 else 10.0
-                if rejected:
-                    factor = factor if factor < 1.0 else 1.0
-                h_abs *= factor
-                break
-            factor = 0.9 * error_norm**-0.2
-            h_abs *= factor if factor > 0.2 else 0.2
-            rejected = True
-
-        t = t_new
-        a, b, c = ya, yb, yc
-        fa, fb, fc = k7a, k7b, k7c
-    return (a, b, c), nfev
+            t = t_new
+            a, b, c = ya, yb, yc
+            fa, fb, fc = k7a, k7b, k7c
+        out.append((a, b, c))
+        if saved is not None:
+            t, a, b, c, fa, fb, fc, h_abs = saved
+            saved = None
+    return nfev
 
 
-def _dopri5_sens(rhs, t_end, y0, rtol, atol):
+def _dopri5_sens(rhs, times, y0, rtol, atol, out):
     """``_dopri5`` with six sensitivity states integrated beside the three states.
 
     ``rhs(a, b, c, s1, ..., s6)`` returns the nine derivatives; the six
@@ -246,179 +274,183 @@ def _dopri5_sens(rhs, t_end, y0, rtol, atol):
     arithmetic, so the steps and the states are those of ``_dopri5`` with
     the same state derivatives, bit for bit.
 
-    Returns ((a, b, c), (s1, ..., s6)) at t_end; raises as ``_dopri5``.
+    Integrates to a sorted tuple of ``times`` in one pass, as ``_dopri5``
+    does, and appends ((a, b, c), (s1, ..., s6)) per time to ``out``.
+    Raises as ``_dopri5``.
     """
     a, b, c = y0
     s1 = s2 = s3 = s4 = s5 = s6 = 0.0
     fa, fb, fc, g1, g2, g3, g4, g5, g6 = rhs(a, b, c, s1, s2, s3, s4, s5, s6)
-    h_abs = _initial_step(
+    h_abs, bound = _initial_step(
         lambda a, b, c: rhs(a, b, c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[:3],
-        t_end, a, b, c, fa, fb, fc, rtol, atol,
+        times[0], a, b, c, fa, fb, fc, rtol, atol,
     )
+    if bound and len(times) > 1:
+        _dopri5_sens(rhs, times[:1], y0, rtol, atol, out)
+        _dopri5_sens(rhs, times[1:], y0, rtol, atol, out)
+        return
 
     t = 0.0
-    while t < t_end:
-        min_step = 10 * math.ulp(t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise FloatingPointError(
-                    f"required step size is less than spacing between numbers at t={t!r}"
+    saved = None
+    for t_end in times:
+        while t < t_end:
+            min_step = 10 * math.ulp(t)
+            if h_abs < min_step:
+                h_abs = min_step
+            if saved is None and t + h_abs > t_end:
+                saved = t, a, b, c, s1, s2, s3, s4, s5, s6, fa, fb, fc, g1, g2, g3, g4, g5, g6, h_abs
+            rejected = False
+            while True:
+                if not h_abs >= min_step:
+                    raise FloatingPointError(
+                        f"required step size is less than spacing between numbers at t={t!r}"
+                    )
+                t_new = t + h_abs
+                if t_new > t_end:
+                    t_new = t_end
+                h = t_new - t
+                h_abs = h
+
+                k2a, k2b, k2c, k21, k22, k23, k24, k25, k26 = rhs(
+                    a + fa * (1 / 5) * h,
+                    b + fb * (1 / 5) * h,
+                    c + fc * (1 / 5) * h,
+                    s1 + g1 * (1 / 5) * h,
+                    s2 + g2 * (1 / 5) * h,
+                    s3 + g3 * (1 / 5) * h,
+                    s4 + g4 * (1 / 5) * h,
+                    s5 + g5 * (1 / 5) * h,
+                    s6 + g6 * (1 / 5) * h,
                 )
-            t_new = t + h_abs
-            if t_new > t_end:
-                t_new = t_end
-            h = t_new - t
-            h_abs = h
+                k3a, k3b, k3c, k31, k32, k33, k34, k35, k36 = rhs(
+                    a + (fa * (3 / 40) + k2a * (9 / 40)) * h,
+                    b + (fb * (3 / 40) + k2b * (9 / 40)) * h,
+                    c + (fc * (3 / 40) + k2c * (9 / 40)) * h,
+                    s1 + (g1 * (3 / 40) + k21 * (9 / 40)) * h,
+                    s2 + (g2 * (3 / 40) + k22 * (9 / 40)) * h,
+                    s3 + (g3 * (3 / 40) + k23 * (9 / 40)) * h,
+                    s4 + (g4 * (3 / 40) + k24 * (9 / 40)) * h,
+                    s5 + (g5 * (3 / 40) + k25 * (9 / 40)) * h,
+                    s6 + (g6 * (3 / 40) + k26 * (9 / 40)) * h,
+                )
+                k4a, k4b, k4c, k41, k42, k43, k44, k45, k46 = rhs(
+                    a + (fa * (44 / 45) + k2a * (-56 / 15) + k3a * (32 / 9)) * h,
+                    b + (fb * (44 / 45) + k2b * (-56 / 15) + k3b * (32 / 9)) * h,
+                    c + (fc * (44 / 45) + k2c * (-56 / 15) + k3c * (32 / 9)) * h,
+                    s1 + (g1 * (44 / 45) + k21 * (-56 / 15) + k31 * (32 / 9)) * h,
+                    s2 + (g2 * (44 / 45) + k22 * (-56 / 15) + k32 * (32 / 9)) * h,
+                    s3 + (g3 * (44 / 45) + k23 * (-56 / 15) + k33 * (32 / 9)) * h,
+                    s4 + (g4 * (44 / 45) + k24 * (-56 / 15) + k34 * (32 / 9)) * h,
+                    s5 + (g5 * (44 / 45) + k25 * (-56 / 15) + k35 * (32 / 9)) * h,
+                    s6 + (g6 * (44 / 45) + k26 * (-56 / 15) + k36 * (32 / 9)) * h,
+                )
+                k5a, k5b, k5c, k51, k52, k53, k54, k55, k56 = rhs(
+                    a + (fa * (19372 / 6561) + k2a * (-25360 / 2187) + k3a * (64448 / 6561)
+                         + k4a * (-212 / 729)) * h,
+                    b + (fb * (19372 / 6561) + k2b * (-25360 / 2187) + k3b * (64448 / 6561)
+                         + k4b * (-212 / 729)) * h,
+                    c + (fc * (19372 / 6561) + k2c * (-25360 / 2187) + k3c * (64448 / 6561)
+                         + k4c * (-212 / 729)) * h,
+                    s1 + (g1 * (19372 / 6561) + k21 * (-25360 / 2187) + k31 * (64448 / 6561)
+                          + k41 * (-212 / 729)) * h,
+                    s2 + (g2 * (19372 / 6561) + k22 * (-25360 / 2187) + k32 * (64448 / 6561)
+                          + k42 * (-212 / 729)) * h,
+                    s3 + (g3 * (19372 / 6561) + k23 * (-25360 / 2187) + k33 * (64448 / 6561)
+                          + k43 * (-212 / 729)) * h,
+                    s4 + (g4 * (19372 / 6561) + k24 * (-25360 / 2187) + k34 * (64448 / 6561)
+                          + k44 * (-212 / 729)) * h,
+                    s5 + (g5 * (19372 / 6561) + k25 * (-25360 / 2187) + k35 * (64448 / 6561)
+                          + k45 * (-212 / 729)) * h,
+                    s6 + (g6 * (19372 / 6561) + k26 * (-25360 / 2187) + k36 * (64448 / 6561)
+                          + k46 * (-212 / 729)) * h,
+                )
+                k6a, k6b, k6c, k61, k62, k63, k64, k65, k66 = rhs(
+                    a + (fa * (9017 / 3168) + k2a * (-355 / 33) + k3a * (46732 / 5247)
+                         + k4a * (49 / 176) + k5a * (-5103 / 18656)) * h,
+                    b + (fb * (9017 / 3168) + k2b * (-355 / 33) + k3b * (46732 / 5247)
+                         + k4b * (49 / 176) + k5b * (-5103 / 18656)) * h,
+                    c + (fc * (9017 / 3168) + k2c * (-355 / 33) + k3c * (46732 / 5247)
+                         + k4c * (49 / 176) + k5c * (-5103 / 18656)) * h,
+                    s1 + (g1 * (9017 / 3168) + k21 * (-355 / 33) + k31 * (46732 / 5247)
+                          + k41 * (49 / 176) + k51 * (-5103 / 18656)) * h,
+                    s2 + (g2 * (9017 / 3168) + k22 * (-355 / 33) + k32 * (46732 / 5247)
+                          + k42 * (49 / 176) + k52 * (-5103 / 18656)) * h,
+                    s3 + (g3 * (9017 / 3168) + k23 * (-355 / 33) + k33 * (46732 / 5247)
+                          + k43 * (49 / 176) + k53 * (-5103 / 18656)) * h,
+                    s4 + (g4 * (9017 / 3168) + k24 * (-355 / 33) + k34 * (46732 / 5247)
+                          + k44 * (49 / 176) + k54 * (-5103 / 18656)) * h,
+                    s5 + (g5 * (9017 / 3168) + k25 * (-355 / 33) + k35 * (46732 / 5247)
+                          + k45 * (49 / 176) + k55 * (-5103 / 18656)) * h,
+                    s6 + (g6 * (9017 / 3168) + k26 * (-355 / 33) + k36 * (46732 / 5247)
+                          + k46 * (49 / 176) + k56 * (-5103 / 18656)) * h,
+                )
+                ya = a + h * (fa * (35 / 384) + k3a * (500 / 1113) + k4a * (125 / 192)
+                              + k5a * (-2187 / 6784) + k6a * (11 / 84))
+                yb = b + h * (fb * (35 / 384) + k3b * (500 / 1113) + k4b * (125 / 192)
+                              + k5b * (-2187 / 6784) + k6b * (11 / 84))
+                yc = c + h * (fc * (35 / 384) + k3c * (500 / 1113) + k4c * (125 / 192)
+                              + k5c * (-2187 / 6784) + k6c * (11 / 84))
+                y1 = s1 + h * (g1 * (35 / 384) + k31 * (500 / 1113) + k41 * (125 / 192)
+                               + k51 * (-2187 / 6784) + k61 * (11 / 84))
+                y2 = s2 + h * (g2 * (35 / 384) + k32 * (500 / 1113) + k42 * (125 / 192)
+                               + k52 * (-2187 / 6784) + k62 * (11 / 84))
+                y3 = s3 + h * (g3 * (35 / 384) + k33 * (500 / 1113) + k43 * (125 / 192)
+                               + k53 * (-2187 / 6784) + k63 * (11 / 84))
+                y4 = s4 + h * (g4 * (35 / 384) + k34 * (500 / 1113) + k44 * (125 / 192)
+                               + k54 * (-2187 / 6784) + k64 * (11 / 84))
+                y5 = s5 + h * (g5 * (35 / 384) + k35 * (500 / 1113) + k45 * (125 / 192)
+                               + k55 * (-2187 / 6784) + k65 * (11 / 84))
+                y6 = s6 + h * (g6 * (35 / 384) + k36 * (500 / 1113) + k46 * (125 / 192)
+                               + k56 * (-2187 / 6784) + k66 * (11 / 84))
+                k7a, k7b, k7c, k71, k72, k73, k74, k75, k76 = rhs(
+                    ya, yb, yc, y1, y2, y3, y4, y5, y6
+                )
 
-            k2a, k2b, k2c, k21, k22, k23, k24, k25, k26 = rhs(
-                a + fa * (1 / 5) * h,
-                b + fb * (1 / 5) * h,
-                c + fc * (1 / 5) * h,
-                s1 + g1 * (1 / 5) * h,
-                s2 + g2 * (1 / 5) * h,
-                s3 + g3 * (1 / 5) * h,
-                s4 + g4 * (1 / 5) * h,
-                s5 + g5 * (1 / 5) * h,
-                s6 + g6 * (1 / 5) * h,
-            )
-            k3a, k3b, k3c, k31, k32, k33, k34, k35, k36 = rhs(
-                a + (fa * (3 / 40) + k2a * (9 / 40)) * h,
-                b + (fb * (3 / 40) + k2b * (9 / 40)) * h,
-                c + (fc * (3 / 40) + k2c * (9 / 40)) * h,
-                s1 + (g1 * (3 / 40) + k21 * (9 / 40)) * h,
-                s2 + (g2 * (3 / 40) + k22 * (9 / 40)) * h,
-                s3 + (g3 * (3 / 40) + k23 * (9 / 40)) * h,
-                s4 + (g4 * (3 / 40) + k24 * (9 / 40)) * h,
-                s5 + (g5 * (3 / 40) + k25 * (9 / 40)) * h,
-                s6 + (g6 * (3 / 40) + k26 * (9 / 40)) * h,
-            )
-            k4a, k4b, k4c, k41, k42, k43, k44, k45, k46 = rhs(
-                a + (fa * (44 / 45) + k2a * (-56 / 15) + k3a * (32 / 9)) * h,
-                b + (fb * (44 / 45) + k2b * (-56 / 15) + k3b * (32 / 9)) * h,
-                c + (fc * (44 / 45) + k2c * (-56 / 15) + k3c * (32 / 9)) * h,
-                s1 + (g1 * (44 / 45) + k21 * (-56 / 15) + k31 * (32 / 9)) * h,
-                s2 + (g2 * (44 / 45) + k22 * (-56 / 15) + k32 * (32 / 9)) * h,
-                s3 + (g3 * (44 / 45) + k23 * (-56 / 15) + k33 * (32 / 9)) * h,
-                s4 + (g4 * (44 / 45) + k24 * (-56 / 15) + k34 * (32 / 9)) * h,
-                s5 + (g5 * (44 / 45) + k25 * (-56 / 15) + k35 * (32 / 9)) * h,
-                s6 + (g6 * (44 / 45) + k26 * (-56 / 15) + k36 * (32 / 9)) * h,
-            )
-            k5a, k5b, k5c, k51, k52, k53, k54, k55, k56 = rhs(
-                a + (fa * (19372 / 6561) + k2a * (-25360 / 2187) + k3a * (64448 / 6561)
-                     + k4a * (-212 / 729)) * h,
-                b + (fb * (19372 / 6561) + k2b * (-25360 / 2187) + k3b * (64448 / 6561)
-                     + k4b * (-212 / 729)) * h,
-                c + (fc * (19372 / 6561) + k2c * (-25360 / 2187) + k3c * (64448 / 6561)
-                     + k4c * (-212 / 729)) * h,
-                s1 + (g1 * (19372 / 6561) + k21 * (-25360 / 2187) + k31 * (64448 / 6561)
-                      + k41 * (-212 / 729)) * h,
-                s2 + (g2 * (19372 / 6561) + k22 * (-25360 / 2187) + k32 * (64448 / 6561)
-                      + k42 * (-212 / 729)) * h,
-                s3 + (g3 * (19372 / 6561) + k23 * (-25360 / 2187) + k33 * (64448 / 6561)
-                      + k43 * (-212 / 729)) * h,
-                s4 + (g4 * (19372 / 6561) + k24 * (-25360 / 2187) + k34 * (64448 / 6561)
-                      + k44 * (-212 / 729)) * h,
-                s5 + (g5 * (19372 / 6561) + k25 * (-25360 / 2187) + k35 * (64448 / 6561)
-                      + k45 * (-212 / 729)) * h,
-                s6 + (g6 * (19372 / 6561) + k26 * (-25360 / 2187) + k36 * (64448 / 6561)
-                      + k46 * (-212 / 729)) * h,
-            )
-            k6a, k6b, k6c, k61, k62, k63, k64, k65, k66 = rhs(
-                a + (fa * (9017 / 3168) + k2a * (-355 / 33) + k3a * (46732 / 5247)
-                     + k4a * (49 / 176) + k5a * (-5103 / 18656)) * h,
-                b + (fb * (9017 / 3168) + k2b * (-355 / 33) + k3b * (46732 / 5247)
-                     + k4b * (49 / 176) + k5b * (-5103 / 18656)) * h,
-                c + (fc * (9017 / 3168) + k2c * (-355 / 33) + k3c * (46732 / 5247)
-                     + k4c * (49 / 176) + k5c * (-5103 / 18656)) * h,
-                s1 + (g1 * (9017 / 3168) + k21 * (-355 / 33) + k31 * (46732 / 5247)
-                      + k41 * (49 / 176) + k51 * (-5103 / 18656)) * h,
-                s2 + (g2 * (9017 / 3168) + k22 * (-355 / 33) + k32 * (46732 / 5247)
-                      + k42 * (49 / 176) + k52 * (-5103 / 18656)) * h,
-                s3 + (g3 * (9017 / 3168) + k23 * (-355 / 33) + k33 * (46732 / 5247)
-                      + k43 * (49 / 176) + k53 * (-5103 / 18656)) * h,
-                s4 + (g4 * (9017 / 3168) + k24 * (-355 / 33) + k34 * (46732 / 5247)
-                      + k44 * (49 / 176) + k54 * (-5103 / 18656)) * h,
-                s5 + (g5 * (9017 / 3168) + k25 * (-355 / 33) + k35 * (46732 / 5247)
-                      + k45 * (49 / 176) + k55 * (-5103 / 18656)) * h,
-                s6 + (g6 * (9017 / 3168) + k26 * (-355 / 33) + k36 * (46732 / 5247)
-                      + k46 * (49 / 176) + k56 * (-5103 / 18656)) * h,
-            )
-            ya = a + h * (fa * (35 / 384) + k3a * (500 / 1113) + k4a * (125 / 192)
-                          + k5a * (-2187 / 6784) + k6a * (11 / 84))
-            yb = b + h * (fb * (35 / 384) + k3b * (500 / 1113) + k4b * (125 / 192)
-                          + k5b * (-2187 / 6784) + k6b * (11 / 84))
-            yc = c + h * (fc * (35 / 384) + k3c * (500 / 1113) + k4c * (125 / 192)
-                          + k5c * (-2187 / 6784) + k6c * (11 / 84))
-            y1 = s1 + h * (g1 * (35 / 384) + k31 * (500 / 1113) + k41 * (125 / 192)
-                           + k51 * (-2187 / 6784) + k61 * (11 / 84))
-            y2 = s2 + h * (g2 * (35 / 384) + k32 * (500 / 1113) + k42 * (125 / 192)
-                           + k52 * (-2187 / 6784) + k62 * (11 / 84))
-            y3 = s3 + h * (g3 * (35 / 384) + k33 * (500 / 1113) + k43 * (125 / 192)
-                           + k53 * (-2187 / 6784) + k63 * (11 / 84))
-            y4 = s4 + h * (g4 * (35 / 384) + k34 * (500 / 1113) + k44 * (125 / 192)
-                           + k54 * (-2187 / 6784) + k64 * (11 / 84))
-            y5 = s5 + h * (g5 * (35 / 384) + k35 * (500 / 1113) + k45 * (125 / 192)
-                           + k55 * (-2187 / 6784) + k65 * (11 / 84))
-            y6 = s6 + h * (g6 * (35 / 384) + k36 * (500 / 1113) + k46 * (125 / 192)
-                           + k56 * (-2187 / 6784) + k66 * (11 / 84))
-            k7a, k7b, k7c, k71, k72, k73, k74, k75, k76 = rhs(
-                ya, yb, yc, y1, y2, y3, y4, y5, y6
-            )
+                pa, qa = abs(a), abs(ya)
+                pb, qb = abs(b), abs(yb)
+                pc, qc = abs(c), abs(yc)
+                xa = (fa * (-71 / 57600) + k3a * (71 / 16695) + k4a * (-71 / 1920)
+                      + k5a * (17253 / 339200) + k6a * (-22 / 525) + k7a * (1 / 40)) * h / (
+                    atol + (qa if qa > pa else pa) * rtol)
+                xb = (fb * (-71 / 57600) + k3b * (71 / 16695) + k4b * (-71 / 1920)
+                      + k5b * (17253 / 339200) + k6b * (-22 / 525) + k7b * (1 / 40)) * h / (
+                    atol + (qb if qb > pb else pb) * rtol)
+                xc = (fc * (-71 / 57600) + k3c * (71 / 16695) + k4c * (-71 / 1920)
+                      + k5c * (17253 / 339200) + k6c * (-22 / 525) + k7c * (1 / 40)) * h / (
+                    atol + (qc if qc > pc else pc) * rtol)
+                error_norm = math.sqrt(xa * xa + xb * xb + xc * xc) / _SQRT3
 
-            pa, qa = abs(a), abs(ya)
-            pb, qb = abs(b), abs(yb)
-            pc, qc = abs(c), abs(yc)
-            xa = (fa * (-71 / 57600) + k3a * (71 / 16695) + k4a * (-71 / 1920)
-                  + k5a * (17253 / 339200) + k6a * (-22 / 525) + k7a * (1 / 40)) * h / (
-                atol + (qa if qa > pa else pa) * rtol)
-            xb = (fb * (-71 / 57600) + k3b * (71 / 16695) + k4b * (-71 / 1920)
-                  + k5b * (17253 / 339200) + k6b * (-22 / 525) + k7b * (1 / 40)) * h / (
-                atol + (qb if qb > pb else pb) * rtol)
-            xc = (fc * (-71 / 57600) + k3c * (71 / 16695) + k4c * (-71 / 1920)
-                  + k5c * (17253 / 339200) + k6c * (-22 / 525) + k7c * (1 / 40)) * h / (
-                atol + (qc if qc > pc else pc) * rtol)
-            error_norm = math.sqrt(xa * xa + xb * xb + xc * xc) / _SQRT3
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = 10.0
+                    else:
+                        factor = 0.9 * error_norm**-0.2
+                        factor = factor if factor < 10.0 else 10.0
+                    if rejected:
+                        factor = factor if factor < 1.0 else 1.0
+                    h_abs *= factor
+                    break
+                factor = 0.9 * error_norm**-0.2
+                h_abs *= factor if factor > 0.2 else 0.2
+                rejected = True
 
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = 10.0
-                else:
-                    factor = 0.9 * error_norm**-0.2
-                    factor = factor if factor < 10.0 else 10.0
-                if rejected:
-                    factor = factor if factor < 1.0 else 1.0
-                h_abs *= factor
-                break
-            factor = 0.9 * error_norm**-0.2
-            h_abs *= factor if factor > 0.2 else 0.2
-            rejected = True
-
-        t = t_new
-        a, b, c = ya, yb, yc
-        s1, s2, s3, s4, s5, s6 = y1, y2, y3, y4, y5, y6
-        fa, fb, fc = k7a, k7b, k7c
-        g1, g2, g3, g4, g5, g6 = k71, k72, k73, k74, k75, k76
-    return (a, b, c), (s1, s2, s3, s4, s5, s6)
+            t = t_new
+            a, b, c = ya, yb, yc
+            s1, s2, s3, s4, s5, s6 = y1, y2, y3, y4, y5, y6
+            fa, fb, fc = k7a, k7b, k7c
+            g1, g2, g3, g4, g5, g6 = k71, k72, k73, k74, k75, k76
+        out.append(((a, b, c), (s1, s2, s3, s4, s5, s6)))
+        if saved is not None:
+            t, a, b, c, s1, s2, s3, s4, s5, s6, fa, fb, fc, g1, g2, g3, g4, g5, g6, h_abs = saved
+            saved = None
 
 
 # benchmarks/instruments.py counts and times ODE solves by wrapping this name.
 solve_ivp = _dopri5
 
 
-def integrate_kinetics(
-    params: KineticsParams, inp: KineticsInput, tol: IntegratorTol = IntegratorTol()
-) -> np.ndarray:
-    """Concentrations (a, b, c) at time t from the Dormand-Prince kernel ``_dopri5``.
-
-    The power laws see max(a, 0) and max(b, 0), because adaptive steps can
-    transiently produce tiny negative concentrations with non-integer
-    orders.  Every call integrates afresh; there is no cache.  Arithmetic
-    overflow, division by zero and a step size below 10 ulp(t) raise
-    ModelEvaluationError carrying the design point.
-    """
+def _kinetics_rhs(params: KineticsParams):
+    """The right-hand side y' = rhs(a, b, c) of the reaction system, for ``_dopri5``."""
     k1, k2, k3 = params.k1, params.k2, params.k3
     n1, n2, n3 = params.n1, params.n2, params.n3
 
@@ -430,34 +462,11 @@ def integrate_kinetics(
         r3 = k3 * b**n3
         return (-r1 + r3, r1 - r2 - r3, r2)
 
-    try:
-        y, _ = solve_ivp(rhs, inp.t, (inp.a0, inp.b0, inp.c0), tol.rel, tol.abs)
-    except ArithmeticError as exc:
-        raise _integration_error(inp, exc) from exc
-    return np.array(y)
+    return rhs
 
 
-def _integration_error(inp: KineticsInput, exc: ArithmeticError) -> ModelEvaluationError:
-    return ModelEvaluationError(
-        f"kinetics integration failed at input {inp}: {exc}",
-        x=np.array([inp.a0, inp.b0, inp.c0, inp.t]),
-    )
-
-
-def integrate_kinetics_jac(
-    params: KineticsParams, inp: KineticsInput, tol: IntegratorTol = IntegratorTol()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concentrations and their Jacobian in (k1, k2, n1, n2), irreversible system only.
-
-    Needs k3 = 0 and n3 = 1, the alternative model.  The forward
-    sensitivities S' = J_y S + J_theta run beside the states in
-    ``_dopri5_sens``: d a / d(k1, n1) and d b / d(k1, k2, n1, n2), since a
-    does not depend on k2 or n2, and d c = -(d a + d b) by conservation of
-    a + b + c.  The states equal ``integrate_kinetics``' bit for bit.  At a
-    clipped concentration (a <= 0 or b <= 0) its power law is constant, so
-    its derivative terms, ln a and a**(n - 1) among them, are taken as 0.
-    Raises ModelEvaluationError as ``integrate_kinetics`` does.
-    """
+def _kinetics_sens_rhs(params: KineticsParams):
+    """The states and their six sensitivities for ``_dopri5_sens``; irreversible system only."""
     if params.k3 != 0.0 or params.n3 != 1.0:
         raise ValueError("sensitivities need the irreversible system: k3 = 0 and n3 = 1")
     k1, k2, k3, n1, n2 = params.k1, params.k2, params.k3, params.n1, params.n2
@@ -470,7 +479,7 @@ def integrate_kinetics_jac(
         pb = b**n2
         r1 = k1 * pa
         r2 = k2 * pb
-        r3 = k3 * b  # k3 * b**n3 with n3 = 1, as in integrate_kinetics
+        r3 = k3 * b  # k3 * b**n3 with n3 = 1, as in _kinetics_rhs
         # r1_a = d r1 / d a, r1_n1 = d r1 / d n1, and likewise for r2.
         if a > 0.0:
             r1_a = n1 * r1 / a
@@ -497,15 +506,74 @@ def integrate_kinetics_jac(
             -(r2_b * b_n2 + r2_n2),
         )
 
-    try:
-        y, (a_k1, a_n1, b_k1, b_k2, b_n1, b_n2) = _dopri5_sens(
-            rhs, inp.t, (inp.a0, inp.b0, inp.c0), tol.rel, tol.abs
-        )
-    except ArithmeticError as exc:
-        raise _integration_error(inp, exc) from exc
-    s_a = (a_k1, 0.0, a_n1, 0.0)
-    s_b = (b_k1, b_k2, b_n1, b_n2)
-    return np.array(y), np.array([s_a, s_b, [-(u + v) for u, v in zip(s_a, s_b)]])
+    return rhs
+
+
+def _integrate_rows(params: KineticsParams, X, tol: IntegratorTol, jac: bool = False):
+    """Concentrations (n, 3) at the rows (a0, b0, c0, t) of X; with ``jac`` also
+    their Jacobians (n, 3, 4) in (k1, k2, n1, n2).
+
+    Each row is validated as a KineticsInput.  Rows that share (a0, b0, c0)
+    exactly are integrated in one kernel pass over their sorted distinct
+    times, which gives every row the value of a solve to its own time, bit
+    for bit.  A failure raises ModelEvaluationError carrying a failing row.
+    """
+    groups: dict[tuple, list] = {}
+    for i, row in enumerate(X):
+        inp = KineticsInput(*(float(v) for v in row))
+        groups.setdefault((inp.a0, inp.b0, inp.c0), []).append((inp.t, i))
+    rhs = _kinetics_sens_rhs(params) if jac else _kinetics_rhs(params)
+    Y = np.empty((len(X), 3))
+    S = np.empty((len(X), 2, 4))  # the rows of a and b in the Jacobian
+    for y0, rows in groups.items():
+        times = tuple(sorted({t for t, _ in rows}))
+        out: list = []
+        try:
+            (_dopri5_sens if jac else solve_ivp)(rhs, times, y0, tol.rel, tol.abs, out)
+        except ArithmeticError as exc:
+            x = np.array([*y0, times[len(out)]])
+            raise ModelEvaluationError(f"kinetics integration failed at x={x}: {exc}", x=x) from exc
+        at = dict(zip(times, out))
+        for t, i in rows:
+            if jac:
+                Y[i], (a_k1, a_n1, b_k1, b_k2, b_n1, b_n2) = at[t]
+                S[i] = (a_k1, 0.0, a_n1, 0.0), (b_k1, b_k2, b_n1, b_n2)
+            else:
+                Y[i] = at[t]
+    # d c = -(d a + d b), by conservation of a + b + c.
+    return (Y, np.concatenate([S, -(S[:, :1] + S[:, 1:])], axis=1)) if jac else Y
+
+
+def integrate_kinetics(
+    params: KineticsParams, inp: KineticsInput, tol: IntegratorTol = IntegratorTol()
+) -> np.ndarray:
+    """Concentrations (a, b, c) at time t from the Dormand-Prince kernel ``_dopri5``.
+
+    The power laws see max(a, 0) and max(b, 0), because adaptive steps can
+    transiently produce tiny negative concentrations with non-integer
+    orders.  Every call integrates afresh; there is no cache.  Arithmetic
+    overflow, division by zero and a step size below 10 ulp(t) raise
+    ModelEvaluationError carrying the design point.
+    """
+    return _integrate_rows(params, [(inp.a0, inp.b0, inp.c0, inp.t)], tol)[0]
+
+
+def integrate_kinetics_jac(
+    params: KineticsParams, inp: KineticsInput, tol: IntegratorTol = IntegratorTol()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concentrations and their Jacobian in (k1, k2, n1, n2), irreversible system only.
+
+    Needs k3 = 0 and n3 = 1, the alternative model.  The forward
+    sensitivities S' = J_y S + J_theta run beside the states in
+    ``_dopri5_sens``: d a / d(k1, n1) and d b / d(k1, k2, n1, n2), since a
+    does not depend on k2 or n2, and d c = -(d a + d b) by conservation of
+    a + b + c.  The states equal ``integrate_kinetics``' bit for bit.  At a
+    clipped concentration (a <= 0 or b <= 0) its power law is constant, so
+    its derivative terms, ln a and a**(n - 1) among them, are taken as 0.
+    Raises ModelEvaluationError as ``integrate_kinetics`` does.
+    """
+    y, jac = _integrate_rows(params, [(inp.a0, inp.b0, inp.c0, inp.t)], tol, jac=True)
+    return y[0], jac[0]
 
 
 # Reference parameter defaults for the bundled benchmark pairs.
@@ -529,22 +597,16 @@ def make_mm_pair(
     """
     space = parameter_space or MM_PARAMETER_SPACE
 
-    def reference(x):
-        return np.array([modmm_eval(float(x[0]), V, K, F)])
-
-    def alternative(x, theta):
-        return np.array([mm_eval(float(x[0]), float(theta[0]), float(theta[1]))])
-
-    def alternative_jac(x, theta):
-        x0, V, K = float(x[0]), float(theta[0]), float(theta[1])
-        y = mm_eval(x0, V, K)
-        denom = K + x0
+    def alternative_jac(X, theta):
+        x, V, K = X[:, :1], theta[0], theta[1]
+        y = mm_eval(x, V, K)
+        denom = K + x
         # df/dV = x / (K + x), df/dK = -V x / (K + x)**2
-        return np.array([y]), np.array([[x0 / denom, -y / denom]])
+        return y, np.stack([x / denom, -y / denom], axis=2)
 
     return ModelPair(
-        reference=reference,
-        alternative=alternative,
+        reference=lambda X: modmm_eval(X[:, :1], V, K, F),
+        alternative=lambda X, theta: mm_eval(X[:, :1], theta[0], theta[1]),
         parameter_space=space,
         d_y=1,
         alternative_jac=alternative_jac,
@@ -565,69 +627,43 @@ def make_kinetics_pair(
 
     Design points are (a0, b0, c0, t); responses are the three concentrations
     at the measurement time.  Alternative parameters are (k1, k2, n1, n2).
+    Points that share an initial state are integrated in one kernel pass.
     """
     space = parameter_space or KINETICS_PARAMETER_SPACE
     ref_params = KineticsParams(k1, k2, k3, n1, n2, n3)
 
-    def reference(x):
-        inp = KineticsInput(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
-        return integrate_kinetics(ref_params, inp, tol)
-
-    def alt_args(x, theta):
-        alt_params = KineticsParams(
+    def alt_params(theta):
+        return KineticsParams(
             float(theta[0]), float(theta[1]), 0.0, float(theta[2]), float(theta[3]), 1.0
         )
-        inp = KineticsInput(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
-        return alt_params, inp, tol
-
-    def alternative(x, theta):
-        return integrate_kinetics(*alt_args(x, theta))
-
-    def alternative_jac(x, theta):
-        return integrate_kinetics_jac(*alt_args(x, theta))
 
     return ModelPair(
-        reference=reference,
-        alternative=alternative,
+        reference=lambda X: _integrate_rows(ref_params, X, tol),
+        alternative=lambda X, theta: _integrate_rows(alt_params(theta), X, tol),
         parameter_space=space,
         d_y=3,
-        alternative_jac=alternative_jac,
+        alternative_jac=lambda X, theta: _integrate_rows(alt_params(theta), X, tol, jac=True),
     )
 
 
-def _build_mm(params: dict) -> ModelPair:
-    merged = {**MM_DEFAULTS, **params}
-    unknown = set(merged) - {"V", "K", "F", "parameter_space"}
-    if unknown:
-        raise KeyError(f"unknown mm_vs_modmm parameters: {sorted(unknown)}")
-    return make_mm_pair(
-        V=float(merged["V"]),
-        K=float(merged["K"]),
-        F=float(merged["F"]),
-        parameter_space=merged.get("parameter_space"),
-    )
+def _builder(name: str, make, defaults: dict, options: set):
+    """Registry builder: reference parameters merged over ``defaults`` as floats, plus ``options``."""
 
+    def build(params: dict) -> ModelPair:
+        merged = {**defaults, **params}
+        unknown = set(merged) - set(defaults) - options
+        if unknown:
+            raise KeyError(f"unknown {name} parameters: {sorted(unknown)}")
+        return make(**{k: float(v) if k in defaults else v for k, v in merged.items()})
 
-def _build_kinetics(params: dict) -> ModelPair:
-    merged = {**KINETICS_DEFAULTS, **params}
-    unknown = set(merged) - {"k1", "k2", "k3", "n1", "n2", "n3", "parameter_space", "tol"}
-    if unknown:
-        raise KeyError(f"unknown kinetics_rev_vs_irrev parameters: {sorted(unknown)}")
-    return make_kinetics_pair(
-        k1=float(merged["k1"]),
-        k2=float(merged["k2"]),
-        k3=float(merged["k3"]),
-        n1=float(merged["n1"]),
-        n2=float(merged["n2"]),
-        n3=float(merged["n3"]),
-        parameter_space=merged.get("parameter_space"),
-        tol=merged.get("tol", IntegratorTol()),
-    )
+    return build
 
 
 _REGISTRY = {
-    "mm_vs_modmm": _build_mm,
-    "kinetics_rev_vs_irrev": _build_kinetics,
+    "mm_vs_modmm": _builder("mm_vs_modmm", make_mm_pair, MM_DEFAULTS, {"parameter_space"}),
+    "kinetics_rev_vs_irrev": _builder(
+        "kinetics_rev_vs_irrev", make_kinetics_pair, KINETICS_DEFAULTS, {"parameter_space", "tol"}
+    ),
 }
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import (
-    Box,
     DesignSpace,
     Lattice,
     ModelEvaluationError,
@@ -55,6 +54,13 @@ def _lexicographic_better(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
+def _phi_or_none(pair: ModelPair, x, theta_hat):
+    try:
+        return squared_distance(pair, x, theta_hat)[0]
+    except ModelEvaluationError:
+        return None
+
+
 def maximize_distance(
     pair: ModelPair,
     theta_hat,
@@ -75,22 +81,26 @@ def maximize_distance(
     """
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if isinstance(space, Lattice):
-        candidates = space.enumerate()
+        axes = space.levels
     else:
         axes = [
             np.linspace(lo, hi, cfg.grid_per_dim)
             for lo, hi in zip(space.lower, space.upper)
         ]
-        candidates = (np.array(c) for c in itertools.product(*axes))
+    X = np.array(list(itertools.product(*axes)), dtype=float)
+    error = None
+    try:
+        values = squared_distance(pair, X, theta_hat)
+    except ModelEvaluationError as exc:
+        # Row by row, so that a failing candidate is skipped alone.
+        error, values = exc, [_phi_or_none(pair, x, theta_hat) for x in X]
 
     scored: list[tuple[float, np.ndarray]] = []
     n_failed = 0
     best_val = -np.inf
     best_x = None
-    for x in candidates:
-        try:
-            v = squared_distance(pair, x, theta_hat)
-        except ModelEvaluationError:
+    for v, x in zip(values, X):
+        if v is None:
             n_failed += 1
             continue
         scored.append((v, x))
@@ -99,8 +109,8 @@ def maximize_distance(
             best_x = x
     if best_x is None:
         raise ModelEvaluationError(
-            f"all {n_failed} candidate evaluations failed", theta=theta_hat
-        )
+            f"all {n_failed} candidate evaluations failed: {error}", theta=theta_hat
+        ) from error
 
     if isinstance(space, Lattice):
         # Near-ties resolve to a preferred (already-known) point when one
@@ -119,14 +129,14 @@ def maximize_distance(
                 best_x = x
         if tied_preferred is not None:
             best_x = tied_preferred
-        return best_x, best_val
+        return best_x.copy(), best_val
 
     # Box: refine the top grid cells with a local bound-constrained maximizer.
     scored.sort(key=lambda sv: -sv[0])
     bounds = list(zip(space.lower, space.upper))
 
     def neg_phi(x):
-        return -squared_distance(pair, x, theta_hat)
+        return -squared_distance(pair, x, theta_hat)[0]
 
     for v0, x0 in scored[: cfg.refine_top]:
         try:
@@ -145,4 +155,4 @@ def maximize_distance(
         if v > best_val or (v == best_val and _lexicographic_better(x, best_x)):
             best_val = v
             best_x = x
-    return best_x, best_val
+    return best_x.copy(), best_val

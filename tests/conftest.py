@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from discrimopt import Design, ModelPair, ParameterSpace
+from discrimopt import Design, ModelPair, ParameterSpace, pointwise
 
 
 def linear_vs_constant() -> ModelPair:
@@ -10,8 +10,8 @@ def linear_vs_constant() -> ModelPair:
     Closed-form optimum: design {0: 1/2, 1: 1/2}, theta_hat = 1/2, T = 1/4.
     """
     return ModelPair(
-        reference=lambda x: np.array([x[0]]),
-        alternative=lambda x, theta: np.array([theta[0]]),
+        reference=pointwise(lambda x: np.array([x[0]])),
+        alternative=pointwise(lambda x, theta: np.array([theta[0]])),
         parameter_space=ParameterSpace([0.0], [1.0]),
         d_y=1,
     )

@@ -17,23 +17,19 @@ from discrimopt import (
     AlgoParams,
     Box,
     Design,
-    FitConfig,
-    IntegratorTol,
-    KineticsInput,
-    KineticsParams,
     Lattice,
     ModelPair,
     ParameterSpace,
     check_optimality,
-    directional_derivative,
-    disc_md,
-    fit_parameters,
-    integrate_kinetics,
-    load_config,
     make_mm_pair,
-    t_value,
+    pointwise,
     two_adapt_md,
 )
+from discrimopt.algorithms import disc_md
+from discrimopt.config import load_config
+from discrimopt.core import directional_derivative, t_value
+from discrimopt.lsq import FitConfig, fit_parameters
+from discrimopt.models import IntegratorTol, KineticsInput, KineticsParams, integrate_kinetics
 from discrimopt.cli import main
 
 from conftest import linear_vs_constant
@@ -357,14 +353,14 @@ def test_multi_response_consistency():
     # vector return must produce bit-identical criterion values.
     space = ParameterSpace([0.0], [1.0])
     scalar_pair = ModelPair(
-        reference=lambda x: math.sin(3.0 * x[0]),
-        alternative=lambda x, th: th[0] * x[0],
+        reference=pointwise(lambda x: math.sin(3.0 * x[0])),
+        alternative=pointwise(lambda x, th: th[0] * x[0]),
         parameter_space=space,
         d_y=1,
     )
     vector_pair = ModelPair(
-        reference=lambda x: np.array([math.sin(3.0 * x[0])]),
-        alternative=lambda x, th: np.array([th[0] * x[0]]),
+        reference=pointwise(lambda x: np.array([math.sin(3.0 * x[0])])),
+        alternative=pointwise(lambda x, th: np.array([th[0] * x[0]])),
         parameter_space=space,
         d_y=1,
     )

@@ -10,23 +10,22 @@ from discrimopt import (
     AlgoParams,
     Box,
     Design,
-    FitConfig,
     GlobalSearchConfig,
     Lattice,
     ModelPair,
     ParameterSpace,
-    SolverError,
-    WeightLpSolution,
     check_optimality,
     disc,
-    disc_md,
-    fit_parameters,
-    load_config,
     make_mm_pair,
+    pointwise,
     solve,
     two_adapt_md,
     vdm,
 )
+from discrimopt.algorithms import SolverError, disc_md
+from discrimopt.config import load_config
+from discrimopt.lp import WeightLpSolution
+from discrimopt.lsq import FitConfig, fit_parameters
 
 from conftest import linear_vs_constant
 
@@ -154,9 +153,10 @@ class TestDiscMd:
         seen = Counter()
         original = algorithms.squared_distance
 
-        def counted(pair, x, theta):
-            seen[np.asarray(x, dtype=float).tobytes(), np.asarray(theta, dtype=float).tobytes()] += 1
-            return original(pair, x, theta)
+        def counted(pair, X, theta):
+            for x in np.atleast_2d(X):
+                seen[np.asarray(x, dtype=float).tobytes(), np.asarray(theta, dtype=float).tobytes()] += 1
+            return original(pair, X, theta)
 
         monkeypatch.setattr(algorithms, "squared_distance", counted)
         cfg = load_config(importlib.resources.files("discrimopt") / "configs" / "mm.config")
@@ -196,7 +196,7 @@ class TestTwoAdaptMd:
         assert result.accuracy >= -1e-12
 
     def test_initial_design_outside_space_rejected(self, toy_pair):
-        from discrimopt import DesignError
+        from discrimopt.core import DesignError
 
         initial = Design(np.array([[2.0]]), np.array([1.0]))
         with pytest.raises(DesignError):
@@ -268,13 +268,13 @@ class TestSolve:
     def test_history_kept_when_a_sub_solver_raises(self, name, toy_pair):
         calls = []
 
-        def alternative(x, theta):
-            calls.append(x)
+        def alternative(X, theta):
+            calls.append(X)
             if len(calls) > 100:
                 raise RuntimeError("injected failure")
-            return np.array([theta[0]])
+            return np.full((len(X), 1), theta[0])
 
-        pair = ModelPair(lambda x: np.array([x[0]]), alternative, toy_pair.parameter_space)
+        pair = ModelPair(pointwise(lambda x: np.array([x[0]])), alternative, toy_pair.parameter_space)
         initial = Design(np.array([[0.5]]), np.array([1.0]))
         history = []
         with pytest.raises(Exception, match="injected failure|starts failed"):

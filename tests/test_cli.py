@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import discrimopt.algorithms as algorithms
-from discrimopt import FitError, WeightLpSolution, make_mm_pair, register_model
+from discrimopt import make_mm_pair
+from discrimopt.lp import WeightLpSolution
+from discrimopt.lsq import FitError
+from discrimopt.models import register_model
 from discrimopt.cli import main
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
@@ -18,20 +21,22 @@ TIME_COLUMNS = {"lp_time", "ls_time", "global_time", "wall_time"}
 
 
 def _mm_failing_after(params):
-    """The mm pair whose model raises from its ``fail_after``-th call on.
+    """The mm pair whose model raises from its ``fail_after``-th point evaluation on.
 
-    ``alternative`` and ``alternative_jac`` share one call counter, so the
-    failure reaches fits (which call the Jacobian) and searches alike.
+    ``alternative`` and ``alternative_jac`` share one counter of evaluated
+    points, so the failure reaches fits (which call the Jacobian) and
+    searches alike.
     """
     fail_after = int(params.pop("fail_after"))
     pair = make_mm_pair(**params)
-    calls = itertools.count()
+    points = itertools.count()
 
     def failing(fn):
-        def call(x, theta):
-            if next(calls) >= fail_after:
-                raise RuntimeError("injected failure")
-            return fn(x, theta)
+        def call(X, theta):
+            for _ in X:
+                if next(points) >= fail_after:
+                    raise RuntimeError("injected failure")
+            return fn(X, theta)
 
         return call
 

@@ -4,7 +4,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from discrimopt import Box, ConfigError, Lattice, load_config
+from discrimopt import Box, Lattice
+from discrimopt.config import ConfigError, load_config
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
 

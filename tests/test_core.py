@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 from discrimopt import (
     Box,
     Design,
-    DesignError,
     Lattice,
     ModelEvaluationError,
     ModelPair,
     ParameterSpace,
+    make_mm_pair,
+    pointwise,
+)
+from discrimopt.core import (
+    DesignError,
     canonical_key,
     directional_derivative,
-    make_mm_pair,
     mix_designs,
     prune_design,
     squared_distance,
@@ -123,8 +126,8 @@ class TestSquaredDistance:
 
     def test_identical_models_give_zero(self, toy_pair):
         pair = ModelPair(
-            reference=lambda x: np.array([x[0] ** 2]),
-            alternative=lambda x, th: np.array([x[0] ** 2]),
+            reference=pointwise(lambda x: np.array([x[0] ** 2])),
+            alternative=pointwise(lambda x, th: np.array([x[0] ** 2])),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
         for x in (0.0, 0.3, 1.0):
@@ -141,8 +144,8 @@ class TestSquaredDistance:
             raise RuntimeError("boom")
 
         pair = ModelPair(
-            reference=bad,
-            alternative=lambda x, th: np.array([0.0]),
+            reference=pointwise(bad),
+            alternative=pointwise(lambda x, th: np.array([0.0])),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
         with pytest.raises(ModelEvaluationError) as err:
@@ -151,8 +154,8 @@ class TestSquaredDistance:
 
     def test_wrong_response_shape_rejected(self):
         pair = ModelPair(
-            reference=lambda x: np.array([1.0, 2.0]),
-            alternative=lambda x, th: np.array([0.0]),
+            reference=pointwise(lambda x: np.array([1.0, 2.0])),
+            alternative=pointwise(lambda x, th: np.array([0.0])),
             parameter_space=ParameterSpace([0.0], [1.0]),
             d_y=1,
         )
@@ -160,19 +163,43 @@ class TestSquaredDistance:
             squared_distance(pair, [0.5], [0.5])
 
 
+class TestPointwise:
+    def test_stacks_one_call_per_row(self):
+        calls = []
+
+        def per_point(x, theta):
+            calls.append(x)
+            return theta[0] * x[0]  # a scalar for d_y = 1
+
+        out = pointwise(per_point)(np.array([[1.0], [2.0], [3.0]]), np.array([0.5]))
+        assert out.shape == (3, 1) and np.array_equal(out[:, 0], [0.5, 1.0, 1.5])
+        assert len(calls) == 3
+
+    def test_batched_pair_needs_batched_shapes(self):
+        # A per-point callable handed over as it is gives one response for
+        # the whole batch, which the shape check rejects.
+        pair = ModelPair(
+            reference=lambda x: np.array([x[0]]),
+            alternative=pointwise(lambda x, th: np.array([th[0]])),
+            parameter_space=ParameterSpace([0.0], [1.0]),
+        )
+        with pytest.raises(ModelEvaluationError, match="shape"):
+            pair.eval_reference(np.array([[0.1], [0.2]]))
+
+
 class TestAlternativeJac:
     @staticmethod
     def pair_with_jac(jac):
         return ModelPair(
-            reference=lambda x: np.array([x[0]]),
-            alternative=lambda x, th: np.array([th[0] * x[0]]),
+            reference=pointwise(lambda x: np.array([x[0]])),
+            alternative=pointwise(lambda x, th: np.array([th[0] * x[0]])),
             parameter_space=ParameterSpace([0.0, 0.0], [1.0, 1.0]),
             alternative_jac=jac,
         )
 
     def test_response_and_jacobian_as_arrays(self):
-        pair = self.pair_with_jac(lambda x, th: (th[0] * x[0], [[x[0], 0.0]]))
-        y, jac = pair.eval_alternative_jac([0.5], [0.2, 0.3])
+        pair = self.pair_with_jac(lambda X, th: (th[0] * X, [[[X[0, 0], 0.0]]]))
+        (y,), (jac,) = pair.eval_alternative_jac([0.5], [0.2, 0.3])
         assert y.shape == (1,) and y[0] == pytest.approx(0.1, abs=1e-15)
         assert np.array_equal(jac, [[0.5, 0.0]])
 
@@ -188,10 +215,10 @@ class TestAlternativeJac:
     @pytest.mark.parametrize(
         "out",
         [
-            ([0.1, 0.2], [[0.5, 0.0]]),  # two responses for d_y = 1
-            ([0.1], [0.5, 0.0]),  # Jacobian not (d_y, p)
-            ([0.1], [[0.5]]),  # one column for two parameters
-            ([0.1],),  # no Jacobian at all
+            ([[0.1, 0.2]], [[[0.5, 0.0]]]),  # two responses for d_y = 1
+            ([[0.1]], [[0.5, 0.0]]),  # Jacobian not (n, d_y, p)
+            ([[0.1]], [[[0.5]]]),  # one column for two parameters
+            ([[0.1]],),  # no Jacobian at all
         ],
     )
     def test_wrong_shapes_rejected(self, out):

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from discrimopt import (
-    Lattice,
-    WeightLpInstance,
-    make_kinetics_pair,
-    solve_weight_lp,
-    squared_distance,
-)
+from discrimopt import Lattice
+from discrimopt.core import squared_distance
+from discrimopt.lp import WeightLpInstance, solve_weight_lp
+from discrimopt.models import make_kinetics_pair
 
 
 def brute_force_maximin(phi, resolution=1e-3):
@@ -86,7 +83,8 @@ class TestSolveWeightLp:
             (1.0, 0.5, 2.9900491110863094, 2.594042988364661),
             (1.0, 0.16929162367934245, 2.9259695407758515, 1.811329844399902),
         ]
-        phi = np.array([[squared_distance(pair, x, th) for th in thetas] for x in lattice.enumerate()])
+        points = np.array(list(lattice.enumerate()))
+        phi = np.column_stack([squared_distance(pair, points, th) for th in thetas])
         sol = solve_weight_lp(WeightLpInstance(phi))
         assert phi.shape == (135, 4)
         assert sol.status == "optimal"

@@ -1,18 +1,17 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from discrimopt import (
-    Design,
-    FitConfig,
-    FitError,
-    ModelPair,
-    ParameterSpace,
-    fit_parameters,
-    make_mm_pair,
-    sobol_points,
-)
+import discrimopt
+
+from discrimopt import Design, ModelPair, ParameterSpace, make_mm_pair, pointwise
+from discrimopt.lsq import FitConfig, FitError, fit_parameters, sobol_points
 
 from conftest import linear_vs_constant
 
@@ -41,6 +40,33 @@ class TestSobolPoints:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sobol_points(2, 3, ParameterSpace([0.0], [1.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_equal_to_scipy(self, n):
+        from scipy.stats import qmc
+
+        for dim in range(1, 33):
+            box = ParameterSpace(np.zeros(dim), np.ones(dim))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                expected = qmc.Sobol(dim, scramble=False).random(n + 1)[1:]
+            assert np.array_equal(np.array(sobol_points(dim, n, box)), expected)
+
+    def test_scipy_stats_not_imported(self):
+        # The embedded direction numbers keep scipy.stats (~0.5 s, ~20 MB)
+        # off the import path of the CLI and of a fit.
+        code = (
+            "import sys, numpy as np\n"
+            "import discrimopt.cli\n"
+            "from discrimopt import Design, make_mm_pair\n"
+            "from discrimopt.lsq import fit_parameters\n"
+            "fit_parameters(make_mm_pair(), Design(np.array([[0.5], [2.0], [5.0]]), np.full(3, 1 / 3)))\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(discrimopt.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestFitParameters:
@@ -92,7 +118,7 @@ class TestFitParameters:
         h = 1e-6 * (1 + abs(theta))
 
         def obj(t):
-            from discrimopt import t_value
+            from discrimopt.core import t_value
 
             return t_value(toy_pair, toy_optimum, [t])
 
@@ -113,18 +139,18 @@ class TestFitParameters:
             return np.array([theta[0]])
 
         pair = ModelPair(
-            reference=lambda x: np.array([x[0]]),
-            alternative=flaky,
+            reference=pointwise(lambda x: np.array([x[0]])),
+            alternative=pointwise(flaky),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
         fit = fit_parameters(pair, toy_optimum, cfg=FitConfig(lam=0.0))
         assert fit.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_failing_jacobian_starts_skipped(self, toy_optimum):
-        def flaky_jac(x, theta):
+        def flaky_jac(X, theta):
             if theta[0] > 0.9:
                 raise RuntimeError("diverged")
-            return np.array([theta[0]]), np.array([[1.0]])
+            return np.full((len(X), 1), theta[0]), np.ones((len(X), 1, 1))
 
         pair = dataclasses.replace(linear_vs_constant(), alternative_jac=flaky_jac)
         fit = fit_parameters(pair, toy_optimum, cfg=FitConfig(lam=0.0))
@@ -147,9 +173,9 @@ class TestFitParameters:
         base = make_mm_pair()
         seen = []
 
-        def counted_jac(x, theta):
-            seen.append((float(x[0]), tuple(theta)))
-            return base.alternative_jac(x, theta)
+        def counted_jac(X, theta):
+            seen.append((X.tobytes(), tuple(theta)))
+            return base.alternative_jac(X, theta)
 
         pair = dataclasses.replace(base, alternative_jac=counted_jac)
         design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))

@@ -6,24 +6,24 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from discrimopt import (
+from discrimopt import ModelEvaluationError, make_mm_pair
+from discrimopt.models import (
+    KINETICS_DEFAULTS,
+    KINETICS_PARAMETER_SPACE,
     IntegratorTol,
     KineticsInput,
     KineticsParams,
-    ModelEvaluationError,
+    _dopri5,
+    _dopri5_sens,
+    _initial_step,
+    _kinetics_sens_rhs,
     integrate_kinetics,
+    integrate_kinetics_jac,
     make_kinetics_pair,
-    make_mm_pair,
     mm_eval,
     modmm_eval,
     registered_models,
     registry_lookup,
-)
-from discrimopt.models import (
-    KINETICS_DEFAULTS,
-    KINETICS_PARAMETER_SPACE,
-    _dopri5,
-    integrate_kinetics_jac,
 )
 
 FULL_LATTICE = list(
@@ -214,6 +214,95 @@ def central_difference_jacobian(f, theta, rel_step=1e-6):
     return np.column_stack(columns)
 
 
+def alternative_params(theta):
+    return KineticsParams(theta[0], theta[1], 0.0, theta[2], theta[3], 1.0)
+
+
+def box_thetas():
+    """The 16 corners and the centre of the alternative's box, the fitted
+    parameters of the published design, and three random points."""
+    lo, hi = KINETICS_PARAMETER_SPACE.lower, KINETICS_PARAMETER_SPACE.upper
+    corners = [lo + (hi - lo) * np.array(c) for c in itertools.product([0.0, 1.0], repeat=4)]
+    rng = np.random.default_rng(11)
+    return corners + [(lo + hi) / 2, np.array([1.0, 0.2568, 3.0591, 2.4137])] + list(
+        lo + (hi - lo) * rng.random((3, 4))
+    )
+
+
+INITIAL_STATES = list(itertools.product([0.5, 0.7, 0.9], [0.1, 0.2, 0.3], [0.0, 0.15, 0.3]))
+SAMPLING_TIMES = (2.0, 4.0, 6.0, 8.0, 10.0)
+
+
+class TestGroupedSolves:
+    """One kernel pass per initial state gives every sampling time the value
+    of a solve to that time alone, bit for bit."""
+
+    def test_plain_kernel_on_lattice(self):
+        tol = IntegratorTol()
+        params = [KineticsParams(**KINETICS_DEFAULTS)] + [alternative_params(th) for th in box_thetas()]
+        assert len(params) >= 20
+        for p in params:
+            rhs = kinetics_rhs(p)
+            for y0 in INITIAL_STATES:
+                out = []
+                _dopri5(rhs, SAMPLING_TIMES, y0, tol.rel, tol.abs, out)
+                assert out == [_dopri5(rhs, t, y0, tol.rel, tol.abs)[0] for t in SAMPLING_TIMES]
+
+    def test_sensitivity_kernel_on_lattice(self):
+        tol = IntegratorTol()
+        thetas = box_thetas()
+        assert len(thetas) >= 20
+        for theta in thetas:
+            rhs = _kinetics_sens_rhs(alternative_params(theta))
+            for y0 in INITIAL_STATES:
+                out = []
+                _dopri5_sens(rhs, SAMPLING_TIMES, y0, tol.rel, tol.abs, out)
+                singles = []
+                for t in SAMPLING_TIMES:
+                    _dopri5_sens(rhs, (t,), y0, tol.rel, tol.abs, singles)
+                assert out == singles
+
+    def test_time_with_clipped_initial_step_solved_alone(self):
+        tol = IntegratorTol()
+        rhs = kinetics_rhs(KineticsParams(**KINETICS_DEFAULTS))
+        y0 = (0.5, 0.1, 0.0)
+        times = (1e-10, 1e-3, 2.0, 10.0)
+        # The first time clips the initial step, so the pass must not start from it.
+        _, bound = _initial_step(rhs, times[0], *y0, *rhs(*y0), tol.rel, tol.abs)
+        assert bound
+        out = []
+        _dopri5(rhs, times, y0, tol.rel, tol.abs, out)
+        assert out == [_dopri5(rhs, t, y0, tol.rel, tol.abs)[0] for t in times]
+
+    def test_pair_batch_equals_one_row_calls(self):
+        # Shuffled lattice rows with repeats, so groups interleave.
+        pair = make_kinetics_pair()
+        rng = np.random.default_rng(3)
+        X = np.array(FULL_LATTICE)[rng.permutation(len(FULL_LATTICE))]
+        X = np.vstack([X, X[:7]])
+        theta = [1.0, 0.2568, 3.0591, 2.4137]
+        ref = pair.eval_reference(X)
+        alt = pair.eval_alternative(X, theta)
+        y, jac = pair.eval_alternative_jac(X, theta)
+        assert np.array_equal(y, alt)
+        for i, x in enumerate(X):
+            assert np.array_equal(ref[i], pair.eval_reference(x)[0])
+            assert np.array_equal(alt[i], pair.eval_alternative(x, theta)[0])
+            assert np.array_equal(jac[i], pair.eval_alternative_jac(x, theta)[1][0])
+
+    def test_failure_carries_failing_row(self):
+        pair = make_kinetics_pair(k1=1e300, k3=0.0, n1=1.0)
+        X = [[1e-20, 0.0, 0.0, 2.0], [1e-20, 0.0, 0.0, 1.0]]
+        with pytest.raises(ModelEvaluationError) as err:
+            pair.eval_reference(X)
+        assert isinstance(err.value.__cause__, OverflowError)
+        assert np.array_equal(err.value.x, [1e-20, 0.0, 0.0, 1.0])
+
+    def test_invalid_row_rejected(self):
+        with pytest.raises(ModelEvaluationError, match="nonnegative"):
+            make_kinetics_pair().eval_reference([[0.5, 0.1, 0.0, 2.0], [-0.5, 0.1, 0.0, 2.0]])
+
+
 class TestSensitivities:
     """Exact Jacobians of the alternative models."""
 
@@ -243,8 +332,8 @@ class TestSensitivities:
             def f(th):
                 return integrate_kinetics(KineticsParams(th[0], th[1], 0.0, th[2], th[3], 1.0), inp, tight)
 
-            y, jac = pair.eval_alternative_jac(x, theta)
-            assert np.array_equal(y, pair.eval_alternative(x, theta))
+            (y,), (jac,) = pair.eval_alternative_jac(x, theta)
+            assert np.array_equal(y, pair.eval_alternative(x, theta)[0])
             expected = central_difference_jacobian(f, theta)
             np.testing.assert_allclose(jac, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
 
@@ -255,9 +344,9 @@ class TestSensitivities:
         for _ in range(50):
             theta = lo + (hi - lo) * rng.random(2)
             x = rng.uniform(0.0, 5.0, 1)
-            y, jac = pair.eval_alternative_jac(x, theta)
-            assert np.array_equal(y, pair.eval_alternative(x, theta))
-            expected = central_difference_jacobian(lambda th: pair.eval_alternative(x, th), theta)
+            (y,), (jac,) = pair.eval_alternative_jac(x, theta)
+            assert np.array_equal(y, pair.eval_alternative(x, theta)[0])
+            expected = central_difference_jacobian(lambda th: pair.eval_alternative(x, th)[0], theta)
             np.testing.assert_allclose(jac, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
 
     def test_kinetics_jacobian_conserves_mass(self):
@@ -322,7 +411,7 @@ class TestRegistry:
         direct = integrate_kinetics(
             KineticsParams(0.7, 0.2, 0.0, 2.0, 2.0, 1.0), KineticsInput(*x)
         )
-        assert pair.eval_alternative(x, theta) == pytest.approx(direct, abs=1e-12)
+        assert pair.eval_alternative(x, theta)[0] == pytest.approx(direct, abs=1e-12)
 
     def test_reference_params_override(self):
         pair = registry_lookup("mm_vs_modmm", {"F": 0.0})
@@ -340,9 +429,16 @@ class TestRegistry:
 class TestPairs:
     def test_mm_pair_distance_is_squared_linear_term_at_true_params(self):
         pair = make_mm_pair()
-        from discrimopt import squared_distance
+        from discrimopt.core import squared_distance
 
         assert squared_distance(pair, [2.0], [1.0, 1.0]) == pytest.approx(0.04, abs=1e-15)
+
+    def test_mm_pair_batch_equals_scalar_arithmetic(self):
+        pair = make_mm_pair()
+        X = np.linspace(0.001, 5.0, 41)[:, None]
+        theta = np.array([1.86, 2.15])
+        assert np.array_equal(pair.eval_reference(X)[:, 0], [modmm_eval(x, 1.0, 1.0, 0.1) for x in X[:, 0].tolist()])
+        assert np.array_equal(pair.eval_alternative(X, theta)[:, 0], [mm_eval(x, 1.86, 2.15) for x in X[:, 0].tolist()])
 
     def test_kinetics_pair_mass_conservation_both_models(self):
         pair = make_kinetics_pair()

@@ -11,9 +11,10 @@ from discrimopt import (
     ModelPair,
     ParameterSpace,
     make_mm_pair,
-    maximize_distance,
-    squared_distance,
+    pointwise,
 )
+from discrimopt.core import squared_distance
+from discrimopt.search import maximize_distance
 
 
 class TestConfigValidation:
@@ -52,8 +53,8 @@ class TestBoxSearch:
         # A coarse grid misses the interior maximum of -(x-0.37)^2... here the
         # max is at the boundary, so use a model peaking between grid nodes.
         pair = ModelPair(
-            reference=lambda x: np.array([np.exp(-50 * (x[0] - 0.333) ** 2)]),
-            alternative=lambda x, th: np.array([0.0]),
+            reference=pointwise(lambda x: np.array([np.exp(-50 * (x[0] - 0.333) ** 2)])),
+            alternative=pointwise(lambda x, th: np.array([0.0])),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
         cfg = GlobalSearchConfig(grid_per_dim=8)
@@ -76,8 +77,8 @@ class TestLatticeSearch:
 
     def test_zero_distance_returns_lex_smallest(self):
         pair = ModelPair(
-            reference=lambda x: np.array([1.0]),
-            alternative=lambda x, th: np.array([1.0]),
+            reference=pointwise(lambda x: np.array([1.0])),
+            alternative=pointwise(lambda x, th: np.array([1.0])),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
         lat = Lattice(([0.5, 0.7], [0.1, 0.2]))
@@ -98,8 +99,8 @@ class TestLatticeSearch:
             return np.array([1.0 + bump])
 
         pair = ModelPair(
-            reference=ref,
-            alternative=lambda x, th: np.array([0.0]),
+            reference=pointwise(ref),
+            alternative=pointwise(lambda x, th: np.array([0.0])),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
         lat = Lattice(([0.0, 1.0],))
@@ -130,8 +131,8 @@ class TestFailureHandling:
             return np.array([x[0]])
 
         pair = ModelPair(
-            reference=flaky,
-            alternative=lambda x, th: np.array([0.0]),
+            reference=pointwise(flaky),
+            alternative=pointwise(lambda x, th: np.array([0.0])),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
         lat = Lattice(([0.2, 0.6, 0.8],))
@@ -143,8 +144,8 @@ class TestFailureHandling:
             raise RuntimeError("no")
 
         pair = ModelPair(
-            reference=broken,
-            alternative=lambda x, th: np.array([0.0]),
+            reference=pointwise(broken),
+            alternative=pointwise(lambda x, th: np.array([0.0])),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
         with pytest.raises(ModelEvaluationError):
