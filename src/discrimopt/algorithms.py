@@ -136,31 +136,23 @@ class OptimalityReport:
         return self.min_support_gap <= eps and self.max_psi <= eps
 
 
-def _fill_phi(pair, candidates, thetas, phi, rows=None):
+def _fill_phi(pair, candidates, thetas, phi):
     """Evaluate the missing entries of a phi matrix in place.
 
     ``phi`` is a list of columns, one per parameter in ``thetas``, over the
     candidates; NaN marks an entry not evaluated yet.  Columns are added for
-    new parameters and lengthened for new candidates.  A parameter bitwise
-    equal to an earlier one copies that column instead of evaluating it.
-    ``rows`` limits the evaluation to those candidates.
+    new parameters and lengthened for new candidates.
     """
     n = len(candidates)
-    wanted = range(n) if rows is None else rows
     for j, theta in enumerate(thetas):
         if j == len(phi):
             phi.append(np.full(n, np.nan))
         elif len(phi[j]) < n:
             phi[j] = np.append(phi[j], np.full(n - len(phi[j]), np.nan))
         col = phi[j]
-        missing = [i for i in wanted if np.isnan(col[i])]
-        if not missing:
-            continue
-        twin = next((k for k in range(j) if np.array_equal(thetas[k], theta)), None)
-        if twin is None:
+        missing = [i for i in range(n) if np.isnan(col[i])]
+        if missing:
             col[missing] = squared_distance(pair, np.array([candidates[i] for i in missing]), theta)
-        else:
-            col[missing] = phi[twin][missing]
 
 
 def disc_md(
@@ -231,7 +223,7 @@ def disc_md(
                 )
             )
         theta_disc.append(fit.theta_hat)
-        _fill_phi(pair, candidates, theta_disc, phi)
+        phi.append(fit.phi)  # the fit's design points are the candidates, in order
         converged = bool(sol.weights @ phi[-1] - sol.t >= -params.eps_sip)
         if converged:
             break
@@ -240,10 +232,10 @@ def disc_md(
     return design, theta_disc, fit, converged
 
 
-def _validate_initial(space: DesignSpace, initial: Design):
-    for p in initial.points:
+def _validate_design(space: DesignSpace, design: Design):
+    for p in design.points:
         if not space.contains(p):
-            raise DesignError(f"initial design point {p} lies outside the design space")
+            raise DesignError(f"design point {p} lies outside the design space")
 
 
 def two_adapt_md(
@@ -268,17 +260,18 @@ def two_adapt_md(
     next.  Records are appended to ``history`` when one is given, so they
     survive a sub-solver's exception.
     """
-    _validate_initial(space, initial)
+    _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
     fit_cfg = params.fit_config()
+    phi: list[np.ndarray] = []
     if not theta_disc0:
-        theta_disc0 = [fit_parameters(pair, initial, cfg=fit_cfg).theta_hat]
+        fit = fit_parameters(pair, initial, cfg=fit_cfg)
+        theta_disc0, phi = [fit.theta_hat], [fit.phi]  # its design points are the candidates
     theta_disc = list(theta_disc0)
 
     candidates = [p.copy() for p in initial.points]
     rows = {canonical_key(p): i for i, p in enumerate(candidates)}
-    phi: list[np.ndarray] = []
     best_accuracy = np.inf
     stall = 0
     stalled = False
@@ -303,9 +296,9 @@ def two_adapt_md(
         global_time = time.perf_counter() - g0
         accuracy = max_phi - tval
         # min over the support of phi(x_i, theta_hat) - T; <= 0 up to fit error.
-        support = [rows[canonical_key(p)] for p in design.points]
-        _fill_phi(pair, candidates, theta_disc, phi, rows=support)
-        support_gap = phi[-1][support].min() - tval
+        support_gap = fit.phi.min() - tval
+        phi.append(np.full(len(candidates), np.nan))
+        phi[-1][[rows[canonical_key(p)] for p in design.points]] = fit.phi
 
         history.append(
             IterationRecord(
@@ -385,7 +378,7 @@ def disc(
     otherwise the points of the initial design.  Converged means the inner
     loop converged and the global scan maximum of psi is at most eps.
     """
-    _validate_initial(space, initial)
+    _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
     candidates = list(space.enumerate()) if isinstance(space, Lattice) else list(initial.points)
@@ -421,7 +414,7 @@ def vdm(
     The default step size is the harmonic rule 1/(k+2); "line_search" golden-
     sections the step, refitting the parameters at every trial step.
     """
-    _validate_initial(space, initial)
+    _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
     fit_cfg = params.fit_config()

@@ -22,7 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, IterationRecord, SolveResult, SolverError, check_optimality, solve
+from .algorithms import (
+    ALGORITHMS,
+    IterationRecord,
+    SolveResult,
+    SolverError,
+    _validate_design,
+    check_optimality,
+    solve,
+)
 from .config import ConfigError, ProblemConfig, load_config
 from .core import Box, Design, DesignError, ModelEvaluationError, squared_distance
 from .lsq import FitError, fit_parameters
@@ -73,16 +81,30 @@ def _write_psi_curve(cfg: ProblemConfig, result: SolveResult, path: Path):
         writer.writerows([_fmt(float(x)), _fmt(float(p))] for x, p in zip(xs, psi))
 
 
-def _load_design_file(path: Path) -> tuple[Design, np.ndarray | None]:
+def _load_design_file(path: Path, cfg: ProblemConfig) -> tuple[Design, np.ndarray | None]:
+    """The design and optional ``theta_hat`` of a design file, checked against the config."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read design file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "support" not in payload or "weights" not in payload:
         raise ConfigError(f"design file {path} must contain 'support' and 'weights'")
-    design = Design(np.array(payload["support"], dtype=float), np.array(payload["weights"], dtype=float))
-    theta = payload.get("theta_hat")
-    return design, None if theta is None else np.asarray(theta, dtype=float)
+    try:
+        design = Design(np.array(payload["support"], dtype=float), np.array(payload["weights"], dtype=float))
+        _validate_design(cfg.space, design)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"design file {path}: {exc}") from exc
+    raw = payload.get("theta_hat")
+    if raw is None:
+        return design, None
+    bounds = cfg.pair.parameter_space.lower
+    try:
+        theta = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        theta = None
+    if theta is None or theta.shape != bounds.shape or not np.all(np.isfinite(theta)):
+        raise ConfigError(f"design file {path}: theta_hat must be {len(bounds)} finite numbers, got {raw!r}")
+    return design, theta
 
 
 def _solve(name: str, cfg: ProblemConfig, history=None) -> SolveResult:
@@ -121,7 +143,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    design, theta0 = _load_design_file(Path(args.design))
+    design, theta0 = _load_design_file(Path(args.design), cfg)
     # The criterion value needs the best-fit parameters for *this* design.
     fit = fit_parameters(cfg.pair, design, warm_start=theta0, cfg=cfg.params.fit_config())
     report = check_optimality(cfg.pair, design, fit.theta_hat, cfg.space, cfg.gcfg)

@@ -216,7 +216,7 @@ def load_config(path: str | Path) -> ProblemConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -297,9 +297,10 @@ class ModelPair:
         return out
 
 
-def squared_distance(pair: ModelPair, X, theta2) -> np.ndarray:
-    """Squared (Euclidean) distances (n,) between reference and alternative at the rows of X."""
-    return np.array([r @ r for r in pair.eval_reference(X) - pair.eval_alternative(X, theta2)])
+def squared_distance(pair: ModelPair, X, theta2, refs=None) -> np.ndarray:
+    """Squared distances (n,) between reference (or the given ``refs``) and alternative at the rows of X."""
+    refs = pair.eval_reference(X) if refs is None else refs
+    return np.array([r @ r for r in refs - pair.eval_alternative(X, theta2)])
 
 
 def t_value(pair: ModelPair, design: Design, theta2) -> float:

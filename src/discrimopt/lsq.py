@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import Design, ModelEvaluationError, ModelPair, ParameterSpace, t_value
+from .core import Design, ModelEvaluationError, ModelPair, ParameterSpace, squared_distance
 
 __all__ = ["FitConfig", "FitResult", "FitError", "sobol_points", "fit_parameters"]
 
@@ -49,6 +49,7 @@ class FitResult:
     objective: float
     regularized_objective: float
     start_index: int
+    phi: np.ndarray  # squared distances at theta_hat on the design's points
 
 
 # Primitive polynomials and initial direction numbers of Sobol dimensions
@@ -123,8 +124,8 @@ def sobol_points(dim: int, n: int, box: ParameterSpace) -> list[np.ndarray]:
     return [box.lower + u * (box.upper - box.lower) for u in unit]
 
 
-def _stacked_residuals(pair: ModelPair, design: Design, lam: float):
-    """Residual function sqrt(w_i + lam) * (f1 - f2) stacked over support, and its Jacobian.
+def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: float):
+    """Residual function sqrt(w_i + lam) * (refs - f2) stacked over support, and its Jacobian.
 
     The regularizer enters as a uniform extra weight per point, which gives
     the same objective as a separate penalty block with half the residuals.
@@ -135,7 +136,6 @@ def _stacked_residuals(pair: ModelPair, design: Design, lam: float):
     """
     points = design.points
     sqrt_w = np.sqrt(design.weights + lam)[:, None]
-    refs = pair.eval_reference(points)
 
     if pair.alternative_jac is None:
 
@@ -176,7 +176,7 @@ def fit_parameters(
     started from the warm start plus ``cfg.n_starts`` Sobol points.  The
     Jacobian is exact when the pair has ``alternative_jac`` and a forward
     difference (relative step 1e-7) otherwise.  ``objective`` is the
-    unregularized value.
+    unregularized value, the weighted sum of ``phi``.
     """
     space = pair.parameter_space
     starts: list[np.ndarray] = []
@@ -186,7 +186,8 @@ def fit_parameters(
     if not starts:
         raise FitError("no starting points: supply a warm start or n_starts > 0")
 
-    residuals, jac = _stacked_residuals(pair, design, cfg.lam)
+    refs = pair.eval_reference(design.points)
+    residuals, jac = _stacked_residuals(pair, design, refs, cfg.lam)
     tol = cfg.local_tol
     best = None
     best_index = -1
@@ -217,11 +218,11 @@ def fit_parameters(
         )
 
     theta = space.clip(best.x)
-    objective = t_value(pair, design, theta)
-    regularized = float(2.0 * best.cost)
+    phi = squared_distance(pair, design.points, theta, refs)
     return FitResult(
         theta_hat=theta,
-        objective=objective,
-        regularized_objective=regularized,
+        objective=float(sum(wi * p for p, wi in zip(phi, design.weights))),  # t_value's order
+        regularized_objective=float(2.0 * best.cost),
         start_index=best_index,
+        phi=phi,
     )

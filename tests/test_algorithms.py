@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 from collections import Counter
 
@@ -148,19 +149,21 @@ class TestDiscMd:
             disc_md(toy_pair, candidates, [np.array([0.1])], TIGHT)
 
     def test_each_candidate_theta_pair_evaluated_once(self, monkeypatch):
-        # The phi matrix carried between outer iterations evaluates every
-        # (candidate, theta) pair at most once, repeated thetas included.
+        # The phi matrix carried between outer iterations and the fits that
+        # grow it evaluate every (candidate, theta) pair at most once.  The
+        # global search is not counted.
         seen = Counter()
-        original = algorithms.squared_distance
-
-        def counted(pair, X, theta):
-            for x in np.atleast_2d(X):
-                seen[np.asarray(x, dtype=float).tobytes(), np.asarray(theta, dtype=float).tobytes()] += 1
-            return original(pair, X, theta)
-
-        monkeypatch.setattr(algorithms, "squared_distance", counted)
         cfg = load_config(importlib.resources.files("discrimopt") / "configs" / "mm.config")
-        result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+
+        def counted(X, theta):
+            for x in X:
+                seen[x.tobytes(), theta.tobytes()] += 1
+            return cfg.pair.alternative(X, theta)
+
+        search = algorithms.maximize_distance
+        monkeypatch.setattr(algorithms, "maximize_distance", lambda _, *a, **k: search(cfg.pair, *a, **k))
+        pair = dataclasses.replace(cfg.pair, alternative=counted)
+        result = two_adapt_md(pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
         assert result.converged
         assert seen and max(seen.values()) == 1
 

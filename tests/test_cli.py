@@ -17,6 +17,7 @@ from discrimopt.cli import main
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
 MM_CONFIG = str(CONFIG_DIR / "mm.config")
+KINETICS_CONFIG = str(CONFIG_DIR / "kinetics.config")
 TIME_COLUMNS = {"lp_time", "ls_time", "global_time", "wall_time"}
 
 
@@ -244,6 +245,32 @@ class TestVerify:
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
         assert main(["verify", "--design", str(bad), "--config", MM_CONFIG]) == 1
+
+    @pytest.mark.parametrize(
+        "config, payload, message",
+        [
+            (MM_CONFIG, {"theta_hat": [1.0]}, "theta_hat"),
+            (MM_CONFIG, {"theta_hat": [float("nan"), 1.0]}, "theta_hat"),
+            (MM_CONFIG, {"theta_hat": ["fast", 1.0]}, "theta_hat"),
+            (MM_CONFIG, {"support": [[1, 2], [3, 4], [2, 1]]}, "outside the design space"),
+            (MM_CONFIG, {"support": [[7], [9], [12]]}, "outside the design space"),
+            (
+                KINETICS_CONFIG,
+                {"support": [[0.6, 0.1, 0.0, 2.0], [0.9, 0.3, 0.3, 10.0], [0.5, 0.3, 0.3, 6.0]]},
+                "outside the design space",
+            ),
+        ],
+        ids=["short-theta", "nan-theta", "string-theta", "wrong-dimension", "outside-box", "off-lattice"],
+    )
+    def test_design_not_in_the_config_rejected(self, config, payload, message, tmp_path, capsys):
+        design = {"support": [[0.4], [2.6], [5.0]], "weights": [0.4, 0.4, 0.2], **payload}
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(design))
+        assert main(["verify", "--design", str(path), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
 
 
 class TestCompare:

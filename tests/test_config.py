@@ -1,13 +1,16 @@
 import importlib.resources
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from discrimopt import Box, Lattice
 from discrimopt.config import ConfigError, load_config
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
+ROOT = Path(__file__).parent.parent
 
 
 def write_config(tmp_path, body):
@@ -88,6 +91,17 @@ class TestValidation:
         path.write_text("model:\n  name: [unclosed\n")
         with pytest.raises(ConfigError, match="line"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "config",
+        [CONFIG_DIR / "mm.config", CONFIG_DIR / "kinetics.config", ROOT / "benchmarks" / "kinetics.config"],
+        ids=["mm", "kinetics", "benchmark-kinetics"],
+    )
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="pyyaml built without libyaml")
+    def test_libyaml_and_python_loaders_agree(self, config):
+        # load_config uses libyaml's loader when pyyaml was built with it.
+        text = Path(config).read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

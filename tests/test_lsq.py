@@ -11,7 +11,9 @@ import pytest
 import discrimopt
 
 from discrimopt import Design, ModelPair, ParameterSpace, make_mm_pair, pointwise
+from discrimopt.core import squared_distance, t_value
 from discrimopt.lsq import FitConfig, FitError, fit_parameters, sobol_points
+from discrimopt.models import make_kinetics_pair
 
 from conftest import linear_vs_constant
 
@@ -191,6 +193,26 @@ class TestFitParameters:
         b = fit_parameters(approx, design, cfg=FitConfig(n_starts=3))
         assert a.objective == pytest.approx(b.objective, rel=1e-8)
         assert a.theta_hat == pytest.approx(b.theta_hat, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "make_pair, points, weights",
+        [
+            (make_mm_pair, [[0.386], [2.596], [5.0]], [0.3906, 0.3896, 0.2198]),
+            (
+                make_kinetics_pair,
+                [[0.5, 0.1, 0.0, 2.0], [0.7, 0.3, 0.15, 6.0], [0.9, 0.3, 0.3, 10.0]],
+                [0.3, 0.3, 0.4],
+            ),
+        ],
+        ids=["mm", "kinetics"],
+    )
+    def test_phi_is_the_squared_distance_at_theta_hat(self, make_pair, points, weights):
+        # Callers use fit.phi in place of evaluating the alternative again.
+        pair = make_pair()
+        design = Design(np.array(points), np.array(weights))
+        fit = fit_parameters(pair, design, cfg=FitConfig(n_starts=1))
+        assert np.array_equal(fit.phi, squared_distance(pair, design.points, fit.theta_hat))
+        assert fit.objective == t_value(pair, design, fit.theta_hat)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
