@@ -143,16 +143,29 @@ def _fill_phi(pair, candidates, thetas, phi):
     candidates; NaN marks an entry not evaluated yet.  Columns are added for
     new parameters and lengthened for new candidates.
     """
-    n = len(candidates)
     for j, theta in enumerate(thetas):
         if j == len(phi):
-            phi.append(np.full(n, np.nan))
-        elif len(phi[j]) < n:
-            phi[j] = np.append(phi[j], np.full(n - len(phi[j]), np.nan))
-        col = phi[j]
-        missing = [i for i in range(n) if np.isnan(col[i])]
-        if missing:
-            col[missing] = squared_distance(pair, np.array([candidates[i] for i in missing]), theta)
+            phi.append(np.empty(0))
+        col = phi[j] = np.append(phi[j], np.full(len(candidates) - len(phi[j]), np.nan))
+        missing = np.flatnonzero(np.isnan(col))
+        if missing.size:
+            col[missing] = squared_distance(pair, np.array(candidates)[missing], theta)
+
+
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the seconds it took."""
+    t0 = time.perf_counter()
+    return fn(*args, **kwargs), time.perf_counter() - t0
+
+
+def _phi_column(candidates, points, values):
+    """``values`` at ``points`` as a column over the candidates, NaN at a candidate not among them.
+
+    A point matches a candidate bit for bit, so each value is the one an
+    evaluation at that candidate gives.
+    """
+    known = {p.tobytes(): v for p, v in zip(points, values)}
+    return np.array([known.get(c.tobytes(), np.nan) for c in candidates])
 
 
 def disc_md(
@@ -198,14 +211,10 @@ def disc_md(
     warm = theta_disc[-1]
 
     for inner in range(1, params.max_iter_sip + 1):
-        t0 = time.perf_counter()
-        sol = solve_weight_lp(WeightLpInstance(np.column_stack(phi)))
-        lp_time = time.perf_counter() - t0
+        sol, lp_time = _timed(solve_weight_lp, WeightLpInstance(np.column_stack(phi)))
         if sol.status != "optimal":
             raise SolverError(f"weight LP failed (status {sol.status}) at inner iteration {inner}")
-        t0 = time.perf_counter()
-        fit = fit_parameters(pair, Design(points, sol.weights), warm_start=warm, cfg=fit_cfg)
-        ls_time = time.perf_counter() - t0
+        fit, ls_time = _timed(fit_parameters, pair, Design(points, sol.weights), warm_start=warm, cfg=fit_cfg)
         warm = fit.theta_hat
         if history is not None:
             history.append(
@@ -251,14 +260,13 @@ def two_adapt_md(
     """Nested adaptive discretization of parameters and design points.
 
     Each outer iteration computes weights on the current candidate set via
-    :func:`disc_md`, refits the parameters on the resulting design, and adds
-    the design point maximizing the squared model distance.  Terminates once
-    the equivalence-theorem criterion holds at tolerance ``params.eps``:
-    the support attains the criterion value and the global scan maximum
-    exceeds it by at most eps.  The phi matrix over the candidates and the
-    parameter discretization carries over from one outer iteration to the
-    next.  Records are appended to ``history`` when one is given, so they
-    survive a sub-solver's exception.
+    :func:`disc_md`, refits the parameters on the resulting design and
+    certifies the refit with :func:`check_optimality`, from the refit's
+    ``phi``.  It stops once :meth:`OptimalityReport.is_eps_optimal` holds at
+    ``params.eps``, else adds the report's ``worst_point`` to the candidates.
+    The phi matrix over the candidates and the parameter discretization
+    carries over between outer iterations.  Records are appended to
+    ``history`` when one is given, so they survive a sub-solver's exception.
     """
     _validate_design(space, initial)
     t0 = time.perf_counter()
@@ -271,40 +279,31 @@ def two_adapt_md(
     theta_disc = list(theta_disc0)
 
     candidates = [p.copy() for p in initial.points]
-    rows = {canonical_key(p): i for i, p in enumerate(candidates)}
+    keys = {canonical_key(p) for p in candidates}
     best_accuracy = np.inf
     stall = 0
     stalled = False
     converged = False
-    n = 0
 
     for n in range(1, params.max_iter + 1):
         design, theta_disc, fit, _ = disc_md(
             pair, candidates, theta_disc, params,
             phi=phi, history=history, outer_iteration=n, clock_start=t0,
         )
-        ls0 = time.perf_counter()
-        fit = fit_parameters(pair, design, warm_start=fit.theta_hat, cfg=fit_cfg)
-        ls_time = time.perf_counter() - ls0
+        fit, ls_time = _timed(fit_parameters, pair, design, warm_start=fit.theta_hat, cfg=fit_cfg)
         theta_disc.append(fit.theta_hat)
-        tval = fit.objective
+        phi.append(_phi_column(candidates, design.points, fit.phi))
 
-        g0 = time.perf_counter()
-        x_new, max_phi = maximize_distance(
-            pair, fit.theta_hat, space, gcfg, prefer=candidates
+        report, global_time = _timed(
+            check_optimality, pair, design, fit.theta_hat, space, gcfg, phi=fit.phi, prefer=candidates
         )
-        global_time = time.perf_counter() - g0
-        accuracy = max_phi - tval
-        # min over the support of phi(x_i, theta_hat) - T; <= 0 up to fit error.
-        support_gap = fit.phi.min() - tval
-        phi.append(np.full(len(candidates), np.nan))
-        phi[-1][[rows[canonical_key(p)] for p in design.points]] = fit.phi
+        accuracy = report.max_psi
 
         history.append(
             IterationRecord(
                 phase="outer",
                 outer_iteration=n,
-                t_value=tval,
+                t_value=fit.objective,
                 accuracy=accuracy,
                 n_theta=len(theta_disc),
                 n_candidates=len(candidates),
@@ -313,24 +312,18 @@ def two_adapt_md(
                 wall_time=time.perf_counter() - t0,
             )
         )
-        log.info(
-            "outer %d: T=%.6e accuracy=%.2e candidates=%d thetas=%d",
-            n,
-            tval,
-            accuracy,
-            len(candidates),
-            len(theta_disc),
-        )
+        log.info("outer %d: T=%.6e accuracy=%.2e candidates=%d thetas=%d",
+                 n, fit.objective, accuracy, len(candidates), len(theta_disc))
 
-        if support_gap <= params.eps and accuracy <= params.eps:
+        if report.is_eps_optimal(params.eps):
             converged = True
             break
 
-        key = canonical_key(x_new)
-        grew = key not in rows
+        key = canonical_key(report.worst_point)
+        grew = key not in keys
         if grew:
-            rows[key] = len(candidates)
-            candidates.append(np.atleast_1d(np.asarray(x_new, dtype=float)))
+            keys.add(key)
+            candidates.append(report.worst_point)
         improved = accuracy < best_accuracy
         best_accuracy = min(best_accuracy, accuracy)
         if not grew and not improved:
@@ -339,13 +332,8 @@ def two_adapt_md(
             stall += 1
             if stall >= _STALL_LIMIT:
                 stalled = True
-                log.warning(
-                    "stalled after %d outer iterations: new point %s duplicates "
-                    "an existing candidate and accuracy %.3e stopped improving",
-                    n,
-                    x_new,
-                    accuracy,
-                )
+                log.warning("stalled after %d outer iterations: new point %s duplicates an existing "
+                            "candidate and accuracy %.3e stopped improving", n, report.worst_point, accuracy)
                 break
         else:
             stall = 0
@@ -354,7 +342,7 @@ def two_adapt_md(
         design=design,
         theta_hat=fit.theta_hat,
         t_value=fit.objective,
-        accuracy=float(accuracy),
+        accuracy=accuracy,
         iterations=n,
         converged=converged,
         history=tuple(history),
@@ -375,8 +363,9 @@ def disc(
     """DISC on its own: :func:`disc_md` on a fixed candidate set, then the certificate.
 
     The candidates are the whole lattice when the design space is finite,
-    otherwise the points of the initial design.  Converged means the inner
-    loop converged and the global scan maximum of psi is at most eps.
+    otherwise the points of the initial design.  The fit of the initial
+    design fills the first phi column on its points.  Converged means the
+    inner loop converged and the report's ``max_psi`` is at most eps.
     """
     _validate_design(space, initial)
     t0 = time.perf_counter()
@@ -384,9 +373,12 @@ def disc(
     candidates = list(space.enumerate()) if isinstance(space, Lattice) else list(initial.points)
     fit0 = fit_parameters(pair, initial, cfg=params.fit_config())
     design, grown, fit, converged = disc_md(
-        pair, candidates, [fit0.theta_hat], params, history=history, clock_start=t0
+        pair, candidates, [fit0.theta_hat], params,
+        phi=[_phi_column(candidates, initial.points, fit0.phi)], history=history, clock_start=t0,
     )
-    report = check_optimality(pair, design, fit.theta_hat, space, gcfg)
+    # The last fit's points are the candidates, so its phi covers the pruned support.
+    support_phi = _phi_column(design.points, candidates, fit.phi)
+    report = check_optimality(pair, design, fit.theta_hat, space, gcfg, phi=support_phi)
     return SolveResult(
         design=design,
         theta_hat=fit.theta_hat,
@@ -410,9 +402,12 @@ def vdm(
 ) -> SolveResult:
     """Vector Direction Method baseline.
 
-    Mixes the current design with a point mass at the steepest-ascent point.
-    The default step size is the harmonic rule 1/(k+2); "line_search" golden-
-    sections the step, refitting the parameters at every trial step.
+    Mixes the current design with a point mass at the certificate's
+    ``worst_point``, and stops once its ``max_psi`` is at most eps (the
+    support gap is not checked).  The default step size is the harmonic rule
+    1/(k+2); "line_search" golden-sections the step, refitting the
+    parameters at every trial step.  A run that reaches ``max_iter``
+    returns its last fitted and certified design, unmixed.
     """
     _validate_design(space, initial)
     t0 = time.perf_counter()
@@ -421,26 +416,23 @@ def vdm(
     design = initial
     fit = None
     converged = False
-    k = 0
 
     for k in range(params.max_iter):
+        if fit is not None:
+            spike = Design(np.array([report.worst_point]), np.array([1.0]))
+            alpha = (1.0 / (k + 1) if params.vdm_step_rule == "harmonic"
+                     else _golden_section_step(pair, design, spike, fit.theta_hat, fit_cfg))
+            design = mix_designs(design, spike, alpha)
         warm = fit.theta_hat if fit is not None else None
-        ls0 = time.perf_counter()
-        fit = fit_parameters(pair, design, warm_start=warm, cfg=fit_cfg)
-        ls_time = time.perf_counter() - ls0
-        tval = fit.objective
-
-        g0 = time.perf_counter()
-        x_star, max_phi = maximize_distance(pair, fit.theta_hat, space, gcfg)
-        global_time = time.perf_counter() - g0
-        accuracy = max_phi - tval
+        fit, ls_time = _timed(fit_parameters, pair, design, warm_start=warm, cfg=fit_cfg)
+        report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, space, gcfg, phi=fit.phi)
 
         history.append(
             IterationRecord(
                 phase="vdm",
                 outer_iteration=k,
-                t_value=tval,
-                accuracy=accuracy,
+                t_value=fit.objective,
+                accuracy=report.max_psi,
                 n_candidates=design.n_points,
                 ls_time=ls_time,
                 global_time=global_time,
@@ -448,22 +440,15 @@ def vdm(
             )
         )
 
-        if accuracy <= params.eps:
+        if report.max_psi <= params.eps:
             converged = True
             break
-
-        spike = Design(np.array([x_star]), np.array([1.0]))
-        if params.vdm_step_rule == "harmonic":
-            alpha = 1.0 / (k + 2)
-        else:
-            alpha = _golden_section_step(pair, design, spike, fit.theta_hat, fit_cfg)
-        design = mix_designs(design, spike, alpha)
 
     return SolveResult(
         design=design,
         theta_hat=fit.theta_hat,
         t_value=fit.objective,
-        accuracy=float(accuracy),
+        accuracy=report.max_psi,
         iterations=k + 1,
         converged=converged,
         history=tuple(history),
@@ -524,19 +509,26 @@ def check_optimality(
     theta_hat,
     space: DesignSpace,
     gcfg: GlobalSearchConfig = GlobalSearchConfig(),
+    *,
+    phi=None,
+    prefer=None,
 ) -> OptimalityReport:
-    """Equivalence-theorem verification for a fitted design.
+    """Equivalence-theorem certificate of a design at its fitted parameters.
 
-    ``max_psi`` is the directional derivative at the global scan maximum;
-    ``min_support_gap`` is the smallest phi(x_i) - T over the support.  A
-    design certifies as eps-optimal via :meth:`OptimalityReport.is_eps_optimal`.
+    With psi(x) = phi(x, theta_hat) - T(design, theta_hat), ``max_psi`` is
+    psi at the global search's maximizer ``worst_point`` and
+    ``min_support_gap`` is the smallest psi over the support; a design
+    certifies as eps-optimal via :meth:`OptimalityReport.is_eps_optimal`.
+    ``phi`` is the squared distances at the design's points when the caller
+    holds them (a fit's ``FitResult.phi``); only without it is the support
+    evaluated, once.  ``prefer`` is passed on to :func:`maximize_distance`.
+    Every solver's ``accuracy`` is this ``max_psi``.
     """
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    tval = t_value(pair, design, theta_hat)
-    worst, max_phi = maximize_distance(pair, theta_hat, space, gcfg)
-    gaps = squared_distance(pair, design.points, theta_hat) - tval
+    phi = squared_distance(pair, design.points, theta_hat) if phi is None else np.asarray(phi, dtype=float)
+    tval = t_value(pair, design, theta_hat, phi)
+    worst, max_phi = maximize_distance(pair, theta_hat, space, gcfg, prefer=prefer)
     return OptimalityReport(
         max_psi=float(max_phi - tval),
-        min_support_gap=float(min(gaps)),
+        min_support_gap=float(min(phi - tval)),
         worst_point=worst,
     )

@@ -144,9 +144,10 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     design, theta0 = _load_design_file(Path(args.design), cfg)
-    # The criterion value needs the best-fit parameters for *this* design.
+    # The criterion value needs the best-fit parameters for *this* design,
+    # and the fit's phi is the certificate's support values.
     fit = fit_parameters(cfg.pair, design, warm_start=theta0, cfg=cfg.params.fit_config())
-    report = check_optimality(cfg.pair, design, fit.theta_hat, cfg.space, cfg.gcfg)
+    report = check_optimality(cfg.pair, design, fit.theta_hat, cfg.space, cfg.gcfg, phi=fit.phi)
     eps = cfg.params.eps
     verdict = report.is_eps_optimal(eps)
     print(f"max_psi={report.max_psi:.6e}")

@@ -15,7 +15,7 @@ import yaml
 
 from .algorithms import ALGORITHMS, AlgoParams
 from .core import Box, Design, DesignError, DesignSpace, Lattice, ModelPair, ParameterSpace
-from .models import registry_lookup
+from .models import registered_models, registry_lookup
 from .search import GlobalSearchConfig
 
 __all__ = ["ConfigError", "ProblemConfig", "load_config", "params_for"]
@@ -107,22 +107,22 @@ def _parse_model(node, path="model") -> ModelPair:
     if not isinstance(name, str):
         raise ConfigError(f"{path}.name: expected a string")
     params = dict(_expect_mapping(node.get("reference_params", {}), f"{path}.reference_params"))
+    space = None
     if "parameter_space" in node:
         ps = _expect_mapping(node["parameter_space"], f"{path}.parameter_space")
         _reject_unknown(ps, {"lower", "upper"}, f"{path}.parameter_space")
         try:
-            params["parameter_space"] = ParameterSpace(
+            space = ParameterSpace(
                 _float_list(_get(ps, "lower", f"{path}.parameter_space"), f"{path}.parameter_space.lower"),
                 _float_list(_get(ps, "upper", f"{path}.parameter_space"), f"{path}.parameter_space.upper"),
             )
         except DesignError as exc:
             raise ConfigError(f"{path}.parameter_space: {exc}") from exc
     try:
-        return registry_lookup(name, params)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.reference_params: {exc}") from exc
+        return registry_lookup(name, params, space)
+    except (KeyError, TypeError, ValueError) as exc:
+        field = "reference_params" if name in registered_models() else "name"
+        raise ConfigError(f"{path}.{field}: {exc.args[0] if exc.args else exc}") from exc
 
 
 def _parse_space(node, path="design_space") -> DesignSpace:

@@ -303,9 +303,16 @@ def squared_distance(pair: ModelPair, X, theta2, refs=None) -> np.ndarray:
     return np.array([r @ r for r in refs - pair.eval_alternative(X, theta2)])
 
 
-def t_value(pair: ModelPair, design: Design, theta2) -> float:
-    """Weighted squared distance sum_i w_i * phi(x_i, theta2)."""
-    phi = squared_distance(pair, design.points, theta2)
+def t_value(pair: ModelPair, design: Design, theta2, phi=None) -> float:
+    """T = sum_i w_i * phi(x_i, theta2) in design order; the one place this sum is computed.
+
+    Given ``phi``, the squared distances at the design's points (a fit's
+    ``FitResult.phi``), it evaluates nothing.
+    """
+    if phi is None:
+        phi = squared_distance(pair, design.points, theta2)
+    elif len(phi) != design.n_points:
+        raise ValueError(f"phi has {len(phi)} values for {design.n_points} design points")
     return float(sum(wi * p for p, wi in zip(phi, design.weights)))
 
 

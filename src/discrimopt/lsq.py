@@ -11,17 +11,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import Design, ModelEvaluationError, ModelPair, ParameterSpace, squared_distance
+from .core import Design, ModelEvaluationError, ModelPair, ParameterSpace, squared_distance, t_value
 
 __all__ = ["FitConfig", "FitResult", "FitError", "sobol_points", "fit_parameters"]
 
+# Each least-squares start stops at xtol = ftol = gtol = _LOCAL_TOL, or after
+# _MAX_LOCAL_ITERS * (p + 1) residual evaluations for p parameters.
+_LOCAL_TOL = 1e-10
+_MAX_LOCAL_ITERS = 200
+
 
 class FitError(RuntimeError):
-    """Every multistart attempt failed; carries the best partial iterate."""
+    """Every multistart attempt failed; ``skipped`` holds (start index, error) pairs."""
 
-    def __init__(self, message, best_theta=None, skipped=()):
+    def __init__(self, message, skipped=()):
         super().__init__(message)
-        self.best_theta = best_theta
         self.skipped = tuple(skipped)
 
 
@@ -31,16 +35,12 @@ class FitConfig:
 
     n_starts: int = 9
     lam: float = 1e-8
-    local_tol: float = 1e-10
-    max_local_iters: int = 200
 
     def __post_init__(self):
         if self.n_starts < 0:
             raise ValueError("n_starts must be >= 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if self.local_tol <= 0:
-            raise ValueError("local_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,6 @@ def fit_parameters(
 
     refs = pair.eval_reference(design.points)
     residuals, jac = _stacked_residuals(pair, design, refs, cfg.lam)
-    tol = cfg.local_tol
     best = None
     best_index = -1
     skipped = []
@@ -200,11 +199,11 @@ def fit_parameters(
                 jac=jac,
                 bounds=(space.lower, space.upper),
                 method="dogbox",
-                xtol=tol,
-                ftol=tol,
-                gtol=tol,
+                xtol=_LOCAL_TOL,
+                ftol=_LOCAL_TOL,
+                gtol=_LOCAL_TOL,
                 diff_step=1e-7,
-                max_nfev=cfg.max_local_iters * (space.dimension + 1),
+                max_nfev=_MAX_LOCAL_ITERS * (space.dimension + 1),
             )
         except ModelEvaluationError as exc:
             skipped.append((i, exc))
@@ -221,7 +220,7 @@ def fit_parameters(
     phi = squared_distance(pair, design.points, theta, refs)
     return FitResult(
         theta_hat=theta,
-        objective=float(sum(wi * p for p, wi in zip(phi, design.weights))),  # t_value's order
+        objective=t_value(pair, design, theta, phi),
         regularized_objective=float(2.0 * best.cost),
         start_index=best_index,
         phi=phi,

@@ -7,7 +7,7 @@ small ODE system (three responses), plus a registry for selection by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -646,29 +646,26 @@ def make_kinetics_pair(
     )
 
 
-def _builder(name: str, make, defaults: dict, options: set):
-    """Registry builder: reference parameters merged over ``defaults`` as floats, plus ``options``."""
+def _builder(name: str, make, defaults: dict):
+    """Registry builder: reference parameters merged over ``defaults``, as floats."""
 
     def build(params: dict) -> ModelPair:
-        merged = {**defaults, **params}
-        unknown = set(merged) - set(defaults) - options
+        unknown = set(params) - set(defaults)
         if unknown:
-            raise KeyError(f"unknown {name} parameters: {sorted(unknown)}")
-        return make(**{k: float(v) if k in defaults else v for k, v in merged.items()})
+            raise KeyError(f"unknown {name} parameters: {sorted(unknown)}; known: {sorted(defaults)}")
+        return make(**{k: float(v) for k, v in {**defaults, **params}.items()})
 
     return build
 
 
 _REGISTRY = {
-    "mm_vs_modmm": _builder("mm_vs_modmm", make_mm_pair, MM_DEFAULTS, {"parameter_space"}),
-    "kinetics_rev_vs_irrev": _builder(
-        "kinetics_rev_vs_irrev", make_kinetics_pair, KINETICS_DEFAULTS, {"parameter_space", "tol"}
-    ),
+    "mm_vs_modmm": _builder("mm_vs_modmm", make_mm_pair, MM_DEFAULTS),
+    "kinetics_rev_vs_irrev": _builder("kinetics_rev_vs_irrev", make_kinetics_pair, KINETICS_DEFAULTS),
 }
 
 
 def register_model(name: str, builder) -> None:
-    """Register a user model builder: params dict -> ModelPair."""
+    """Register a user model builder: reference-parameter dict -> ModelPair."""
     _REGISTRY[name] = builder
 
 
@@ -676,12 +673,16 @@ def registered_models() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def registry_lookup(name: str, params: dict | None = None) -> ModelPair:
-    """Construct a registered model pair by name."""
+def registry_lookup(name: str, params: dict | None = None, parameter_space=None) -> ModelPair:
+    """Construct a registered model pair by name from its reference parameters.
+
+    ``parameter_space``, when given, replaces the pair's parameter box.
+    """
     try:
         builder = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown model {name!r}; registered: {registered_models()}"
         ) from None
-    return builder(dict(params or {}))
+    pair = builder(dict(params or {}))
+    return pair if parameter_space is None else replace(pair, parameter_space=parameter_space)

@@ -25,13 +25,32 @@ from discrimopt import (
 )
 from discrimopt.algorithms import SolverError, disc_md
 from discrimopt.config import load_config
+from discrimopt.core import t_value
 from discrimopt.lp import WeightLpSolution
 from discrimopt.lsq import FitConfig, fit_parameters
 
 from conftest import linear_vs_constant
 
 TOY_BOX = Box([0.0], [1.0])
+MM_CONFIG = importlib.resources.files("discrimopt") / "configs" / "mm.config"
 TIGHT = AlgoParams(eps=1e-8, eps_sip=1e-12, max_iter_sip=60)
+
+
+def counting_pairs(pair, monkeypatch):
+    """``pair`` with an alternative that counts its (row, theta) pairs, and the counter.
+
+    The global search keeps the uncounted pair.
+    """
+    seen = Counter()
+
+    def counted(X, theta):
+        for x in X:
+            seen[x.tobytes(), theta.tobytes()] += 1
+        return pair.alternative(X, theta)
+
+    search = algorithms.maximize_distance
+    monkeypatch.setattr(algorithms, "maximize_distance", lambda _, *a, **k: search(pair, *a, **k))
+    return dataclasses.replace(pair, alternative=counted), seen
 
 
 class TestDiscMd:
@@ -152,17 +171,8 @@ class TestDiscMd:
         # The phi matrix carried between outer iterations and the fits that
         # grow it evaluate every (candidate, theta) pair at most once.  The
         # global search is not counted.
-        seen = Counter()
-        cfg = load_config(importlib.resources.files("discrimopt") / "configs" / "mm.config")
-
-        def counted(X, theta):
-            for x in X:
-                seen[x.tobytes(), theta.tobytes()] += 1
-            return cfg.pair.alternative(X, theta)
-
-        search = algorithms.maximize_distance
-        monkeypatch.setattr(algorithms, "maximize_distance", lambda _, *a, **k: search(cfg.pair, *a, **k))
-        pair = dataclasses.replace(cfg.pair, alternative=counted)
+        cfg = load_config(MM_CONFIG)
+        pair, seen = counting_pairs(cfg.pair, monkeypatch)
         result = two_adapt_md(pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
         assert result.converged
         assert seen and max(seen.values()) == 1
@@ -242,6 +252,14 @@ class TestDisc:
         assert result.iterations == len(result.history)
         assert {r.phase for r in result.history} == {"disc"}
 
+    def test_each_candidate_theta_pair_evaluated_once(self, monkeypatch):
+        # The initial fit fills theta_0's column, and the certificate takes
+        # the last fit's phi.
+        cfg = load_config(MM_CONFIG)
+        pair, seen = counting_pairs(cfg.pair, monkeypatch)
+        disc(pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        assert seen and max(seen.values()) == 1
+
     def test_box_uses_initial_points(self, toy_pair):
         initial = Design(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
         result = disc(toy_pair, TOY_BOX, initial, TIGHT)
@@ -268,7 +286,7 @@ class TestSolve:
         assert len(called) == 1
 
     @pytest.mark.parametrize("name", ALGORITHMS)
-    def test_history_kept_when_a_sub_solver_raises(self, name, toy_pair):
+    def test_history_kept_when_a_sub_solver_raises(self, name, toy_pair, monkeypatch):
         calls = []
 
         def alternative(X, theta):
@@ -277,8 +295,13 @@ class TestSolve:
                 raise RuntimeError("injected failure")
             return np.full((len(X), 1), theta[0])
 
+        # The search gets the sound pair, so the failure comes from a fit or
+        # a phi fill; a failing box refinement would only end itself.  Two
+        # initial points give DISC a record before its last model call.
+        search = algorithms.maximize_distance
+        monkeypatch.setattr(algorithms, "maximize_distance", lambda _, *a, **k: search(toy_pair, *a, **k))
         pair = ModelPair(pointwise(lambda x: np.array([x[0]])), alternative, toy_pair.parameter_space)
-        initial = Design(np.array([[0.5]]), np.array([1.0]))
+        initial = Design(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
         history = []
         with pytest.raises(Exception, match="injected failure|starts failed"):
             solve(name, pair, TOY_BOX, initial, TIGHT, history=history)
@@ -306,6 +329,17 @@ class TestVdm:
         result = vdm(toy_pair, TOY_BOX, initial, params=params)
         assert result.t_value == pytest.approx(0.25, abs=2e-3)
 
+    def test_unconverged_run_returns_its_fitted_design(self):
+        # Stopped at max_iter, the run reports the design it fitted and
+        # certified last, not one mixed with a further spike.
+        pair, space = make_mm_pair(), Box([0.001], [5.0])
+        initial = load_config(MM_CONFIG).initial
+        result = vdm(pair, space, initial, AlgoParams(max_iter=5, lam=0.0))
+        assert not result.converged and result.iterations == 5
+        assert result.history[-1].n_candidates == result.design.n_points
+        assert result.t_value == t_value(pair, result.design, result.theta_hat)
+        assert result.accuracy == check_optimality(pair, result.design, result.theta_hat, space).max_psi
+
     def test_unknown_step_rule_rejected(self):
         with pytest.raises(ValueError):
             AlgoParams(vdm_step_rule="newton")
@@ -324,6 +358,15 @@ class TestCheckOptimality:
         report = check_optimality(toy_pair, perturbed, fit.theta_hat, TOY_BOX)
         assert report.max_psi > 10 * 1e-5
         assert not report.is_eps_optimal(1e-5)
+
+    def test_certificate_does_not_depend_on_the_solver(self):
+        # Re-certified from scratch, with no phi and no preferred points,
+        # the 2ADAPT result gives the accuracy the solver reported.
+        cfg = load_config(MM_CONFIG)
+        result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        report = check_optimality(cfg.pair, result.design, result.theta_hat, cfg.space, cfg.gcfg)
+        assert result.converged and report.is_eps_optimal(cfg.params.eps)
+        assert report.max_psi == result.accuracy
 
     def test_single_point_design_far_from_optimal(self):
         pair = make_mm_pair()

@@ -4,12 +4,16 @@ import importlib.resources
 import itertools
 import json
 import textwrap
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import discrimopt.algorithms as algorithms
+import discrimopt.cli as cli
 from discrimopt import make_mm_pair
+from discrimopt.config import load_config
 from discrimopt.lp import WeightLpSolution
 from discrimopt.lsq import FitError
 from discrimopt.models import register_model
@@ -153,6 +157,26 @@ class TestSolve:
         assert code == 1
         assert "initial_design.weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, old, new",
+        [
+            (MM_CONFIG, "  parameter_space:\n    lower: [1.0e-3, 1.0e-3]\n    upper: [5.0, 5.0]\n", "    parameter_space: [1, 2]\n"),
+            (MM_CONFIG, "    F: 0.1\n", "    F: 0.1\n    parameter_space: [1, 2]\n"),
+            (KINETICS_CONFIG, "    n3: 1.0\n", "    n3: 1.0\n    tol: 0.001\n"),
+        ],
+        ids=["mm-parameter-space", "mm-parameter-space-twice", "kinetics-tol"],
+    )
+    def test_reference_params_hold_only_reference_parameters(self, config, old, new, tmp_path, capsys):
+        text = Path(config).read_text()
+        assert old in text
+        path = tmp_path / "bad.config"
+        path.write_text(text.replace(old, new))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "model.reference_params" in errors[0]
+        assert "Traceback" not in err
+
     def test_missing_config_exit_one(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "x.config")]) == 1
 
@@ -240,6 +264,26 @@ class TestVerify:
         design = tmp_path / "single.json"
         design.write_text(json.dumps({"support": [[5.0]], "weights": [1.0]}))
         assert main(["verify", "--design", str(design), "--config", MM_CONFIG]) == 1
+
+    def test_each_support_theta_pair_evaluated_once(self, mm_solution, monkeypatch):
+        # The certificate takes its support values from the fit's phi, so
+        # outside the search no (support point, theta) pair is evaluated
+        # twice.  The search is not counted.
+        _, out = mm_solution
+        cfg = load_config(MM_CONFIG)
+        seen = Counter()
+
+        def counted(X, theta):
+            for x in X:
+                seen[x.tobytes(), theta.tobytes()] += 1
+            return cfg.pair.alternative(X, theta)
+
+        search = algorithms.maximize_distance
+        monkeypatch.setattr(algorithms, "maximize_distance", lambda _, *a, **k: search(cfg.pair, *a, **k))
+        counted_cfg = dataclasses.replace(cfg, pair=dataclasses.replace(cfg.pair, alternative=counted))
+        monkeypatch.setattr(cli, "load_config", lambda _: counted_cfg)
+        assert main(["verify", "--design", str(out / "design.json"), "--config", MM_CONFIG]) == 0
+        assert seen and max(seen.values()) == 1
 
     def test_malformed_design_file(self, tmp_path):
         bad = tmp_path / "broken.json"

@@ -244,6 +244,11 @@ class TestTValue:
         )
         assert t_value(pair, d, [1.86, 2.15]) == pytest.approx(1.1854e-3, abs=5e-5)
 
+    def test_given_phi_used_and_checked(self, toy_pair, toy_optimum):
+        assert t_value(toy_pair, toy_optimum, [0.5], phi=[0.5, 1.5]) == 1.0
+        with pytest.raises(ValueError, match="2 design points"):
+            t_value(toy_pair, toy_optimum, [0.5], phi=[0.25])
+
     def test_bounded_by_max_support_distance(self, toy_pair, toy_optimum):
         theta = [0.3]
         tv = t_value(toy_pair, toy_optimum, theta)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from discrimopt import ModelEvaluationError, make_mm_pair
+from discrimopt import ModelEvaluationError, ParameterSpace, make_mm_pair
 from discrimopt.models import (
     KINETICS_DEFAULTS,
     KINETICS_PARAMETER_SPACE,
+    MM_PARAMETER_SPACE,
     IntegratorTol,
     KineticsInput,
     KineticsParams,
@@ -424,6 +425,15 @@ class TestRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(KeyError):
             registry_lookup("mm_vs_modmm", {"Q": 1.0})
+
+    def test_parameter_space_is_its_own_argument(self):
+        box = ParameterSpace([0.5, 0.5], [2.0, 2.0])
+        assert registry_lookup("mm_vs_modmm", parameter_space=box).parameter_space == box
+        assert registry_lookup("mm_vs_modmm").parameter_space == MM_PARAMETER_SPACE
+        with pytest.raises(KeyError, match="parameter_space"):
+            registry_lookup("mm_vs_modmm", {"parameter_space": box})
+        with pytest.raises(KeyError, match="tol"):
+            registry_lookup("kinetics_rev_vs_irrev", {"tol": 1e-3})
 
 
 class TestPairs:
