@@ -29,7 +29,7 @@ from .core import (
 )
 from .lp import WeightLpInstance, solve_weight_lp
 from .lsq import FitConfig, FitResult, fit_parameters
-from .search import GlobalSearchConfig, maximize_distance
+from .search import GlobalSearchConfig, maximize_distance, scan_grid
 
 __all__ = [
     "ALGORITHMS",
@@ -136,12 +136,12 @@ class OptimalityReport:
         return self.min_support_gap <= eps and self.max_psi <= eps
 
 
-def _fill_phi(pair, candidates, thetas, phi):
+def _fill_phi(pair, candidates, refs, thetas, phi):
     """Evaluate the missing entries of a phi matrix in place.
 
     ``phi`` is a list of columns, one per parameter in ``thetas``, over the
-    candidates; NaN marks an entry not evaluated yet.  Columns are added for
-    new parameters and lengthened for new candidates.
+    candidates, whose reference rows are ``refs``; NaN marks an entry not
+    evaluated yet.  Columns are added for new parameters and lengthened for new candidates.
     """
     for j, theta in enumerate(thetas):
         if j == len(phi):
@@ -149,7 +149,7 @@ def _fill_phi(pair, candidates, thetas, phi):
         col = phi[j] = np.append(phi[j], np.full(len(candidates) - len(phi[j]), np.nan))
         missing = np.flatnonzero(np.isnan(col))
         if missing.size:
-            col[missing] = squared_distance(pair, np.array(candidates)[missing], theta)
+            col[missing] = squared_distance(pair, np.array(candidates)[missing], theta, refs[missing])
 
 
 def _timed(fn, *args, **kwargs):
@@ -158,14 +158,15 @@ def _timed(fn, *args, **kwargs):
     return fn(*args, **kwargs), time.perf_counter() - t0
 
 
-def _phi_column(candidates, points, values):
-    """``values`` at ``points`` as a column over the candidates, NaN at a candidate not among them.
+def _reindex(targets, points, values):
+    """``values``, one value or row per point, laid over ``targets``: NaN at a target not among the points.
 
-    A point matches a candidate bit for bit, so each value is the one an
-    evaluation at that candidate gives.
+    A point matches a target bit for bit, so each value is the one an
+    evaluation at that target gives.
     """
-    known = {p.tobytes(): v for p, v in zip(points, values)}
-    return np.array([known.get(c.tobytes(), np.nan) for c in candidates])
+    index = {p.tobytes(): i for i, p in enumerate(points)}
+    values = np.concatenate([values, np.full((1, *np.shape(values)[1:]), np.nan)])
+    return values[[index.get(t.tobytes(), -1) for t in targets]]
 
 
 def disc_md(
@@ -175,6 +176,7 @@ def disc_md(
     params: AlgoParams = AlgoParams(),
     *,
     phi: list[np.ndarray] | None = None,
+    refs: np.ndarray | None = None,
     history: list[IterationRecord] | None = None,
     outer_iteration: int = 0,
     clock_start: float | None = None,
@@ -190,7 +192,8 @@ def disc_md(
 
     ``phi`` is the phi matrix of an earlier call over a prefix of these
     candidates and discretization, as a list of columns; it is extended in
-    place to the returned discretization, so callers can carry it over.
+    place to the returned discretization, so callers can carry it over.  So
+    can ``refs``, the candidates' reference rows, evaluated once when not given.
     """
     candidates = [np.atleast_1d(np.asarray(c, dtype=float)) for c in candidates]
     if not candidates:
@@ -205,16 +208,17 @@ def disc_md(
     phi = [] if phi is None else phi
     n_theta0 = len(theta_disc)
     points = np.array(candidates)
+    refs = pair.eval_reference(points) if refs is None else refs
     fit_cfg = params.fit_config()
     clock_start = clock_start if clock_start is not None else time.perf_counter()
-    _fill_phi(pair, candidates, theta_disc, phi)
+    _fill_phi(pair, candidates, refs, theta_disc, phi)
     warm = theta_disc[-1]
 
     for inner in range(1, params.max_iter_sip + 1):
         sol, lp_time = _timed(solve_weight_lp, WeightLpInstance(np.column_stack(phi)))
         if sol.status != "optimal":
             raise SolverError(f"weight LP failed (status {sol.status}) at inner iteration {inner}")
-        fit, ls_time = _timed(fit_parameters, pair, Design(points, sol.weights), warm_start=warm, cfg=fit_cfg)
+        fit, ls_time = _timed(fit_parameters, pair, Design(points, sol.weights), warm, fit_cfg, refs)
         warm = fit.theta_hat
         if history is not None:
             history.append(
@@ -264,8 +268,9 @@ def two_adapt_md(
     certifies the refit with :func:`check_optimality`, from the refit's
     ``phi``.  It stops once :meth:`OptimalityReport.is_eps_optimal` holds at
     ``params.eps``, else adds the report's ``worst_point`` to the candidates.
-    The phi matrix over the candidates and the parameter discretization
-    carries over between outer iterations.  Records are appended to
+    The phi matrix over the candidates and the parameter discretization, and
+    the candidates' reference rows, carry over between outer iterations; the
+    scan points' reference rows are evaluated once per solve.  Records are appended to
     ``history`` when one is given, so they survive a sub-solver's exception.
     """
     _validate_design(space, initial)
@@ -273,10 +278,12 @@ def two_adapt_md(
     history = [] if history is None else history
     fit_cfg = params.fit_config()
     phi: list[np.ndarray] = []
+    refs = pair.eval_reference(initial.points)
     if not theta_disc0:
-        fit = fit_parameters(pair, initial, cfg=fit_cfg)
+        fit = fit_parameters(pair, initial, cfg=fit_cfg, refs=refs)
         theta_disc0, phi = [fit.theta_hat], [fit.phi]  # its design points are the candidates
     theta_disc = list(theta_disc0)
+    grid = scan_grid(pair, space, gcfg)
 
     candidates = [p.copy() for p in initial.points]
     keys = {canonical_key(p) for p in candidates}
@@ -288,14 +295,16 @@ def two_adapt_md(
     for n in range(1, params.max_iter + 1):
         design, theta_disc, fit, _ = disc_md(
             pair, candidates, theta_disc, params,
-            phi=phi, history=history, outer_iteration=n, clock_start=t0,
+            phi=phi, refs=refs, history=history, outer_iteration=n, clock_start=t0,
         )
-        fit, ls_time = _timed(fit_parameters, pair, design, warm_start=fit.theta_hat, cfg=fit_cfg)
+        fit, ls_time = _timed(fit_parameters, pair, design, fit.theta_hat, fit_cfg,
+                              _reindex(design.points, candidates, refs))
         theta_disc.append(fit.theta_hat)
-        phi.append(_phi_column(candidates, design.points, fit.phi))
+        phi.append(_reindex(candidates, design.points, fit.phi))
 
         report, global_time = _timed(
-            check_optimality, pair, design, fit.theta_hat, space, gcfg, phi=fit.phi, prefer=candidates
+            check_optimality, pair, design, fit.theta_hat, space, gcfg,
+            phi=fit.phi, prefer=candidates, grid=grid,
         )
         accuracy = report.max_psi
 
@@ -324,6 +333,7 @@ def two_adapt_md(
         if grew:
             keys.add(key)
             candidates.append(report.worst_point)
+            refs = np.concatenate([refs, pair.eval_reference(report.worst_point)])
         improved = accuracy < best_accuracy
         best_accuracy = min(best_accuracy, accuracy)
         if not grew and not improved:
@@ -374,10 +384,10 @@ def disc(
     fit0 = fit_parameters(pair, initial, cfg=params.fit_config())
     design, grown, fit, converged = disc_md(
         pair, candidates, [fit0.theta_hat], params,
-        phi=[_phi_column(candidates, initial.points, fit0.phi)], history=history, clock_start=t0,
+        phi=[_reindex(candidates, initial.points, fit0.phi)], history=history, clock_start=t0,
     )
     # The last fit's points are the candidates, so its phi covers the pruned support.
-    support_phi = _phi_column(design.points, candidates, fit.phi)
+    support_phi = _reindex(design.points, candidates, fit.phi)
     report = check_optimality(pair, design, fit.theta_hat, space, gcfg, phi=support_phi)
     return SolveResult(
         design=design,
@@ -414,18 +424,24 @@ def vdm(
     history = [] if history is None else history
     fit_cfg = params.fit_config()
     design = initial
+    refs = pair.eval_reference(design.points)
+    grid = scan_grid(pair, space, gcfg)
     fit = None
     converged = False
 
     for k in range(params.max_iter):
         if fit is not None:
             spike = Design(np.array([report.worst_point]), np.array([1.0]))
+            if canonical_key(report.worst_point) not in {canonical_key(p) for p in design.points}:
+                refs = np.concatenate([refs, pair.eval_reference(spike.points)])  # mixing appends the spike
             alpha = (1.0 / (k + 1) if params.vdm_step_rule == "harmonic"
-                     else _golden_section_step(pair, design, spike, fit.theta_hat, fit_cfg))
+                     else _golden_section_step(pair, design, spike, fit.theta_hat, fit_cfg, refs))
             design = mix_designs(design, spike, alpha)
         warm = fit.theta_hat if fit is not None else None
-        fit, ls_time = _timed(fit_parameters, pair, design, warm_start=warm, cfg=fit_cfg)
-        report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, space, gcfg, phi=fit.phi)
+        fit, ls_time = _timed(fit_parameters, pair, design, warm_start=warm, cfg=fit_cfg, refs=refs)
+        report, global_time = _timed(
+            check_optimality, pair, design, fit.theta_hat, space, gcfg, phi=fit.phi, grid=grid
+        )
 
         history.append(
             IterationRecord(
@@ -479,13 +495,13 @@ def solve(
     return solvers[name](pair, space, initial, params, gcfg, history=history)
 
 
-def _golden_section_step(pair, design, spike, warm, fit_cfg, iters=20):
-    """Maximize T((1 - a) xi + a spike) over a in [0, 1], refitting per trial."""
+def _golden_section_step(pair, design, spike, warm, fit_cfg, refs, iters=20):
+    """Maximize T((1 - a) xi + a spike) over a in [0, 1], refitting per trial on the reference rows ``refs``."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def objective(alpha):
         mixed = mix_designs(design, spike, alpha)
-        return fit_parameters(pair, mixed, warm_start=warm, cfg=fit_cfg).objective
+        return fit_parameters(pair, mixed, warm_start=warm, cfg=fit_cfg, refs=refs).objective
 
     a, b = 0.0, 1.0
     c = b - invphi * (b - a)
@@ -512,6 +528,7 @@ def check_optimality(
     *,
     phi=None,
     prefer=None,
+    grid=None,
 ) -> OptimalityReport:
     """Equivalence-theorem certificate of a design at its fitted parameters.
 
@@ -521,12 +538,12 @@ def check_optimality(
     certifies as eps-optimal via :meth:`OptimalityReport.is_eps_optimal`.
     ``phi`` is the squared distances at the design's points when the caller
     holds them (a fit's ``FitResult.phi``); only without it is the support
-    evaluated, once.  ``prefer`` is passed on to :func:`maximize_distance`.
+    evaluated, once.  ``prefer`` and ``grid`` go to :func:`maximize_distance`.
     Every solver's ``accuracy`` is this ``max_psi``.
     """
     phi = squared_distance(pair, design.points, theta_hat) if phi is None else np.asarray(phi, dtype=float)
     tval = t_value(pair, design, theta_hat, phi)
-    worst, max_phi = maximize_distance(pair, theta_hat, space, gcfg, prefer=prefer)
+    worst, max_phi = maximize_distance(pair, theta_hat, space, gcfg, prefer=prefer, grid=grid)
     return OptimalityReport(
         max_psi=float(max_phi - tval),
         min_support_gap=float(min(phi - tval)),

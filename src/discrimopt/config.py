@@ -120,6 +120,8 @@ def _parse_model(node, path="model") -> ModelPair:
             raise ConfigError(f"{path}.parameter_space: {exc}") from exc
     try:
         return registry_lookup(name, params, space)
+    except DesignError as exc:
+        raise ConfigError(f"{path}.parameter_space: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         field = "reference_params" if name in registered_models() else "name"
         raise ConfigError(f"{path}.{field}: {exc.args[0] if exc.args else exc}") from exc

@@ -168,6 +168,7 @@ def fit_parameters(
     design: Design,
     warm_start=None,
     cfg: FitConfig = FitConfig(),
+    refs=None,
 ) -> FitResult:
     """Fit the alternative model's parameters to the reference on a design.
 
@@ -176,7 +177,9 @@ def fit_parameters(
     started from the warm start plus ``cfg.n_starts`` Sobol points.  The
     Jacobian is exact when the pair has ``alternative_jac`` and a forward
     difference (relative step 1e-7) otherwise.  ``objective`` is the
-    unregularized value, the weighted sum of ``phi``.
+    unregularized value, the weighted sum of ``phi``.  ``refs`` is the
+    reference rows at the design's points when the caller holds them;
+    only without it is the reference evaluated, once.
     """
     space = pair.parameter_space
     starts: list[np.ndarray] = []
@@ -186,7 +189,7 @@ def fit_parameters(
     if not starts:
         raise FitError("no starting points: supply a warm start or n_starts > 0")
 
-    refs = pair.eval_reference(design.points)
+    refs = pair.eval_reference(design.points) if refs is None else refs
     residuals, jac = _stacked_residuals(pair, design, refs, cfg.lam)
     best = None
     best_index = -1

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ModelEvaluationError, ModelPair, ParameterSpace
+from .core import DesignError, ModelEvaluationError, ModelPair, ParameterSpace
 
 __all__ = [
     "KineticsParams",
@@ -676,7 +676,8 @@ def registered_models() -> list[str]:
 def registry_lookup(name: str, params: dict | None = None, parameter_space=None) -> ModelPair:
     """Construct a registered model pair by name from its reference parameters.
 
-    ``parameter_space``, when given, replaces the pair's parameter box.
+    ``parameter_space``, when given, replaces the pair's parameter box; a
+    box of another dimension than the pair's own raises DesignError.
     """
     try:
         builder = _REGISTRY[name]
@@ -685,4 +686,11 @@ def registry_lookup(name: str, params: dict | None = None, parameter_space=None)
             f"unknown model {name!r}; registered: {registered_models()}"
         ) from None
     pair = builder(dict(params or {}))
-    return pair if parameter_space is None else replace(pair, parameter_space=parameter_space)
+    if parameter_space is None:
+        return pair
+    if parameter_space.dimension != pair.parameter_space.dimension:
+        raise DesignError(
+            f"parameter_space has dimension {parameter_space.dimension}, "
+            f"but model {name!r} has {pair.parameter_space.dimension} parameters"
+        )
+    return replace(pair, parameter_space=parameter_space)

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import (
+    Box,
     DesignSpace,
     Lattice,
     ModelEvaluationError,
@@ -21,7 +22,10 @@ from .core import (
     squared_distance,
 )
 
-__all__ = ["GlobalSearchConfig", "maximize_distance"]
+__all__ = ["GlobalSearchConfig", "maximize_distance", "scan_grid"]
+
+# The absolute finite-difference step of the box refinement's gradient.
+_FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -46,19 +50,55 @@ class GlobalSearchConfig:
             raise ValueError("tie_rel must be nonnegative")
 
 
-def _lexicographic_better(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if a precedes b lexicographically."""
-    for ai, bi in zip(a, b):
-        if ai != bi:
-            return ai < bi
-    return False
-
-
-def _phi_or_none(pair: ModelPair, x, theta_hat):
+def _first_or_none(fn, *args):
+    """The first row of ``fn(*args)``, or None when a model evaluation fails."""
     try:
-        return squared_distance(pair, x, theta_hat)[0]
+        return fn(*args)[0]
     except ModelEvaluationError:
         return None
+
+
+def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarray):
+    """-phi(x, theta_hat) and its gradient in the coordinates ``free`` of x (the rest at their lower bounds).
+
+    One model call evaluates x and its steps.  The gradient is L-BFGS-B's default, scipy's
+    ``approx_derivative(method="2-point", abs_step=_FD_STEP)`` in the box: the same fallback for a
+    step lost to rounding, flip or shrink of a step that leaves the box, and quotient by (z + h) - z.
+    """
+    lower, upper = space.lower[free], space.upper[free]
+
+    def neg_phi_and_gradient(z):
+        sign = np.where(z >= 0, 1.0, -1.0)
+        h = np.where((z + _FD_STEP) - z == 0, 2.0**-26 * sign * np.maximum(1.0, np.abs(z)), _FD_STEP)
+        below, above = z - lower, upper - z
+        flip = (z + h < lower) | (z + h > upper)
+        h = np.where(np.abs(h) <= np.maximum(below, above), np.where(flip, -h, h),
+                     np.where(above >= below, above, -below))
+        X = np.tile(space.lower, (free.size + 1, 1))
+        X[:, free] = z
+        X[np.arange(1, free.size + 1), free] += h
+        f = -squared_distance(pair, X, theta_hat)
+        return f[0], (f[1:] - f[0]) / ((z + h) - z)
+
+    return neg_phi_and_gradient
+
+
+def scan_grid(pair: ModelPair, space: DesignSpace, cfg: GlobalSearchConfig = GlobalSearchConfig()):
+    """The points that :func:`maximize_distance` scans, the lattice or the box's grid, and their reference rows.
+
+    A point where the reference fails is left out, so every scan skips it; failing everywhere raises.
+    """
+    axes = space.levels if isinstance(space, Lattice) else [
+        np.linspace(lo, hi, cfg.grid_per_dim) for lo, hi in zip(space.lower, space.upper)]
+    X = np.array(list(itertools.product(*axes)), dtype=float)
+    try:
+        return X, pair.eval_reference(X)
+    except ModelEvaluationError as exc:
+        # Row by row, so that a failing point is left out alone.
+        rows = [_first_or_none(pair.eval_reference, x) for x in X]
+        if all(r is None for r in rows):
+            raise ModelEvaluationError(f"all {len(X)} reference evaluations failed: {exc}") from exc
+        return X[[r is not None for r in rows]], np.array([r for r in rows if r is not None])
 
 
 def maximize_distance(
@@ -67,6 +107,7 @@ def maximize_distance(
     space: DesignSpace,
     cfg: GlobalSearchConfig = GlobalSearchConfig(),
     prefer=None,
+    grid=None,
 ) -> tuple[np.ndarray, float]:
     """Return (argmax, max) of phi(., theta_hat) over the design space.
 
@@ -75,84 +116,63 @@ def maximize_distance(
     tracks) when one ties, else to the lexicographically smallest point, so
     equivalent lattice points never displace known ones.  Box spaces use a
     dense coordinate grid followed by bound-constrained local refinement
-    from the best grid cells.  Model evaluation failures at individual
-    candidates are skipped, and one during a local refinement abandons that
-    refinement.
+    from the best grid cells, one model call per L-BFGS-B step.  ``grid`` is
+    :func:`scan_grid`'s points and reference rows when the caller holds
+    them.  Model evaluation failures at individual candidates are skipped,
+    and one during a local refinement abandons that refinement.
     """
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    if isinstance(space, Lattice):
-        axes = space.levels
-    else:
-        axes = [
-            np.linspace(lo, hi, cfg.grid_per_dim)
-            for lo, hi in zip(space.lower, space.upper)
-        ]
-    X = np.array(list(itertools.product(*axes)), dtype=float)
+    X, refs = scan_grid(pair, space, cfg) if grid is None else grid
     error = None
     try:
-        values = squared_distance(pair, X, theta_hat)
+        values = squared_distance(pair, X, theta_hat, refs)
     except ModelEvaluationError as exc:
         # Row by row, so that a failing candidate is skipped alone.
-        error, values = exc, [_phi_or_none(pair, x, theta_hat) for x in X]
+        error = exc
+        values = [_first_or_none(squared_distance, pair, x, theta_hat, r[None]) for x, r in zip(X, refs)]
 
-    scored: list[tuple[float, np.ndarray]] = []
-    n_failed = 0
-    best_val = -np.inf
-    best_x = None
-    for v, x in zip(values, X):
-        if v is None:
-            n_failed += 1
-            continue
-        scored.append((v, x))
-        if v > best_val or (v == best_val and _lexicographic_better(x, best_x)):
-            best_val = v
-            best_x = x
+    # The maximum; among equal values the lexicographically smallest point.
+    scored = [(v, x) for v, x in zip(values, X) if v is not None]
+    best_val, best_x = -np.inf, None
+    for v, x in scored:
+        if v > best_val or (v == best_val and tuple(x) < tuple(best_x)):
+            best_val, best_x = v, x
     if best_x is None:
         raise ModelEvaluationError(
-            f"all {n_failed} candidate evaluations failed: {error}", theta=theta_hat
+            f"all {len(X) - len(scored)} candidate evaluations failed: {error}", theta=theta_hat
         ) from error
 
     if isinstance(space, Lattice):
         # Near-ties resolve to a preferred (already-known) point when one
         # ties, otherwise to the lexicographically smallest point.
-        cutoff = best_val - cfg.tie_rel * abs(best_val)
+        tied = [x for v, x in scored if not v < best_val - cfg.tie_rel * abs(best_val)]
         prefer_keys = {canonical_key(p) for p in prefer} if prefer is not None else set()
-        tied_preferred = None
-        for v, x in scored:
-            if v < cutoff:
-                continue
-            if canonical_key(x) in prefer_keys and (
-                tied_preferred is None or _lexicographic_better(x, tied_preferred)
-            ):
-                tied_preferred = x
-            if _lexicographic_better(x, best_x):
-                best_x = x
-        if tied_preferred is not None:
-            best_x = tied_preferred
-        return best_x.copy(), best_val
+        preferred = [x for x in tied if canonical_key(x) in prefer_keys]
+        return min(preferred or tied, key=tuple).copy(), best_val
 
-    # Box: refine the top grid cells with a local bound-constrained maximizer.
+    # Box: refine the top grid cells with a local bound-constrained maximizer
+    # in the coordinates of nonzero width, as minimize does without a gradient.
     scored.sort(key=lambda sv: -sv[0])
-    bounds = list(zip(space.lower, space.upper))
-
-    def neg_phi(x):
-        return -squared_distance(pair, x, theta_hat)[0]
-
-    for v0, x0 in scored[: cfg.refine_top]:
+    free = np.flatnonzero(space.lower < space.upper)
+    neg_phi_and_gradient = _neg_phi_and_gradient(pair, theta_hat, space, free)
+    bounds = list(zip(space.lower[free], space.upper[free]))
+    for v0, x0 in scored[: cfg.refine_top] if free.size else ():
         try:
             res = minimize(
-                neg_phi,
-                x0,
+                neg_phi_and_gradient,
+                x0[free],
+                jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
-                options={"ftol": cfg.local_tol, "gtol": cfg.local_tol, "eps": 1e-7},
+                options={"ftol": cfg.local_tol, "gtol": cfg.local_tol},
             )
         except ModelEvaluationError:
             # A failed evaluation ends this refinement; the grid value stands.
             continue
-        x = np.clip(res.x, space.lower, space.upper)
+        x = space.lower.copy()
+        x[free] = res.x
+        x = np.clip(x, space.lower, space.upper)
         v = -float(res.fun)
-        if v > best_val or (v == best_val and _lexicographic_better(x, best_x)):
-            best_val = v
-            best_x = x
+        if v > best_val or (v == best_val and tuple(x) < tuple(best_x)):
+            best_val, best_x = v, x
     return best_x.copy(), best_val

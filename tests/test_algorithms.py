@@ -267,6 +267,48 @@ class TestDisc:
         assert not result.converged  # the box optimum needs the end points
 
 
+class TestReferenceRows:
+    """Each solver evaluates the reference once on the scan points and once per point that joins.
+
+    Calls of ``pair.reference``, by number of rows, on the toy pair over a
+    five-point lattice: the initial design's two points, the scan's five,
+    then one row per candidate or support point added.  No fit and no scan
+    evaluates it again.
+    """
+
+    LATTICE = Lattice(([0.0, 0.25, 0.5, 0.75, 1.0],))
+    INITIAL = Design(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
+
+    @staticmethod
+    def counted(pair):
+        calls = []
+
+        def reference(X):
+            calls.append(len(X))
+            return pair.reference(X)
+
+        return dataclasses.replace(pair, reference=reference), calls
+
+    def test_two_adapt(self, toy_pair):
+        pair, calls = self.counted(toy_pair)
+        result = two_adapt_md(pair, self.LATTICE, self.INITIAL, TIGHT)
+        assert result.converged
+        added = result.history[-1].n_candidates - 2
+        assert added > 0 and calls == [2, 5] + [1] * added
+
+    def test_vdm(self, toy_pair):
+        pair, calls = self.counted(toy_pair)
+        result = vdm(pair, self.LATTICE, self.INITIAL, AlgoParams(lam=0.0, max_iter=20))
+        added = result.design.n_points - 2
+        assert added > 0 and calls == [2, 5] + [1] * added
+
+    def test_disc(self, toy_pair):
+        # The initial fit, the candidates (the lattice) and the certificate's scan.
+        pair, calls = self.counted(toy_pair)
+        disc(pair, self.LATTICE, self.INITIAL, TIGHT)
+        assert calls == [2, 5, 5]
+
+
 class TestSolve:
     def test_dispatches_by_name(self, toy_pair):
         initial = Design(np.array([[0.5]]), np.array([1.0]))

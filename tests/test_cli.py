@@ -177,6 +177,19 @@ class TestSolve:
         assert len(errors) == 1 and "model.reference_params" in errors[0]
         assert "Traceback" not in err
 
+    def test_parameter_space_of_another_dimension_rejected(self, tmp_path, capsys):
+        old = "    lower: [1.0e-3, 1.0e-3]\n    upper: [5.0, 5.0]\n"
+        text = Path(MM_CONFIG).read_text()
+        assert old in text
+        path = tmp_path / "bad.config"
+        path.write_text(text.replace(old, "    lower: [1.0e-3, 1.0e-3, 1.0e-3]\n    upper: [5.0, 5.0, 5.0]\n"))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "model.parameter_space" in errors[0] and "dimension 3" in errors[0] and "has 2 parameters" in errors[0]
+        assert "Traceback" not in err
+
     def test_missing_config_exit_one(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "x.config")]) == 1
 

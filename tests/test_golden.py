@@ -1,10 +1,11 @@
-"""Pinned answers: two benchmark solves reproduce stored outputs.
+"""Pinned answers: benchmark solves reproduce stored outputs.
 
 The files in ``tests/golden/`` are the ``design.json`` (minus
 ``runtime_seconds``) and ``history.csv`` (minus the ``*_time`` columns)
-that ``discrimopt solve`` wrote for ``mm.config`` and
-``benchmarks/kinetics.config`` with the 2adapt solver.  A change that
-moves an answer, a speed-up included, fails here.  Numbers are compared
+that ``discrimopt solve`` wrote for ``mm.config`` under 2adapt, vdm and
+disc, and for ``benchmarks/kinetics.config`` under 2adapt and disc.  Both
+disc runs stop unconverged, with exit code 2.  A change that moves an
+answer, a speed-up included, fails here.  Numbers are compared
 within 1e-12 relative; on one machine they repeat exactly.
 """
 import csv
@@ -18,9 +19,15 @@ from discrimopt.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
-CONFIGS = {
-    "mm-2adapt": str(importlib.resources.files("discrimopt") / "configs" / "mm.config"),
-    "kinetics-2adapt": str(ROOT / "benchmarks" / "kinetics.config"),
+MM = str(importlib.resources.files("discrimopt") / "configs" / "mm.config")
+KINETICS = str(ROOT / "benchmarks" / "kinetics.config")
+# run name -> (config, algorithm, exit code)
+RUNS = {
+    "mm-2adapt": (MM, "2adapt", 0),
+    "mm-vdm": (MM, "vdm", 0),
+    "mm-disc": (MM, "disc", 2),
+    "kinetics-2adapt": (KINETICS, "2adapt", 0),
+    "kinetics-disc": (KINETICS, "disc", 2),
 }
 REL = 1e-12
 
@@ -46,10 +53,11 @@ def history_rows(path: Path) -> list[dict]:
         return [{k: v for k, v in row.items() if not k.endswith("_time")} for row in csv.DictReader(fh)]
 
 
-@pytest.mark.parametrize("run", sorted(CONFIGS))
+@pytest.mark.parametrize("run", sorted(RUNS))
 def test_solve_reproduces_pinned_answer(run, tmp_path):
-    code = main(["solve", "--config", CONFIGS[run], "--algorithm", "2adapt", "--out", str(tmp_path)])
-    assert code == 0
+    config, algorithm, expected_code = RUNS[run]
+    code = main(["solve", "--config", config, "--algorithm", algorithm, "--out", str(tmp_path)])
+    assert code == expected_code
     design = json.loads((tmp_path / "design.json").read_text())
     design.pop("runtime_seconds")
     assert same(json.loads((GOLDEN / f"{run}.design.json").read_text()), design)

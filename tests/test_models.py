@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from discrimopt import ModelEvaluationError, ParameterSpace, make_mm_pair
+from discrimopt.core import DesignError
 from discrimopt.models import (
     KINETICS_DEFAULTS,
     KINETICS_PARAMETER_SPACE,
@@ -434,6 +435,11 @@ class TestRegistry:
             registry_lookup("mm_vs_modmm", {"parameter_space": box})
         with pytest.raises(KeyError, match="tol"):
             registry_lookup("kinetics_rev_vs_irrev", {"tol": 1e-3})
+
+    def test_parameter_space_of_another_dimension_rejected(self):
+        box = ParameterSpace([0.5, 0.5, 0.5], [2.0, 2.0, 2.0])
+        with pytest.raises(DesignError, match="dimension 3.*has 2 parameters"):
+            registry_lookup("mm_vs_modmm", parameter_space=box)
 
 
 class TestPairs:

@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+
+import discrimopt.search as search
 
 from discrimopt import (
     Box,
@@ -14,7 +18,7 @@ from discrimopt import (
     pointwise,
 )
 from discrimopt.core import squared_distance
-from discrimopt.search import maximize_distance
+from discrimopt.search import _neg_phi_and_gradient, maximize_distance, scan_grid
 
 
 class TestConfigValidation:
@@ -150,3 +154,160 @@ class TestFailureHandling:
         )
         with pytest.raises(ModelEvaluationError):
             maximize_distance(pair, [0.5], Lattice(([0.0, 1.0],)))
+
+
+def _toy_2d():
+    """A pair whose phi depends on both coordinates of the design point."""
+    return ModelPair(
+        reference=lambda X: np.sin(3 * X[:, :1] * X[:, 1:2]) + X[:, :1] * np.cos(X[:, 1:2]),
+        alternative=lambda X, th: th[0] * X[:, :1] + th[1] * X[:, 1:2] ** 2,
+        parameter_space=ParameterSpace([-5.0, -5.0], [5.0, 5.0]),
+    )
+
+
+def _far_2d():
+    """A pair on coordinates near 1e10, where a step of 1e-7 is lost to rounding."""
+    return ModelPair(
+        reference=lambda X: np.sin(X[:, :1] * 3e-10) * np.cos(X[:, 1:2]),
+        alternative=lambda X, th: th[0] * X[:, 1:2],
+        parameter_space=ParameterSpace([-5.0], [5.0]),
+    )
+
+
+def _counting(pair):
+    """``pair`` with an alternative that records the number of rows of each call, and the record."""
+    calls = []
+
+    def alternative(X, theta):
+        calls.append(len(X))
+        return pair.alternative(X, theta)
+
+    return dataclasses.replace(pair, alternative=alternative), calls
+
+
+def _scipy_default(pair, theta, x0, bounds, tol=GlobalSearchConfig().local_tol):
+    """L-BFGS-B on -phi with scipy's own finite-difference gradient, as the box search used to run it."""
+    return minimize(
+        lambda x: -squared_distance(pair, x, theta)[0],
+        x0,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"ftol": tol, "gtol": tol, "eps": 1e-7},
+    )
+
+
+class TestRefinementGradient:
+    """The box refinement's batched gradient reproduces L-BFGS-B's default bit for bit."""
+
+    MM_THETA = [1.86, 2.15]
+    TOY_THETA = [0.3, -0.2]
+    # name -> (pair builder, theta, lower, upper, start)
+    CASES = {
+        "mm-interior": (make_mm_pair, MM_THETA, [0.001], [5.0], [0.3]),
+        "mm-lower-bound": (make_mm_pair, MM_THETA, [0.001], [5.0], [0.001]),
+        "mm-upper-bound": (make_mm_pair, MM_THETA, [0.001], [5.0], [5.0]),
+        "mm-width-5e-8-lower": (make_mm_pair, MM_THETA, [0.001], [0.001 + 5e-8], [0.001]),
+        "mm-width-5e-8-upper": (make_mm_pair, MM_THETA, [0.001], [0.001 + 5e-8], [0.001 + 5e-8]),
+        "toy-upper-corner": (_toy_2d, TOY_THETA, [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
+        "toy-interior": (_toy_2d, TOY_THETA, [0.0, 0.0], [1.0, 2.0], [0.4, 1.0]),
+        "toy-width-0": (_toy_2d, TOY_THETA, [0.0, 0.5], [1.0, 0.5], [1.0, 0.5]),
+        "toy-width-5e-8": (_toy_2d, TOY_THETA, [0.2, 0.0], [0.2 + 5e-8, 2.0], [0.2 + 5e-8, 1.3]),
+        "toy-widths-5e-8-and-0": (_toy_2d, TOY_THETA, [0.2, 0.7], [0.2 + 5e-8, 0.7], [0.2, 0.7]),
+        "far-positive": (_far_2d, [0.5], [1e10, 0.0], [1.1e10, 2.0], [1.1e10, 1.0]),
+        "far-negative": (_far_2d, [0.5], [-1.1e10, 0.0], [-1e10, 2.0], [-1.05e10, 1.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_scipy_finite_differences(self, case):
+        make, theta, lower, upper, x0 = self.CASES[case]
+        pair, theta, space, x0 = make(), np.array(theta), Box(lower, upper), np.array(x0, dtype=float)
+        counted, calls = _counting(pair)
+        free = np.flatnonzero(space.lower < space.upper)
+        tol = GlobalSearchConfig().local_tol
+        res = minimize(
+            _neg_phi_and_gradient(counted, theta, space, free),
+            x0[free],
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(space.lower[free], space.upper[free])),
+            options={"ftol": tol, "gtol": tol},
+        )
+        x = space.lower.copy()
+        x[free] = res.x
+        # scipy drops the coordinates of width 0 itself, as it needs finite differences.
+        expected = _scipy_default(pair, theta, x0, list(zip(space.lower, space.upper)))
+        assert np.array_equal(x, expected.x)
+        assert res.fun == expected.fun
+        assert res.nit == expected.nit and np.array_equal(res.jac, expected.jac[free])
+        # One model call per L-BFGS-B function evaluation, on the point and its steps.
+        assert calls == [free.size + 1] * res.nfev
+
+    @pytest.mark.parametrize("make, theta, lower, upper", [
+        (make_mm_pair, MM_THETA, [0.001], [5.0]),
+        (_toy_2d, TOY_THETA, [0.0, 0.0], [1.0, 2.0]),
+        (_toy_2d, TOY_THETA, [0.0, 0.5], [1.0, 0.5]),
+        (_toy_2d, TOY_THETA, [0.2, 0.0], [0.2 + 5e-8, 2.0]),
+    ], ids=["mm", "toy", "toy-width-0", "toy-width-5e-8"])
+    def test_maximize_distance_matches_the_scipy_default_search(self, make, theta, lower, upper, monkeypatch):
+        pair, theta, space = make(), np.array(theta), Box(lower, upper)
+        cfg = GlobalSearchConfig(grid_per_dim=16)
+        runs = []
+
+        def recording_minimize(*args, **kwargs):
+            runs.append(minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(search, "minimize", recording_minimize)
+        counted, calls = _counting(pair)
+        x, v = maximize_distance(counted, theta, space, cfg, grid=scan_grid(pair, space, cfg))
+        expected_x, expected_v = _reference_box_search(pair, theta, space, cfg)
+        assert np.array_equal(x, expected_x) and v == expected_v
+        # The scan is one call; every refinement step is one more.
+        assert len(runs) == cfg.refine_top
+        assert len(calls) == 1 + sum(res.nfev for res in runs)
+
+
+def _reference_box_search(pair, theta, space, cfg):
+    """The box search as it ran with scipy's own finite differences, one model call per point."""
+    axes = [np.linspace(lo, hi, cfg.grid_per_dim) for lo, hi in zip(space.lower, space.upper)]
+    X = np.array(list(itertools.product(*axes)))
+    values = squared_distance(pair, X, theta)
+    best_v, best_x = -np.inf, None
+    for v, x in zip(values, X):
+        if v > best_v or (v == best_v and tuple(x) < tuple(best_x)):
+            best_v, best_x = v, x
+    for i in sorted(range(len(X)), key=lambda i: -values[i])[: cfg.refine_top]:
+        res = _scipy_default(pair, theta, X[i], list(zip(space.lower, space.upper)), cfg.local_tol)
+        x, v = np.clip(res.x, space.lower, space.upper), -float(res.fun)
+        if v > best_v or (v == best_v and tuple(x) < tuple(best_x)):
+            best_v, best_x = v, x
+    return best_x, best_v
+
+
+class TestScanGrid:
+    def test_box_grid_and_reference_rows(self, toy_pair):
+        X, refs = scan_grid(toy_pair, Box([0.0], [1.0]), GlobalSearchConfig(grid_per_dim=5))
+        assert np.array_equal(X, np.linspace(0.0, 1.0, 5)[:, None])
+        assert np.array_equal(refs, toy_pair.eval_reference(X))
+
+    def test_reference_failures_left_out(self):
+        def flaky(x):
+            if x[0] < 0.5:
+                raise RuntimeError("bad region")
+            return np.array([x[0]])
+
+        pair = ModelPair(
+            reference=pointwise(flaky),
+            alternative=pointwise(lambda x, th: np.array([0.0])),
+            parameter_space=ParameterSpace([0.0], [1.0]),
+        )
+        X, refs = scan_grid(pair, Lattice(([0.2, 0.6, 0.8],)))
+        assert np.array_equal(X, [[0.6], [0.8]]) and np.array_equal(refs, [[0.6], [0.8]])
+
+    def test_given_grid_is_not_evaluated_again(self, toy_pair):
+        space = Lattice(([0.0, 0.25, 0.5, 0.75, 1.0],))
+        grid = scan_grid(toy_pair, space)
+        refs = []
+        pair = dataclasses.replace(toy_pair, reference=lambda X: refs.append(len(X)) or toy_pair.reference(X))
+        assert maximize_distance(pair, [0.5], space, grid=grid)[1] == maximize_distance(toy_pair, [0.5], space)[1]
+        assert refs == []
