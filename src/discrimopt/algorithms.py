@@ -69,25 +69,34 @@ class AlgoParams:
 
     For the Vector Direction Method the customary overrides are ``lam = 0``
     (all support points keep positive weight, no regularization needed) and
-    ``max_iter = 1000``.
+    ``max_iter = 1000``.  ``eps_sip``, the inner cutting-plane gap, is
+    ``eps`` when not given, and may not exceed it: an inner solve looser
+    than the certificate it feeds can stall the outer loop.
     """
 
     eps: float = 1e-5
     max_iter: int = 100
     n_theta_starts: int = 9
     lam: float = 1e-8
-    eps_sip: float = 1e-5
+    eps_sip: float | None = None
     max_iter_sip: int = 20
     vdm_step_rule: str = "harmonic"  # "harmonic" | "line_search"
     prune_threshold: float = 1e-6
 
     def __post_init__(self):
-        if self.eps <= 0 or self.eps_sip <= 0:
-            raise ValueError("eps and eps_sip must be positive")
+        if self.eps_sip is None:
+            object.__setattr__(self, "eps_sip", self.eps)
+        # Each message opens with the field it is about; the config loader names that field.
+        for name in ("eps", "eps_sip"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.eps_sip > self.eps:
+            raise ValueError(f"eps_sip {self.eps_sip:g} exceeds eps {self.eps:g}")
         if self.max_iter < 1 or self.max_iter_sip < 1:
             raise ValueError("iteration limits must be >= 1")
-        if self.n_theta_starts < 0 or self.lam < 0:
-            raise ValueError("n_theta_starts and lam must be nonnegative")
+        for name in ("n_theta_starts", "lam"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.vdm_step_rule not in ("harmonic", "line_search"):
             raise ValueError(f"unknown vdm_step_rule {self.vdm_step_rule!r}")
 
@@ -186,9 +195,10 @@ def disc_md(
     Blankenship & Falk cutting planes on the weight-linear semi-infinite
     program: solve the weight LP over the current parameter discretization,
     fit the parameters to the LP weights, and append the fit as a new cut,
-    until the cut binds: w . phi[:, new] - t_LP >= -eps_sip.  Returns the
-    pruned design, the grown discretization, the last fit, and whether the
-    cut bound within ``max_iter_sip`` iterations.
+    until the cut binds: w . phi[:, new] - t_LP >= -eps_sip.  Each fit starts
+    from the last parameter of the discretization alone, without the Sobol
+    multistart.  Returns the pruned design, the grown discretization, the
+    last fit, and whether the cut bound within ``max_iter_sip`` iterations.
 
     ``phi`` is the phi matrix of an earlier call over a prefix of these
     candidates and discretization, as a list of columns; it is extended in
@@ -209,7 +219,10 @@ def disc_md(
     n_theta0 = len(theta_disc)
     points = np.array(candidates)
     refs = pair.eval_reference(points) if refs is None else refs
-    fit_cfg = params.fit_config()
+    # A violated cut makes progress whether or not its fit is the global
+    # minimum, so each cut fits from the warm start alone; the fits a
+    # certificate rests on are the callers' and keep the multistart.
+    fit_cfg = FitConfig(n_starts=0, lam=params.lam)
     clock_start = clock_start if clock_start is not None else time.perf_counter()
     _fill_phi(pair, candidates, refs, theta_disc, phi)
     warm = theta_disc[-1]
@@ -374,21 +387,24 @@ def disc(
 
     The candidates are the whole lattice when the design space is finite,
     otherwise the points of the initial design.  The fit of the initial
-    design fills the first phi column on its points.  Converged means the
-    inner loop converged and the report's ``max_psi`` is at most eps.
+    design fills the first phi column on its points.  The pruned design is
+    refitted with the multistart, warm started at the last cut, and
+    certified from that refit, as 2ADAPT's outer loop does.  Converged
+    means the inner loop converged and the report's ``max_psi`` is at most eps.
     """
     _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
     candidates = list(space.enumerate()) if isinstance(space, Lattice) else list(initial.points)
-    fit0 = fit_parameters(pair, initial, cfg=params.fit_config())
+    fit_cfg = params.fit_config()
+    fit0 = fit_parameters(pair, initial, cfg=fit_cfg)
+    refs = pair.eval_reference(np.array(candidates))
     design, grown, fit, converged = disc_md(
         pair, candidates, [fit0.theta_hat], params,
-        phi=[_reindex(candidates, initial.points, fit0.phi)], history=history, clock_start=t0,
+        phi=[_reindex(candidates, initial.points, fit0.phi)], refs=refs, history=history, clock_start=t0,
     )
-    # The last fit's points are the candidates, so its phi covers the pruned support.
-    support_phi = _reindex(design.points, candidates, fit.phi)
-    report = check_optimality(pair, design, fit.theta_hat, space, gcfg, phi=support_phi)
+    fit = fit_parameters(pair, design, fit.theta_hat, fit_cfg, _reindex(design.points, candidates, refs))
+    report = check_optimality(pair, design, fit.theta_hat, space, gcfg, phi=fit.phi)
     return SolveResult(
         design=design,
         theta_hat=fit.theta_hat,

@@ -180,7 +180,9 @@ def _parse_overrides(node, keymap, path, builder):
     try:
         return builder(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # A message that opens with a field's name is about that field.
+        key = {target: key for key, target in keymap.items()}.get(str(exc).split(" ", 1)[0])
+        raise ConfigError(f"{path}.{key}: {exc}" if key else f"{path}: {exc}") from exc
 
 
 def _parse_algorithm(node, path="algorithm"):

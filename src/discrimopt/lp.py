@@ -50,7 +50,8 @@ def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution:
     """Solve the maximin weight LP with the HiGHS dual simplex.
 
     When the simplex reports failure, the LP is solved again with the HiGHS
-    interior point method.  Duplicate constraint columns are removed before
+    interior point method, and when that fails too, with the dual simplex at
+    HiGHS's default tolerances.  Duplicate constraint columns are removed before
     solving.  Weights are clamped to [0, inf) and renormalized so downstream
     design invariants hold.
     """
@@ -75,7 +76,7 @@ def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution:
     a_ub = np.hstack([-phi.T, np.ones((m, 1))])
     a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
     bounds = [(0.0, None)] * n + [(None, None)]
-    options = {
+    tight = {
         # Defaults (1e-7) are looser than the cutting-plane gaps the caller
         # drives toward; tighten so fresh cuts actually bind.
         "primal_feasibility_tolerance": 1e-10,
@@ -83,8 +84,10 @@ def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution:
     }
     # At these tolerances the dual simplex fails on some ill-conditioned
     # instances (135 x 4 on the kinetics lattice) that the interior point
-    # method solves.
-    for method in ("highs", "highs-ipm"):
+    # method solves.  On a matrix scaled to 2^20 they are ~1e-16 relative,
+    # below double precision, and both fail on some degenerate instances
+    # (3 x 26 on the toy pair) that the defaults solve; those come last.
+    for method, options in (("highs", tight), ("highs-ipm", tight), ("highs", {})):
         res = linprog(
             c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=[1.0], bounds=bounds,
             method=method, options=options,

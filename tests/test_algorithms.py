@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import discrimopt.algorithms as algorithms
+import discrimopt.lsq as lsq
 from discrimopt import (
     ALGORITHMS,
     AlgoParams,
@@ -118,6 +119,16 @@ class TestDiscMd:
             AlgoParams(eps_sip=0.0)
         with pytest.raises(ValueError):
             AlgoParams(max_iter_sip=0)
+
+    def test_eps_sip_follows_eps(self):
+        assert AlgoParams().eps_sip == AlgoParams().eps == 1e-5
+        assert AlgoParams(eps=1e-6).eps_sip == 1e-6
+        assert AlgoParams(eps=1e-6, eps_sip=1e-8).eps_sip == 1e-8
+        assert AlgoParams(eps=1e-6, eps_sip=1e-6).eps_sip == 1e-6
+
+    def test_eps_sip_above_eps_rejected(self):
+        with pytest.raises(ValueError, match="^eps_sip 1e-05 exceeds eps 1e-06$"):
+            AlgoParams(eps=1e-6, eps_sip=1e-5)
 
     def test_binding_theta_converges_in_one_iteration(self, toy_pair):
         # The initial theta already minimizes the distance at the only
@@ -309,6 +320,60 @@ class TestReferenceRows:
         assert calls == [2, 5, 5]
 
 
+class TestWhereTheMultistartRuns:
+    """Each cut fit of :func:`disc_md` runs one least-squares start, its warm start.
+
+    The fits that a certificate or a returned answer rests on run the
+    configured multistart: the initial fit its ``n_theta_starts`` Sobol
+    points (it has no warm start), 2ADAPT's outer refits and DISC's final
+    refit the warm start and those points.
+    """
+
+    @staticmethod
+    def starts_per_fit(monkeypatch):
+        """A list that the solve fills with [inside disc_md, least-squares starts] per fit."""
+        fits, depth = [], []
+        least_squares, fit_parameters, disc_md = lsq.least_squares, algorithms.fit_parameters, algorithms.disc_md
+
+        def counted_least_squares(*args, **kwargs):
+            fits[-1][1] += 1
+            return least_squares(*args, **kwargs)
+
+        def recorded_fit(*args, **kwargs):
+            fits.append([bool(depth), 0])
+            return fit_parameters(*args, **kwargs)
+
+        def recorded_disc_md(*args, **kwargs):
+            depth.append(None)
+            try:
+                return disc_md(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(lsq, "least_squares", counted_least_squares)
+        monkeypatch.setattr(algorithms, "fit_parameters", recorded_fit)
+        monkeypatch.setattr(algorithms, "disc_md", recorded_disc_md)
+        return fits
+
+    def test_two_adapt(self, monkeypatch):
+        cfg = load_config(MM_CONFIG)
+        n = cfg.params.n_theta_starts
+        fits = self.starts_per_fit(monkeypatch)
+        result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        assert result.converged and n > 0
+        assert fits[0] == [False, n]
+        cuts = sum(r.phase == "disc" for r in result.history)
+        assert [s for inside, s in fits[1:] if inside] == [1] * cuts
+        assert [s for inside, s in fits[1:] if not inside] == [1 + n] * result.iterations
+
+    def test_disc(self, monkeypatch):
+        cfg = load_config(MM_CONFIG)
+        n = cfg.params.n_theta_starts
+        fits = self.starts_per_fit(monkeypatch)
+        result = disc(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        assert fits == [[False, n]] + [[True, 1]] * len(result.history) + [[False, 1 + n]]
+
+
 class TestSolve:
     def test_dispatches_by_name(self, toy_pair):
         initial = Design(np.array([[0.5]]), np.array([1.0]))
@@ -408,6 +473,14 @@ class TestCheckOptimality:
         result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
         report = check_optimality(cfg.pair, result.design, result.theta_hat, cfg.space, cfg.gcfg)
         assert result.converged and report.is_eps_optimal(cfg.params.eps)
+        assert report.max_psi == result.accuracy
+
+    def test_disc_certificate_does_not_depend_on_the_solver(self):
+        # DISC certifies from its final refit's phi; re-certified from
+        # scratch, its design gives the accuracy the solver reported.
+        cfg = load_config(MM_CONFIG)
+        result = disc(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        report = check_optimality(cfg.pair, result.design, result.theta_hat, cfg.space, cfg.gcfg)
         assert report.max_psi == result.accuracy
 
     def test_single_point_design_far_from_optimal(self):

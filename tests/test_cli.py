@@ -12,7 +12,7 @@ import pytest
 
 import discrimopt.algorithms as algorithms
 import discrimopt.cli as cli
-from discrimopt import make_mm_pair
+from discrimopt import ALGORITHMS, make_mm_pair
 from discrimopt.config import load_config
 from discrimopt.lp import WeightLpSolution
 from discrimopt.lsq import FitError
@@ -28,21 +28,24 @@ TIME_COLUMNS = {"lp_time", "ls_time", "global_time", "wall_time"}
 def _mm_failing_after(params):
     """The mm pair whose model raises from its ``fail_after``-th point evaluation on.
 
-    ``alternative`` and ``alternative_jac`` share one counter of evaluated
+    ``alternative`` and ``alternative_jac`` share one count of evaluated
     points, so the failure reaches fits (which call the Jacobian) and
-    searches alike.
+    searches alike.  Each reports the count so far as ``points_evaluated()``.
     """
     fail_after = int(params.pop("fail_after"))
     pair = make_mm_pair(**params)
-    points = itertools.count()
+    evaluated = 0
 
     def failing(fn):
         def call(X, theta):
+            nonlocal evaluated
             for _ in X:
-                if next(points) >= fail_after:
+                if evaluated >= fail_after:
                     raise RuntimeError("injected failure")
+                evaluated += 1
             return fn(X, theta)
 
+        call.points_evaluated = lambda: evaluated
         return call
 
     return dataclasses.replace(
@@ -190,6 +193,18 @@ class TestSolve:
         assert "model.parameter_space" in errors[0] and "dimension 3" in errors[0] and "has 2 parameters" in errors[0]
         assert "Traceback" not in err
 
+    def test_eps_sip_above_eps_rejected(self, tmp_path, capsys):
+        text = Path(MM_CONFIG).read_text()
+        assert "  name: 2adapt\n" in text
+        path = tmp_path / "bad.config"
+        path.write_text(text.replace("  name: 2adapt\n", "  name: 2adapt\n  eps: 1.0e-6\n  eps_sip: 1.0e-5\n"))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: algorithm.eps_sip: eps_sip 1e-05 exceeds eps 1e-06"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "history.csv").exists()
+
     def test_missing_config_exit_one(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "x.config")]) == 1
 
@@ -209,19 +224,35 @@ class TestSolve:
 class TestFailurePaths:
     """Every sub-solver failure exits 1 and flushes the history gathered so far."""
 
-    @pytest.mark.parametrize("algorithm, fail_after", [("2adapt", 5000), ("vdm", 5000), ("disc", 2000)])
-    def test_model_failure_flushes_history(self, algorithm, fail_after, tmp_path, mm_solution):
-        cfg = write_mm_config(
-            tmp_path / "failing.config", "mm_failing_after", f"{{fail_after: {fail_after}}}"
-        )
-        code = main(["solve", "--config", cfg, "--algorithm", algorithm, "--out", str(tmp_path)])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_model_failure_flushes_history(self, algorithm, tmp_path, monkeypatch):
+        # A full run of the counting pair gives the number of points
+        # evaluated before each fit; the failure is injected at the first
+        # point of the middle fit, so it does not depend on how many points
+        # the solver evaluates, and no search is cut short before it.
+        fit_starts = []
+        fit_parameters = algorithms.fit_parameters
+
+        def recorded(pair, *args, **kwargs):
+            fit_starts.append(pair.alternative.points_evaluated())
+            return fit_parameters(pair, *args, **kwargs)
+
+        full_out, out = tmp_path / "full", tmp_path / "failing"
+        counting = write_mm_config(tmp_path / "counting.config", "mm_failing_after", "{fail_after: 1.0e+12}")
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms, "fit_parameters", recorded)
+            code = main(["solve", "--config", counting, "--algorithm", algorithm, "--out", str(full_out)])
+        assert code in (0, 2)
+        fail_after = fit_starts[len(fit_starts) // 2]
+        cfg = write_mm_config(tmp_path / "failing.config", "mm_failing_after", f"{{fail_after: {fail_after}}}")
+        code = main(["solve", "--config", cfg, "--algorithm", algorithm, "--out", str(out)])
         assert code == 1
-        assert not (tmp_path / "design.json").exists()
-        rows = read_history(tmp_path)
+        assert not (out / "design.json").exists()
+        rows = read_history(out)
         assert rows
         if algorithm == "2adapt":
             # The rows are those of the full solve up to the failure.
-            full = read_history(mm_solution[1])
+            full = read_history(full_out)
             assert len(rows) < len(full)
             assert without_times(rows) == without_times(full[: len(rows)])
 

@@ -139,6 +139,12 @@ class TestAlgorithmDefaults:
         assert cfg.params_for("vdm").max_iter == 1000
         assert cfg.params_for("vdm").lam == 0.0
 
+    def test_eps_alone_sets_eps_sip(self, tmp_path):
+        body = MINIMAL + "\nalgorithm:\n  name: 2adapt\n  eps: 1.0e-6\n"
+        cfg = load_config(write_config(tmp_path, body))
+        assert cfg.params.eps == cfg.params.eps_sip == 1e-6
+        assert cfg.params_for("vdm").eps_sip == 1e-6
+
     def test_lambda_key_maps_to_regularizer(self, tmp_path):
         body = MINIMAL + "\nalgorithm:\n  name: 2adapt\n  lambda: 1.0e-6\n"
         cfg = load_config(write_config(tmp_path, body))

@@ -7,6 +7,10 @@ disc, and for ``benchmarks/kinetics.config`` under 2adapt and disc.  Both
 disc runs stop unconverged, with exit code 2.  A change that moves an
 answer, a speed-up included, fails here.  Numbers are compared
 within 1e-12 relative; on one machine they repeat exactly.
+
+``mm-vdm`` was written by commit a7d9129.  The other four were written again
+by the commit that makes DISC's cut fits start from the warm start alone
+(the child of c54ae4e); CHANGES.md gives how far each answer moved.
 """
 import csv
 import importlib.resources

@@ -90,6 +90,29 @@ class TestSolveWeightLp:
         assert sol.status == "optimal"
         assert sol.t == pytest.approx(np.min(sol.weights @ phi), rel=1e-8)
 
+    def test_degenerate_instance_failing_both_tight_attempts(self):
+        # A weight LP of 2ADAPT on the toy pair x vs theta started from
+        # theta_0 = 0.9 (inner iteration 2, after 26 cuts): 3 x 26 with
+        # near-duplicate columns, on which the dual simplex and the interior
+        # point method both fail at tolerances 1e-10; HiGHS's defaults solve it.
+        x = np.array([0.5, 0.0, 1.0])
+        thetas = np.array([float.fromhex(h) for h in (
+            "0x1.ccccccccccccdp-1", "0x1.ffffffff8c766p-2", "0x1.ffffffff8c766p-2", "0x1.0000000000000p-1",
+            "0x1.59445d9b95c5fp-28", "0x1.0000002b6953ep-2", "0x1.000000d4af018p-3", "0x1.800000b363bbcp-3",
+            "0x1.c00000a0101f3p-3", "0x1.e000007ec2098p-3", "0x1.f00000724b5f8p-3", "0x1.f800006a5a45ep-3",
+            "0x1.fc000065e2cf7p-3", "0x1.fe000056bfd48p-3", "0x1.ff000059bba42p-3", "0x1.ff80005b714abp-3",
+            "0x1.ffc0004fc9e4cp-3", "0x1.ffe0004ed0321p-3", "0x1.fff00056c4447p-3", "0x1.fff80052f06d0p-3",
+            "0x1.fffc005dd0498p-3", "0x1.fffe005654f21p-3", "0x1.ffff005b55d2dp-3", "0x1.ffff8058e0965p-3",
+            "0x1.ffff805aaf4fcp-3", "0x1.66666631b4c7ep-1",
+        )])
+        phi = (x[:, None] - thetas[None, :]) ** 2
+        sol = solve_weight_lp(WeightLpInstance(phi))
+        assert phi.shape == (3, 26)
+        assert sol.status == "optimal"
+        assert np.all(sol.weights >= 0) and sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sol.t == pytest.approx(np.min(sol.weights @ phi), rel=1e-8)
+        assert sol.t == pytest.approx(brute_force_maximin(phi, 1e-2), abs=1e-2)
+
     def test_solution_invariants(self):
         phi = np.array([[0.3, 1.2, 0.1], [0.9, 0.2, 0.5], [0.4, 0.4, 0.4]])
         sol = solve_weight_lp(WeightLpInstance(phi))
