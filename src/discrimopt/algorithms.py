@@ -80,8 +80,6 @@ class AlgoParams:
     lam: float = 1e-8
     eps_sip: float | None = None
     max_iter_sip: int = 20
-    vdm_step_rule: str = "harmonic"  # "harmonic" | "line_search"
-    prune_threshold: float = 1e-6
 
     def __post_init__(self):
         if self.eps_sip is None:
@@ -97,8 +95,6 @@ class AlgoParams:
         for name in ("n_theta_starts", "lam"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.vdm_step_rule not in ("harmonic", "line_search"):
-            raise ValueError(f"unknown vdm_step_rule {self.vdm_step_rule!r}")
 
     def fit_config(self) -> FitConfig:
         return FitConfig(n_starts=self.n_theta_starts, lam=self.lam)
@@ -254,7 +250,7 @@ def disc_md(
         if converged:
             break
 
-    design = prune_design(Design(points, sol.weights), params.prune_threshold)
+    design = prune_design(Design(points, sol.weights))
     return design, theta_disc, fit, converged
 
 
@@ -429,11 +425,10 @@ def vdm(
     """Vector Direction Method baseline.
 
     Mixes the current design with a point mass at the certificate's
-    ``worst_point``, and stops once its ``max_psi`` is at most eps (the
-    support gap is not checked).  The default step size is the harmonic rule
-    1/(k+2); "line_search" golden-sections the step, refitting the
-    parameters at every trial step.  A run that reaches ``max_iter``
-    returns its last fitted and certified design, unmixed.
+    ``worst_point`` with the harmonic step 1/(k+1) at iteration k (Atkinson &
+    Fedorov, 1975), and stops once its ``max_psi`` is at most eps (the
+    support gap is not checked).  A run that reaches ``max_iter`` returns
+    its last fitted and certified design, unmixed.
     """
     _validate_design(space, initial)
     t0 = time.perf_counter()
@@ -450,9 +445,7 @@ def vdm(
             spike = Design(np.array([report.worst_point]), np.array([1.0]))
             if canonical_key(report.worst_point) not in {canonical_key(p) for p in design.points}:
                 refs = np.concatenate([refs, pair.eval_reference(spike.points)])  # mixing appends the spike
-            alpha = (1.0 / (k + 1) if params.vdm_step_rule == "harmonic"
-                     else _golden_section_step(pair, design, spike, fit.theta_hat, fit_cfg, refs))
-            design = mix_designs(design, spike, alpha)
+            design = mix_designs(design, spike, 1.0 / (k + 1))
         warm = fit.theta_hat if fit is not None else None
         fit, ls_time = _timed(fit_parameters, pair, design, warm_start=warm, cfg=fit_cfg, refs=refs)
         report, global_time = _timed(
@@ -509,30 +502,6 @@ def solve(
     if name not in solvers:
         raise ValueError(f"unknown algorithm {name!r}; known: {list(ALGORITHMS)}")
     return solvers[name](pair, space, initial, params, gcfg, history=history)
-
-
-def _golden_section_step(pair, design, spike, warm, fit_cfg, refs, iters=20):
-    """Maximize T((1 - a) xi + a spike) over a in [0, 1], refitting per trial on the reference rows ``refs``."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def objective(alpha):
-        mixed = mix_designs(design, spike, alpha)
-        return fit_parameters(pair, mixed, warm_start=warm, cfg=fit_cfg, refs=refs).objective
-
-    a, b = 0.0, 1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
 
 
 def check_optimality(

@@ -39,6 +39,9 @@ __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_compare"]
 
 log = logging.getLogger("discrimopt")
 
+# Points of the psi curve, equispaced over the 1-D box.
+_PSI_GRID = 400
+
 
 def _fmt(value):
     """Serialize numbers at full precision (well above 12 significant digits)."""
@@ -73,7 +76,7 @@ def _write_design(result: SolveResult, path: Path):
 
 def _write_psi_curve(cfg: ProblemConfig, result: SolveResult, path: Path):
     space = cfg.space
-    xs = np.linspace(space.lower[0], space.upper[0], cfg.psi_grid)
+    xs = np.linspace(space.lower[0], space.upper[0], _PSI_GRID)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "psi"])

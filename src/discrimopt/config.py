@@ -27,14 +27,10 @@ _ALGO_KEYS = {
     "lambda": "lam",
     "eps_sip": "eps_sip",
     "max_iter_sip": "max_iter_sip",
-    "vdm_step_rule": "vdm_step_rule",
-    "prune_threshold": "prune_threshold",
 }
 _SEARCH_KEYS = {
     "grid_per_dim": "grid_per_dim",
     "refine_top": "refine_top",
-    "local_tol": "local_tol",
-    "tie_rel": "tie_rel",
 }
 
 
@@ -51,7 +47,6 @@ class ProblemConfig:
     params: AlgoParams
     gcfg: GlobalSearchConfig
     emit_psi_curve: bool = True
-    psi_grid: int = 400
     output_dir: str | None = None
     # Raw algorithm-section overrides, kept so parameters can be rebuilt for a
     # different algorithm choice (the VDM has its own customary defaults).
@@ -85,9 +80,10 @@ def _get(node: dict, key: str, path: str, required=True, default=None):
 
 
 def _reject_unknown(node: dict, known, path: str):
-    unknown = sorted(set(node) - set(known))
+    unknown = sorted(set(node) - set(known), key=str)
     if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {unknown}; known: {sorted(known)}")
+        names = ", ".join(str(k) if path == "<root>" else f"{path}.{k}" for k in unknown)
+        raise ConfigError(f"{names}: unknown field(s); known: {sorted(known)}")
 
 
 def _float_list(node, path):
@@ -199,17 +195,14 @@ def _parse_algorithm(node, path="algorithm"):
 
 def _parse_output(node, path="output"):
     node = _expect_mapping(node or {}, path)
-    _reject_unknown(node, {"directory", "emit_psi_curve", "psi_grid"}, path)
+    _reject_unknown(node, {"directory", "emit_psi_curve"}, path)
     emit = node.get("emit_psi_curve", True)
     if not isinstance(emit, bool):
         raise ConfigError(f"{path}.emit_psi_curve: expected a boolean")
-    grid = node.get("psi_grid", 400)
-    if not isinstance(grid, int) or grid < 2:
-        raise ConfigError(f"{path}.psi_grid: expected an integer >= 2")
     directory = node.get("directory")
     if directory is not None and not isinstance(directory, str):
         raise ConfigError(f"{path}.directory: expected a string path")
-    return emit, grid, directory
+    return emit, directory
 
 
 def load_config(path: str | Path) -> ProblemConfig:
@@ -232,7 +225,7 @@ def load_config(path: str | Path) -> ProblemConfig:
     space = _parse_space(_get(tree, "design_space", "<root>"))
     initial = _parse_initial(_get(tree, "initial_design", "<root>"), space)
     name, params, gcfg, overrides = _parse_algorithm(tree.get("algorithm", {}))
-    emit, grid, directory = _parse_output(tree.get("output"))
+    emit, directory = _parse_output(tree.get("output"))
     return ProblemConfig(
         pair=pair,
         space=space,
@@ -241,7 +234,6 @@ def load_config(path: str | Path) -> ProblemConfig:
         params=params,
         gcfg=gcfg,
         emit_psi_curve=emit,
-        psi_grid=grid,
         output_dir=directory,
         algo_overrides=overrides,
     )

@@ -2,8 +2,7 @@
 
 A design is a discrete probability measure over design points.  The
 fundamental quantities everything else consumes live here as well: the
-squared model distance phi, the weighted criterion value T, and the
-directional derivative psi.
+squared model distance phi and the weighted criterion value T.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ __all__ = [
     "canonical_key",
     "squared_distance",
     "t_value",
-    "directional_derivative",
     "mix_designs",
     "prune_design",
 ]
@@ -112,15 +110,11 @@ class Design:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def support(self, threshold: float = 0.0):
-        """Points carrying weight > threshold."""
-        mask = self.weights > threshold
-        return self.points[mask], self.weights[mask]
-
 
 @dataclass(frozen=True)
 class Box:
-    """Continuous box design space [lower, upper] componentwise."""
+    """Bounded box [lower, upper] componentwise: a continuous design space, or
+    the admissible parameters of the alternative model (``ParameterSpace``)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -131,7 +125,7 @@ class Box:
         if lo.shape != hi.shape:
             raise DesignError("box bounds must have equal dimension")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise DesignError("box bounds must be finite")
+            raise DesignError("box must be bounded (finite bounds)")
         if np.any(lo > hi):
             raise DesignError("box requires lower <= upper componentwise")
         lo.setflags(write=False)
@@ -143,6 +137,9 @@ class Box:
     def dimension(self) -> int:
         return self.lower.shape[0]
 
+    def clip(self, x) -> np.ndarray:
+        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return bool(
@@ -152,6 +149,10 @@ class Box:
         )
 
 
+# The alternative model's parameter box.
+ParameterSpace = Box
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Finite design space: cross product of per-dimension level lists."""
@@ -159,12 +160,8 @@ class Lattice:
     levels: tuple
 
     def __post_init__(self):
-        if isinstance(self.levels, (np.ndarray, list)):
-            levels = tuple(self.levels)
-        else:
-            levels = self.levels
         clean = []
-        for lv in levels:
+        for lv in self.levels:
             arr = np.atleast_1d(np.asarray(lv, dtype=float))
             if arr.size == 0:
                 raise DesignError("lattice level lists must be nonempty")
@@ -177,10 +174,6 @@ class Lattice:
     @property
     def dimension(self) -> int:
         return len(self.levels)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod([len(lv) for lv in self.levels]))
 
     def enumerate(self):
         """All lattice points in lexicographic order."""
@@ -195,43 +188,6 @@ class Lattice:
 
 
 DesignSpace = Box | Lattice
-
-
-@dataclass(frozen=True)
-class ParameterSpace:
-    """Bounded box of admissible parameters for the alternative model."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape:
-            raise DesignError("parameter bounds must have equal dimension")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise DesignError("parameter space must be bounded (finite bounds)")
-        if np.any(lo > hi):
-            raise DesignError("parameter space requires lower <= upper")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.shape[0]
-
-    def clip(self, theta) -> np.ndarray:
-        return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
-
-    def contains(self, theta, tol: float = 1e-9) -> bool:
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return bool(
-            th.shape == self.lower.shape
-            and np.all(th >= self.lower - tol)
-            and np.all(th <= self.upper + tol)
-        )
 
 
 def pointwise(fn):
@@ -314,15 +270,6 @@ def t_value(pair: ModelPair, design: Design, theta2, phi=None) -> float:
     elif len(phi) != design.n_points:
         raise ValueError(f"phi has {len(phi)} values for {design.n_points} design points")
     return float(sum(wi * p for p, wi in zip(phi, design.weights)))
-
-
-def directional_derivative(pair: ModelPair, design: Design, theta_hat, X) -> np.ndarray:
-    """psi(x, xi) = phi(x, theta_hat) - T(xi, theta_hat) at the rows of X.
-
-    ``theta_hat`` must be the fitted parameter for ``design``; the pairing is
-    the caller's responsibility so one fit can back many psi evaluations.
-    """
-    return squared_distance(pair, X, theta_hat) - t_value(pair, design, theta_hat)
 
 
 def mix_designs(a: Design, b: Design, alpha: float) -> Design:

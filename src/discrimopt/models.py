@@ -20,7 +20,6 @@ __all__ = [
     "mm_eval",
     "modmm_eval",
     "integrate_kinetics",
-    "integrate_kinetics_jac",
     "make_mm_pair",
     "make_kinetics_pair",
     "registry_lookup",
@@ -511,7 +510,8 @@ def _kinetics_sens_rhs(params: KineticsParams):
 
 def _integrate_rows(params: KineticsParams, X, tol: IntegratorTol, jac: bool = False):
     """Concentrations (n, 3) at the rows (a0, b0, c0, t) of X; with ``jac`` also
-    their Jacobians (n, 3, 4) in (k1, k2, n1, n2).
+    their Jacobians (n, 3, 4) in (k1, k2, n1, n2) from ``_dopri5_sens``, irreversible
+    system only; the power-law derivative terms of a clipped concentration are 0.
 
     Each row is validated as a KineticsInput.  Rows that share (a0, b0, c0)
     exactly are integrated in one kernel pass over their sorted distinct
@@ -556,24 +556,6 @@ def integrate_kinetics(
     ModelEvaluationError carrying the design point.
     """
     return _integrate_rows(params, [(inp.a0, inp.b0, inp.c0, inp.t)], tol)[0]
-
-
-def integrate_kinetics_jac(
-    params: KineticsParams, inp: KineticsInput, tol: IntegratorTol = IntegratorTol()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concentrations and their Jacobian in (k1, k2, n1, n2), irreversible system only.
-
-    Needs k3 = 0 and n3 = 1, the alternative model.  The forward
-    sensitivities S' = J_y S + J_theta run beside the states in
-    ``_dopri5_sens``: d a / d(k1, n1) and d b / d(k1, k2, n1, n2), since a
-    does not depend on k2 or n2, and d c = -(d a + d b) by conservation of
-    a + b + c.  The states equal ``integrate_kinetics``' bit for bit.  At a
-    clipped concentration (a <= 0 or b <= 0) its power law is constant, so
-    its derivative terms, ln a and a**(n - 1) among them, are taken as 0.
-    Raises ModelEvaluationError as ``integrate_kinetics`` does.
-    """
-    y, jac = _integrate_rows(params, [(inp.a0, inp.b0, inp.c0, inp.t)], tol, jac=True)
-    return y[0], jac[0]
 
 
 # Reference parameter defaults for the bundled benchmark pairs.

@@ -26,28 +26,25 @@ __all__ = ["GlobalSearchConfig", "maximize_distance", "scan_grid"]
 
 # The absolute finite-difference step of the box refinement's gradient.
 _FD_STEP = 1e-7
+# L-BFGS-B's ftol and gtol in the box refinement.
+_LOCAL_TOL = 1e-10
+# Relative slack below the maximum within which lattice values count as
+# tied; absorbs integrator round-off between analytically equal points
+# (relative error in the squared distance is ~10x the integration
+# tolerance through the squaring).
+_TIE_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class GlobalSearchConfig:
     grid_per_dim: int = 64
     refine_top: int = 5
-    local_tol: float = 1e-10
-    # Relative slack below the maximum within which lattice values count as
-    # tied; absorbs integrator round-off between analytically equal points
-    # (relative error in the squared distance is ~10x the integration
-    # tolerance through the squaring).
-    tie_rel: float = 1e-6
 
     def __post_init__(self):
         if self.grid_per_dim < 2:
             raise ValueError("grid_per_dim must be >= 2")
         if self.refine_top < 1:
             raise ValueError("refine_top must be >= 1")
-        if self.local_tol <= 0:
-            raise ValueError("local_tol must be positive")
-        if self.tie_rel < 0:
-            raise ValueError("tie_rel must be nonnegative")
 
 
 def _first_or_none(fn, *args):
@@ -58,10 +55,11 @@ def _first_or_none(fn, *args):
         return None
 
 
-def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarray):
+def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarray, best=None):
     """-phi(x, theta_hat) and its gradient in the coordinates ``free`` of x (the rest at their lower bounds).
 
-    One model call evaluates x and its steps.  The gradient is L-BFGS-B's default, scipy's
+    One model call evaluates x and its steps; the largest phi among them and its point replace
+    ``best``, a list [phi, point], when they exceed it.  The gradient is L-BFGS-B's default, scipy's
     ``approx_derivative(method="2-point", abs_step=_FD_STEP)`` in the box: the same fallback for a
     step lost to rounding, flip or shrink of a step that leaves the box, and quotient by (z + h) - z.
     """
@@ -78,6 +76,9 @@ def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarr
         X[:, free] = z
         X[np.arange(1, free.size + 1), free] += h
         f = -squared_distance(pair, X, theta_hat)
+        i = f.argmin()
+        if best is not None and -f[i] > best[0]:
+            best[:] = -f[i], X[i]
         return f[0], (f[1:] - f[0]) / ((z + h) - z)
 
     return neg_phi_and_gradient
@@ -119,7 +120,7 @@ def maximize_distance(
     from the best grid cells, one model call per L-BFGS-B step.  ``grid`` is
     :func:`scan_grid`'s points and reference rows when the caller holds
     them.  Model evaluation failures at individual candidates are skipped,
-    and one during a local refinement abandons that refinement.
+    and one during a local refinement ends it at the best point it evaluated.
     """
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     X, refs = scan_grid(pair, space, cfg) if grid is None else grid
@@ -145,7 +146,7 @@ def maximize_distance(
     if isinstance(space, Lattice):
         # Near-ties resolve to a preferred (already-known) point when one
         # ties, otherwise to the lexicographically smallest point.
-        tied = [x for v, x in scored if not v < best_val - cfg.tie_rel * abs(best_val)]
+        tied = [x for v, x in scored if not v < best_val - _TIE_REL * abs(best_val)]
         prefer_keys = {canonical_key(p) for p in prefer} if prefer is not None else set()
         preferred = [x for x in tied if canonical_key(x) in prefer_keys]
         return min(preferred or tied, key=tuple).copy(), best_val
@@ -154,9 +155,11 @@ def maximize_distance(
     # in the coordinates of nonzero width, as minimize does without a gradient.
     scored.sort(key=lambda sv: -sv[0])
     free = np.flatnonzero(space.lower < space.upper)
-    neg_phi_and_gradient = _neg_phi_and_gradient(pair, theta_hat, space, free)
+    best = [-np.inf, None]  # a refinement's largest evaluated phi and its point
+    neg_phi_and_gradient = _neg_phi_and_gradient(pair, theta_hat, space, free, best)
     bounds = list(zip(space.lower[free], space.upper[free]))
     for v0, x0 in scored[: cfg.refine_top] if free.size else ():
+        best[:] = -np.inf, None
         try:
             res = minimize(
                 neg_phi_and_gradient,
@@ -164,15 +167,16 @@ def maximize_distance(
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
-                options={"ftol": cfg.local_tol, "gtol": cfg.local_tol},
+                options={"ftol": _LOCAL_TOL, "gtol": _LOCAL_TOL},
             )
+            x = space.lower.copy()
+            x[free] = res.x
+            x, v = np.clip(x, space.lower, space.upper), -float(res.fun)
         except ModelEvaluationError:
-            # A failed evaluation ends this refinement; the grid value stands.
-            continue
-        x = space.lower.copy()
-        x[free] = res.x
-        x = np.clip(x, space.lower, space.upper)
-        v = -float(res.fun)
+            # A failed evaluation ends this refinement; the best point it evaluated stands.
+            v, x = best
+            if x is None:
+                continue
         if v > best_val or (v == best_val and tuple(x) < tuple(best_x)):
             best_val, best_x = v, x
     return best_x.copy(), best_val

@@ -430,12 +430,6 @@ class TestVdm:
         assert result.converged and result.iterations == 1
         assert result.t_value == pytest.approx(0.0, abs=1e-10)
 
-    def test_line_search_step_rule(self, toy_pair):
-        initial = Design(np.array([[0.5]]), np.array([1.0]))
-        params = AlgoParams(eps=1e-4, max_iter=400, lam=0.0, vdm_step_rule="line_search")
-        result = vdm(toy_pair, TOY_BOX, initial, params=params)
-        assert result.t_value == pytest.approx(0.25, abs=2e-3)
-
     def test_unconverged_run_returns_its_fitted_design(self):
         # Stopped at max_iter, the run reports the design it fitted and
         # certified last, not one mixed with a further spike.
@@ -446,10 +440,6 @@ class TestVdm:
         assert result.history[-1].n_candidates == result.design.n_points
         assert result.t_value == t_value(pair, result.design, result.theta_hat)
         assert result.accuracy == check_optimality(pair, result.design, result.theta_hat, space).max_psi
-
-    def test_unknown_step_rule_rejected(self):
-        with pytest.raises(ValueError):
-            AlgoParams(vdm_step_rule="newton")
 
 
 class TestCheckOptimality:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import importlib.resources
 import textwrap
 from pathlib import Path
@@ -6,8 +8,11 @@ import numpy as np
 import pytest
 import yaml
 
-from discrimopt import Box, Lattice
-from discrimopt.config import ConfigError, load_config
+import discrimopt
+from discrimopt import AlgoParams, Box, GlobalSearchConfig, Lattice
+from discrimopt.cli import main
+from discrimopt.config import ConfigError, ProblemConfig, load_config
+from discrimopt.lsq import FitConfig
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
 ROOT = Path(__file__).parent.parent
@@ -43,7 +48,7 @@ class TestBundledConfigs:
     def test_kinetics_config_loads(self):
         cfg = load_config(CONFIG_DIR / "kinetics.config")
         assert isinstance(cfg.space, Lattice)
-        assert cfg.space.size == 135
+        assert len(list(cfg.space.enumerate())) == 135
         assert cfg.initial.n_points == 5
         assert cfg.pair.d_y == 3
 
@@ -69,6 +74,11 @@ class TestValidation:
     def test_unknown_field_named(self, tmp_path):
         bad = MINIMAL + "\nalgorithm:\n  name: 2adapt\n  epsilon: 1.0\n"
         with pytest.raises(ConfigError, match="algorithm"):
+            load_config(write_config(tmp_path, bad))
+
+    def test_unknown_keys_of_mixed_types_named(self, tmp_path):
+        bad = MINIMAL + "\nalgorithm:\n  name: 2adapt\n  1: 2\n  foo: 3\n"
+        with pytest.raises(ConfigError, match=r"^algorithm\.1, algorithm\.foo: unknown field"):
             load_config(write_config(tmp_path, bad))
 
     def test_unknown_model(self, tmp_path):
@@ -149,3 +159,72 @@ class TestAlgorithmDefaults:
         body = MINIMAL + "\nalgorithm:\n  name: 2adapt\n  lambda: 1.0e-6\n"
         cfg = load_config(write_config(tmp_path, body))
         assert cfg.params.lam == 1e-6
+
+
+class TestAcceptedSurface:
+    """The keys a config accepts and the names the package exports; a new option is a test edit."""
+
+    # Config section -> its accepted keys, as its unknown-field error lists them.
+    SECTIONS = {
+        (): ["algorithm", "design_space", "initial_design", "model", "output"],
+        ("model",): ["name", "parameter_space", "reference_params"],
+        ("model", "parameter_space"): ["lower", "upper"],
+        ("design_space",): ["lower", "type", "upper"],
+        ("initial_design",): ["points", "weights"],
+        ("algorithm",): ["eps", "eps_sip", "grid_per_dim", "lambda", "max_iter", "max_iter_sip",
+                         "n_theta_starts", "name", "refine_top"],
+        ("output",): ["directory", "emit_psi_curve"],
+    }
+
+    def test_accepted_keys_exports_and_fields(self, tmp_path):
+        box = yaml.safe_load(MINIMAL)
+        box["model"]["parameter_space"] = {"lower": [0.001, 0.001], "upper": [5.0, 5.0]}
+        box.update(algorithm={"name": "2adapt"}, output={"emit_psi_curve": False})
+        lattice = {**box, "design_space": {"type": "lattice", "levels": [[1.0, 2.0]]}}
+        cases = [(box, section, known) for section, known in self.SECTIONS.items()]
+        cases.append((lattice, ("design_space",), ["levels", "type"]))
+        for i, (base, section, known) in enumerate(cases):
+            tree = copy.deepcopy(base)
+            node = tree
+            for part in section:
+                node = node[part]
+            node["bogus"] = 1
+            path = tmp_path / f"{i}.config"
+            path.write_text(yaml.safe_dump(tree))
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert str(err.value) == f"{''.join(p + '.' for p in section)}bogus: unknown field(s); known: {known}"
+
+        assert sorted(discrimopt.__all__) == [
+            "ALGORITHMS", "AlgoParams", "Box", "Design", "GlobalSearchConfig", "Lattice",
+            "ModelEvaluationError", "ModelPair", "ParameterSpace", "check_optimality", "disc",
+            "make_mm_pair", "pointwise", "solve", "two_adapt_md", "vdm",
+        ]
+        assert discrimopt.ParameterSpace is Box
+        names = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                 for cls in (AlgoParams, FitConfig, GlobalSearchConfig, ProblemConfig)}
+        assert names == {
+            "AlgoParams": ["eps", "max_iter", "n_theta_starts", "lam", "eps_sip", "max_iter_sip"],
+            "FitConfig": ["n_starts", "lam"],
+            "GlobalSearchConfig": ["grid_per_dim", "refine_top"],
+            "ProblemConfig": ["pair", "space", "initial", "algorithm", "params", "gcfg", "emit_psi_curve",
+                              "output_dir", "algo_overrides"],
+        }
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("algorithm", "vdm_step_rule", "harmonic"),
+        ("algorithm", "prune_threshold", 1.0e-6),
+        ("algorithm", "tie_rel", 1.0e-6),
+        ("algorithm", "local_tol", 1.0e-10),
+        ("output", "psi_grid", 400),
+    ])
+    def test_removed_key_rejected(self, section, key, value, tmp_path, capsys):
+        tree = yaml.safe_load(MINIMAL)
+        tree[section] = {key: value}
+        path = tmp_path / "problem.config"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {section}.{key}: unknown field")
+        assert "Traceback" not in err

@@ -20,7 +20,6 @@ from discrimopt.models import (
     _initial_step,
     _kinetics_sens_rhs,
     integrate_kinetics,
-    integrate_kinetics_jac,
     make_kinetics_pair,
     mm_eval,
     modmm_eval,
@@ -311,11 +310,11 @@ class TestSensitivities:
     def test_kinetics_states_equal_plain_kernel_on_lattice(self):
         lo, hi = KINETICS_PARAMETER_SPACE.lower, KINETICS_PARAMETER_SPACE.upper
         tol = IntegratorTol()
+        pair = make_kinetics_pair(tol=tol)
         for th in (lo, hi, (lo + hi) / 2, [1.0, 0.2568, 3.0591, 2.4137]):
-            p = KineticsParams(th[0], th[1], 0.0, th[2], th[3], 1.0)
-            rhs = kinetics_rhs(p)
-            for x in FULL_LATTICE:
-                y, _ = integrate_kinetics_jac(p, KineticsInput(*x), tol)
+            rhs = kinetics_rhs(KineticsParams(th[0], th[1], 0.0, th[2], th[3], 1.0))
+            Y, _ = pair.eval_alternative_jac(FULL_LATTICE, th)
+            for x, y in zip(FULL_LATTICE, Y):
                 plain, _ = _dopri5(rhs, x[3], x[:3], tol.rel, tol.abs)
                 assert np.array_equal(y, plain)
 
@@ -352,26 +351,23 @@ class TestSensitivities:
             np.testing.assert_allclose(jac, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
 
     def test_kinetics_jacobian_conserves_mass(self):
-        p = KineticsParams(0.8, 0.3, 0.0, 2.5, 2.0, 1.0)
-        _, jac = integrate_kinetics_jac(p, KineticsInput(0.7, 0.2, 0.15, 6.0))
+        _, (jac,) = make_kinetics_pair().eval_alternative_jac([0.7, 0.2, 0.15, 6.0], [0.8, 0.3, 2.5, 2.0])
         assert np.array_equal(jac[2], -(jac[0] + jac[1]))
         assert jac[0, 1] == 0.0 and jac[0, 3] == 0.0
 
     def test_clipped_concentration_has_zero_power_law_derivative(self):
         # With a0 = 0, a stays 0, so nothing depends on k1 or n1.
-        p = KineticsParams(0.8, 0.3, 0.0, 2.5, 2.0, 1.0)
-        _, jac = integrate_kinetics_jac(p, KineticsInput(0.0, 0.2, 0.15, 6.0))
+        _, (jac,) = make_kinetics_pair().eval_alternative_jac([0.0, 0.2, 0.15, 6.0], [0.8, 0.3, 2.5, 2.0])
         assert np.all(np.isfinite(jac))
         assert np.all(jac[:, [0, 2]] == 0.0)
 
     def test_reversible_system_rejected(self):
         with pytest.raises(ValueError, match="irreversible"):
-            integrate_kinetics_jac(KineticsParams(**KINETICS_DEFAULTS), KineticsInput(0.5, 0.1, 0.0, 2.0))
+            _kinetics_sens_rhs(KineticsParams(**KINETICS_DEFAULTS))
 
     def test_failure_raises_model_evaluation_error(self):
-        params = KineticsParams(1e300, 0.2, 0.0, 1.0, 2.0, 1.0)
         with pytest.raises(ModelEvaluationError) as err:
-            integrate_kinetics_jac(params, KineticsInput(1e-20, 0.0, 0.0, 1.0))
+            make_kinetics_pair().eval_alternative_jac([1e-20, 0.0, 0.0, 1.0], [1e300, 0.2, 1.0, 2.0])
         assert isinstance(err.value.__cause__, OverflowError)
 
 

@@ -27,8 +27,6 @@ class TestConfigValidation:
             GlobalSearchConfig(grid_per_dim=1)
         with pytest.raises(ValueError):
             GlobalSearchConfig(refine_top=0)
-        with pytest.raises(ValueError):
-            GlobalSearchConfig(local_tol=0.0)
 
 
 class TestBoxSearch:
@@ -143,6 +141,32 @@ class TestFailureHandling:
         x, v = maximize_distance(pair, [0.5], lat)
         assert x[0] == 0.8
 
+    def test_failed_refinement_keeps_its_best_evaluated_point(self):
+        # phi = reference**2 peaks at 0.37, between the grid points 2/7 and 3/7.
+        # The alternative fails from its sixth call on: the scan is the first,
+        # so the first refinement fails after four steps, and the others at once.
+        def phi(X):
+            return np.exp(-100 * (X[:, 0] - 0.37) ** 2)
+
+        evaluated = []
+
+        def alternative(X, theta):
+            if len(evaluated) == 5:
+                raise RuntimeError("injected failure")
+            evaluated.append(phi(X))
+            return np.zeros((len(X), 1))
+
+        pair = ModelPair(
+            reference=lambda X: np.exp(-50 * (X[:, :1] - 0.37) ** 2),
+            alternative=alternative,
+            parameter_space=ParameterSpace([0.0], [1.0]),
+        )
+        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]), GlobalSearchConfig(grid_per_dim=8))
+        grid_max = evaluated[0].max()
+        refined_max = max(e.max() for e in evaluated[1:])
+        assert len(evaluated) == 5 and refined_max > grid_max
+        assert v >= refined_max and v == pytest.approx(phi(x[None])[0], rel=1e-14)
+
     def test_total_failure_raises(self):
         def broken(x):
             raise RuntimeError("no")
@@ -185,7 +209,7 @@ def _counting(pair):
     return dataclasses.replace(pair, alternative=alternative), calls
 
 
-def _scipy_default(pair, theta, x0, bounds, tol=GlobalSearchConfig().local_tol):
+def _scipy_default(pair, theta, x0, bounds, tol=search._LOCAL_TOL):
     """L-BFGS-B on -phi with scipy's own finite-difference gradient, as the box search used to run it."""
     return minimize(
         lambda x: -squared_distance(pair, x, theta)[0],
@@ -223,7 +247,7 @@ class TestRefinementGradient:
         pair, theta, space, x0 = make(), np.array(theta), Box(lower, upper), np.array(x0, dtype=float)
         counted, calls = _counting(pair)
         free = np.flatnonzero(space.lower < space.upper)
-        tol = GlobalSearchConfig().local_tol
+        tol = search._LOCAL_TOL
         res = minimize(
             _neg_phi_and_gradient(counted, theta, space, free),
             x0[free],
@@ -277,7 +301,7 @@ def _reference_box_search(pair, theta, space, cfg):
         if v > best_v or (v == best_v and tuple(x) < tuple(best_x)):
             best_v, best_x = v, x
     for i in sorted(range(len(X)), key=lambda i: -values[i])[: cfg.refine_top]:
-        res = _scipy_default(pair, theta, X[i], list(zip(space.lower, space.upper)), cfg.local_tol)
+        res = _scipy_default(pair, theta, X[i], list(zip(space.lower, space.upper)), search._LOCAL_TOL)
         x, v = np.clip(res.x, space.lower, space.upper), -float(res.fun)
         if v > best_v or (v == best_v and tuple(x) < tuple(best_x)):
             best_v, best_x = v, x
