@@ -38,6 +38,7 @@ __all__ = [
     "IterationRecord",
     "OptimalityReport",
     "SolverError",
+    "Discretization",
     "disc_md",
     "two_adapt_md",
     "disc",
@@ -141,20 +142,59 @@ class OptimalityReport:
         return self.min_support_gap <= eps and self.max_psi <= eps
 
 
-def _fill_phi(pair, candidates, refs, thetas, phi):
-    """Evaluate the missing entries of a phi matrix in place.
+class Discretization:
+    """A solve's candidate points and parameter cuts, and phi over their product.
 
-    ``phi`` is a list of columns, one per parameter in ``thetas``, over the
-    candidates, whose reference rows are ``refs``; NaN marks an entry not
-    evaluated yet.  Columns are added for new parameters and lengthened for new candidates.
+    Candidates are distinct under :func:`canonical_key` (``index`` maps a key to its row), and each
+    one's reference row is evaluated once, as it joins.  ``phi[i, j]`` is the squared distance at
+    candidate i under ``thetas[j]``; NaN marks an entry not evaluated yet, which :meth:`matrix` fills.
     """
-    for j, theta in enumerate(thetas):
-        if j == len(phi):
-            phi.append(np.empty(0))
-        col = phi[j] = np.append(phi[j], np.full(len(candidates) - len(phi[j]), np.nan))
-        missing = np.flatnonzero(np.isnan(col))
-        if missing.size:
-            col[missing] = squared_distance(pair, np.array(candidates)[missing], theta, refs[missing])
+
+    def __init__(self, pair: ModelPair, points, thetas=()):
+        points = np.array([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
+        if not len(points):
+            raise ValueError("candidate set must be nonempty")
+        self.index = {canonical_key(p): i for i, p in enumerate(points)}
+        if len(self.index) != len(points):
+            raise ValueError("candidate points must be pairwise distinct")
+        self.pair, self.points, self.refs = pair, points, pair.eval_reference(points)
+        self.thetas: list[np.ndarray] = []
+        self.phi = np.empty((len(points), 0))
+        for theta in thetas:
+            self.add_cut(theta)
+
+    def add(self, point) -> bool:
+        """Add a candidate; False, evaluating nothing, when one equal under :func:`canonical_key` is there."""
+        key = canonical_key(point)
+        if key in self.index:
+            return False
+        point = np.atleast_1d(np.asarray(point, dtype=float))[None]
+        self.refs = np.concatenate([self.refs, self.pair.eval_reference(point)])
+        self.index[key] = len(self.points)
+        self.points = np.concatenate([self.points, point])
+        self.phi = np.concatenate([self.phi, np.full((1, len(self.thetas)), np.nan)])
+        return True
+
+    def rows(self, points) -> np.ndarray:
+        """The row of the candidate equal to each point bit for bit, else -1: a value carried over is the one an
+        evaluation at that candidate gives."""
+        rows = [self.index.get(canonical_key(p), -1) for p in points]
+        return np.array([i if self.points[i].tobytes() == p.tobytes() else -1 for i, p in zip(rows, points)])
+
+    def add_cut(self, theta, phi=np.nan, rows=None):
+        """Append the cut ``theta``, its ``phi`` known at candidate ``rows`` (all by default); -1 is skipped."""
+        col = np.full(len(self.points) + 1, np.nan)  # the last entry takes the writes to row -1
+        col[slice(-1) if rows is None else rows] = phi
+        self.thetas.append(np.atleast_1d(np.asarray(theta, dtype=float)))
+        self.phi = np.column_stack([self.phi, col[:-1]])
+
+    def matrix(self) -> np.ndarray:
+        """A copy of phi with every entry evaluated, the missing ones of a cut in one model call."""
+        for j, theta in enumerate(self.thetas):
+            missing = np.flatnonzero(np.isnan(self.phi[:, j]))
+            if missing.size:
+                self.phi[missing, j] = squared_distance(self.pair, self.points[missing], theta, self.refs[missing])
+        return self.phi.copy()
 
 
 def _timed(fn, *args, **kwargs):
@@ -163,72 +203,42 @@ def _timed(fn, *args, **kwargs):
     return fn(*args, **kwargs), time.perf_counter() - t0
 
 
-def _reindex(targets, points, values):
-    """``values``, one value or row per point, laid over ``targets``: NaN at a target not among the points.
-
-    A point matches a target bit for bit, so each value is the one an
-    evaluation at that target gives.
-    """
-    index = {p.tobytes(): i for i, p in enumerate(points)}
-    values = np.concatenate([values, np.full((1, *np.shape(values)[1:]), np.nan)])
-    return values[[index.get(t.tobytes(), -1) for t in targets]]
-
-
 def disc_md(
     pair: ModelPair,
-    candidates: Sequence[np.ndarray],
-    theta_disc: list[np.ndarray],
+    discretization: Discretization,
     params: AlgoParams = AlgoParams(),
     *,
-    phi: list[np.ndarray] | None = None,
-    refs: np.ndarray | None = None,
     history: list[IterationRecord] | None = None,
     outer_iteration: int = 0,
     clock_start: float | None = None,
-) -> tuple[Design, list[np.ndarray], FitResult, bool]:
+) -> tuple[Design, np.ndarray, FitResult, bool]:
     """T-optimal weights on a fixed finite candidate set (DISC).
 
     Blankenship & Falk cutting planes on the weight-linear semi-infinite
     program: solve the weight LP over the current parameter discretization,
     fit the parameters to the LP weights, and append the fit as a new cut,
     until the cut binds: w . phi[:, new] - t_LP >= -eps_sip.  Each fit starts
-    from the last parameter of the discretization alone, without the Sobol
-    multistart.  Returns the pruned design, the grown discretization, the
-    last fit, and whether the cut bound within ``max_iter_sip`` iterations.
-
-    ``phi`` is the phi matrix of an earlier call over a prefix of these
-    candidates and discretization, as a list of columns; it is extended in
-    place to the returned discretization, so callers can carry it over.  So
-    can ``refs``, the candidates' reference rows, evaluated once when not given.
+    from the last cut alone, without the Sobol multistart.  The cuts are
+    appended to ``discretization``, whose candidates and pair are the
+    problem's.  Returns the pruned design, its points' rows among the
+    candidates, the last fit, and whether the cut bound within
+    ``max_iter_sip`` iterations.
     """
-    candidates = [np.atleast_1d(np.asarray(c, dtype=float)) for c in candidates]
-    if not candidates:
-        raise ValueError("candidate set must be nonempty")
-    keys = {canonical_key(c) for c in candidates}
-    if len(keys) != len(candidates):
-        raise ValueError("candidate points must be pairwise distinct")
-    if not theta_disc:
+    d = discretization
+    if not d.thetas:
         raise ValueError("initial parameter discretization must be nonempty")
-
-    theta_disc = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_disc]
-    phi = [] if phi is None else phi
-    n_theta0 = len(theta_disc)
-    points = np.array(candidates)
-    refs = pair.eval_reference(points) if refs is None else refs
     # A violated cut makes progress whether or not its fit is the global
     # minimum, so each cut fits from the warm start alone; the fits a
     # certificate rests on are the callers' and keep the multistart.
     fit_cfg = FitConfig(n_starts=0, lam=params.lam)
     clock_start = clock_start if clock_start is not None else time.perf_counter()
-    _fill_phi(pair, candidates, refs, theta_disc, phi)
-    warm = theta_disc[-1]
 
     for inner in range(1, params.max_iter_sip + 1):
-        sol, lp_time = _timed(solve_weight_lp, WeightLpInstance(np.column_stack(phi)))
-        if sol.status != "optimal":
-            raise SolverError(f"weight LP failed (status {sol.status}) at inner iteration {inner}")
-        fit, ls_time = _timed(fit_parameters, pair, Design(points, sol.weights), warm, fit_cfg, refs)
-        warm = fit.theta_hat
+        sol, lp_time = _timed(solve_weight_lp, WeightLpInstance(d.matrix()))
+        if sol is None:
+            raise SolverError(f"weight LP failed at inner iteration {inner}")
+        fit, ls_time = _timed(fit_parameters, pair, Design(d.points, sol.weights), d.thetas[-1], fit_cfg, d.refs)
+        d.add_cut(fit.theta_hat, fit.phi)  # the fit's design points are the candidates, in order
         if history is not None:
             history.append(
                 IterationRecord(
@@ -237,21 +247,19 @@ def disc_md(
                     inner_iteration=inner,
                     t_lp=sol.t,
                     t_value=fit.objective,
-                    n_theta=n_theta0 + inner,
-                    n_candidates=len(candidates),
+                    n_theta=len(d.thetas),
+                    n_candidates=len(d.points),
                     lp_time=lp_time,
                     ls_time=ls_time,
                     wall_time=time.perf_counter() - clock_start,
                 )
             )
-        theta_disc.append(fit.theta_hat)
-        phi.append(fit.phi)  # the fit's design points are the candidates, in order
-        converged = bool(sol.weights @ phi[-1] - sol.t >= -params.eps_sip)
+        converged = bool(sol.weights @ fit.phi - sol.t >= -params.eps_sip)
         if converged:
             break
 
-    design = prune_design(Design(points, sol.weights))
-    return design, theta_disc, fit, converged
+    design = prune_design(Design(d.points, sol.weights))
+    return design, d.rows(design.points), fit, converged
 
 
 def _validate_design(space: DesignSpace, design: Design):
@@ -277,43 +285,34 @@ def two_adapt_md(
     certifies the refit with :func:`check_optimality`, from the refit's
     ``phi``.  It stops once :meth:`OptimalityReport.is_eps_optimal` holds at
     ``params.eps``, else adds the report's ``worst_point`` to the candidates.
-    The phi matrix over the candidates and the parameter discretization, and
-    the candidates' reference rows, carry over between outer iterations; the
-    scan points' reference rows are evaluated once per solve.  Records are appended to
+    One :class:`Discretization` carries the candidates, their reference
+    rows, the cuts and phi over all outer iterations; the scan points'
+    reference rows are evaluated once per solve.  Records are appended to
     ``history`` when one is given, so they survive a sub-solver's exception.
     """
     _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
     fit_cfg = params.fit_config()
-    phi: list[np.ndarray] = []
-    refs = pair.eval_reference(initial.points)
+    d = Discretization(pair, initial.points, theta_disc0 or ())
     if not theta_disc0:
-        fit = fit_parameters(pair, initial, cfg=fit_cfg, refs=refs)
-        theta_disc0, phi = [fit.theta_hat], [fit.phi]  # its design points are the candidates
-    theta_disc = list(theta_disc0)
+        fit = fit_parameters(pair, initial, cfg=fit_cfg, refs=d.refs)
+        d.add_cut(fit.theta_hat, fit.phi)  # its design points are the candidates
     grid = scan_grid(pair, space, gcfg)
 
-    candidates = [p.copy() for p in initial.points]
-    keys = {canonical_key(p) for p in candidates}
     best_accuracy = np.inf
     stall = 0
     stalled = False
     converged = False
 
     for n in range(1, params.max_iter + 1):
-        design, theta_disc, fit, _ = disc_md(
-            pair, candidates, theta_disc, params,
-            phi=phi, refs=refs, history=history, outer_iteration=n, clock_start=t0,
-        )
-        fit, ls_time = _timed(fit_parameters, pair, design, fit.theta_hat, fit_cfg,
-                              _reindex(design.points, candidates, refs))
-        theta_disc.append(fit.theta_hat)
-        phi.append(_reindex(candidates, design.points, fit.phi))
+        design, rows, fit, _ = disc_md(pair, d, params, history=history, outer_iteration=n, clock_start=t0)
+        fit, ls_time = _timed(fit_parameters, pair, design, fit.theta_hat, fit_cfg, d.refs[rows])
+        d.add_cut(fit.theta_hat, fit.phi, rows)
 
         report, global_time = _timed(
             check_optimality, pair, design, fit.theta_hat, space, gcfg,
-            phi=fit.phi, prefer=candidates, grid=grid,
+            phi=fit.phi, prefer=d.points, grid=grid,
         )
         accuracy = report.max_psi
 
@@ -323,26 +322,21 @@ def two_adapt_md(
                 outer_iteration=n,
                 t_value=fit.objective,
                 accuracy=accuracy,
-                n_theta=len(theta_disc),
-                n_candidates=len(candidates),
+                n_theta=len(d.thetas),
+                n_candidates=len(d.points),
                 ls_time=ls_time,
                 global_time=global_time,
                 wall_time=time.perf_counter() - t0,
             )
         )
         log.info("outer %d: T=%.6e accuracy=%.2e candidates=%d thetas=%d",
-                 n, fit.objective, accuracy, len(candidates), len(theta_disc))
+                 n, fit.objective, accuracy, len(d.points), len(d.thetas))
 
         if report.is_eps_optimal(params.eps):
             converged = True
             break
 
-        key = canonical_key(report.worst_point)
-        grew = key not in keys
-        if grew:
-            keys.add(key)
-            candidates.append(report.worst_point)
-            refs = np.concatenate([refs, pair.eval_reference(report.worst_point)])
+        grew = d.add(report.worst_point)
         improved = accuracy < best_accuracy
         best_accuracy = min(best_accuracy, accuracy)
         if not grew and not improved:
@@ -383,30 +377,33 @@ def disc(
 
     The candidates are the whole lattice when the design space is finite,
     otherwise the points of the initial design.  The fit of the initial
-    design fills the first phi column on its points.  The pruned design is
-    refitted with the multistart, warm started at the last cut, and
-    certified from that refit, as 2ADAPT's outer loop does.  Converged
-    means the inner loop converged and the report's ``max_psi`` is at most eps.
+    design reuses the candidates' reference rows and fills the first phi
+    column where its points equal candidates bit for bit.  The pruned design
+    is refitted with the multistart, warm started at the last cut, and
+    certified from that refit, as 2ADAPT's outer loop does; on a lattice the
+    certificate scans the candidates.  Converged means the inner loop
+    converged and the report's ``max_psi`` is at most eps.
     """
     _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
-    candidates = list(space.enumerate()) if isinstance(space, Lattice) else list(initial.points)
+    lattice = isinstance(space, Lattice)
+    d = Discretization(pair, space.enumerate() if lattice else initial.points)
     fit_cfg = params.fit_config()
-    fit0 = fit_parameters(pair, initial, cfg=fit_cfg)
-    refs = pair.eval_reference(np.array(candidates))
-    design, grown, fit, converged = disc_md(
-        pair, candidates, [fit0.theta_hat], params,
-        phi=[_reindex(candidates, initial.points, fit0.phi)], refs=refs, history=history, clock_start=t0,
-    )
-    fit = fit_parameters(pair, design, fit.theta_hat, fit_cfg, _reindex(design.points, candidates, refs))
-    report = check_optimality(pair, design, fit.theta_hat, space, gcfg, phi=fit.phi)
+    rows = d.rows(initial.points)
+    fit0 = fit_parameters(pair, initial, cfg=fit_cfg, refs=d.refs[rows] if min(rows) >= 0 else None)
+    d.add_cut(fit0.theta_hat, fit0.phi, rows)
+    design, rows, fit, converged = disc_md(pair, d, params, history=history, clock_start=t0)
+    fit = fit_parameters(pair, design, fit.theta_hat, fit_cfg, d.refs[rows])
+    # Lattice.enumerate and scan_grid share the itertools.product order.
+    grid = (d.points, d.refs) if lattice else None
+    report = check_optimality(pair, design, fit.theta_hat, space, gcfg, phi=fit.phi, grid=grid)
     return SolveResult(
         design=design,
         theta_hat=fit.theta_hat,
         t_value=fit.objective,
         accuracy=report.max_psi,
-        iterations=len(grown) - 1,
+        iterations=len(d.thetas) - 1,
         converged=converged and report.max_psi <= params.eps,
         history=tuple(history),
         runtime_seconds=time.perf_counter() - t0,
@@ -435,19 +432,17 @@ def vdm(
     history = [] if history is None else history
     fit_cfg = params.fit_config()
     design = initial
-    refs = pair.eval_reference(design.points)
+    d = Discretization(pair, design.points)  # the support points, in design order
     grid = scan_grid(pair, space, gcfg)
     fit = None
     converged = False
 
     for k in range(params.max_iter):
         if fit is not None:
-            spike = Design(np.array([report.worst_point]), np.array([1.0]))
-            if canonical_key(report.worst_point) not in {canonical_key(p) for p in design.points}:
-                refs = np.concatenate([refs, pair.eval_reference(spike.points)])  # mixing appends the spike
-            design = mix_designs(design, spike, 1.0 / (k + 1))
+            d.add(report.worst_point)  # a new point, as mixing appends it
+            design = mix_designs(design, Design(np.array([report.worst_point]), np.array([1.0])), 1.0 / (k + 1))
         warm = fit.theta_hat if fit is not None else None
-        fit, ls_time = _timed(fit_parameters, pair, design, warm_start=warm, cfg=fit_cfg, refs=refs)
+        fit, ls_time = _timed(fit_parameters, pair, design, warm_start=warm, cfg=fit_cfg, refs=d.refs)
         report, global_time = _timed(
             check_optimality, pair, design, fit.theta_hat, space, gcfg, phi=fit.phi, grid=grid
         )

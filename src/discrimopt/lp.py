@@ -34,26 +34,21 @@ class WeightLpInstance:
     def n_points(self) -> int:
         return self.phi.shape[0]
 
-    @property
-    def n_constraints(self) -> int:
-        return self.phi.shape[1]
-
 
 @dataclass(frozen=True)
 class WeightLpSolution:
     weights: np.ndarray
     t: float
-    status: str  # "optimal" | "infeasible_numerics"
 
 
-def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution:
+def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution | None:
     """Solve the maximin weight LP with the HiGHS dual simplex.
 
     When the simplex reports failure, the LP is solved again with the HiGHS
     interior point method, and when that fails too, with the dual simplex at
     HiGHS's default tolerances.  Duplicate constraint columns are removed before
     solving.  Weights are clamped to [0, inf) and renormalized so downstream
-    design invariants hold.
+    design invariants hold.  None when every attempt fails.
     """
     phi = instance.phi
     n = instance.n_points
@@ -93,15 +88,6 @@ def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution:
             method=method, options=options,
         )
         if res.success and res.x is not None:
-            break
-    if not res.success or res.x is None:
-        w = np.full(n, 1.0 / n) if res.x is None else np.clip(res.x[:n], 0.0, None)
-        if w.sum() <= 0:
-            w = np.full(n, 1.0 / n)
-        w = w / w.sum()
-        return WeightLpSolution(
-            weights=w, t=float(np.min(w @ phi)) / scale, status="infeasible_numerics"
-        )
-    w = np.clip(res.x[:n], 0.0, None)
-    w = w / w.sum()
-    return WeightLpSolution(weights=w, t=float(res.x[-1]) / scale, status="optimal")
+            w = np.clip(res.x[:n], 0.0, None)
+            return WeightLpSolution(weights=w / w.sum(), t=float(res.x[-1]) / scale)
+    return None

@@ -25,7 +25,7 @@ from discrimopt import (
     pointwise,
     two_adapt_md,
 )
-from discrimopt.algorithms import disc_md
+from discrimopt.algorithms import Discretization, disc_md
 from discrimopt.config import load_config
 from discrimopt.core import squared_distance, t_value
 from discrimopt.lsq import FitConfig, fit_parameters
@@ -290,12 +290,8 @@ def test_small_lattice_brute_force_equivalence():
     pair = make_mm_pair()
     levels = [0.2, 0.8, 1.6, 2.8, 5.0]
     candidates = [np.array([x]) for x in levels]
-    _, _, fit, converged = disc_md(
-        pair,
-        candidates,
-        [np.array([1.0, 1.0])],
-        AlgoParams(eps_sip=1e-6, max_iter_sip=40),
-    )
+    d = Discretization(pair, candidates, [np.array([1.0, 1.0])])
+    _, _, fit, converged = disc_md(pair, d, AlgoParams(eps_sip=1e-6, max_iter_sip=40))
 
     # Independent maximin oracle: exhaustive inner minimum over a 200x200
     # parameter grid, hierarchical weight-simplex grid refined to 1e-3.

@@ -24,10 +24,9 @@ from discrimopt import (
     two_adapt_md,
     vdm,
 )
-from discrimopt.algorithms import SolverError, disc_md
+from discrimopt.algorithms import Discretization, SolverError, disc_md
 from discrimopt.config import load_config
-from discrimopt.core import t_value
-from discrimopt.lp import WeightLpSolution
+from discrimopt.core import squared_distance, t_value
 from discrimopt.lsq import FitConfig, fit_parameters
 
 from conftest import linear_vs_constant
@@ -56,33 +55,25 @@ def counting_pairs(pair, monkeypatch):
 
 class TestDiscMd:
     def test_single_candidate_gets_all_weight(self, toy_pair):
-        design, thetas, fit, converged = disc_md(
-            toy_pair, [np.array([0.3])], [np.array([0.0])], AlgoParams()
-        )
+        d = Discretization(toy_pair, [np.array([0.3])], [np.array([0.0])])
+        design, rows, fit, converged = disc_md(toy_pair, d, AlgoParams())
         assert converged
         assert design.n_points == 1 and design.weights[0] == 1.0
         assert fit.theta_hat[0] == pytest.approx(0.3, abs=1e-6)
 
     def test_toy_two_candidates(self, toy_pair):
-        design, thetas, fit, converged = disc_md(
-            toy_pair,
-            [np.array([0.0]), np.array([1.0])],
-            [np.array([0.0])],
-            TIGHT,
-        )
+        d = Discretization(toy_pair, [np.array([0.0]), np.array([1.0])], [np.array([0.0])])
+        design, rows, fit, converged = disc_md(toy_pair, d, TIGHT)
         assert converged
+        assert np.array_equal(d.points[rows], design.points)
         assert design.weights == pytest.approx([0.5, 0.5], abs=1e-5)
         assert fit.objective == pytest.approx(0.25, abs=1e-8)
 
     def test_mm_on_published_support(self):
         pair = make_mm_pair()
         candidates = [np.array([0.386]), np.array([2.596]), np.array([5.0])]
-        design, _, fit, converged = disc_md(
-            pair,
-            candidates,
-            [np.array([1.0, 1.0])],
-            AlgoParams(eps_sip=1e-8, max_iter_sip=40),
-        )
+        d = Discretization(pair, candidates, [np.array([1.0, 1.0])])
+        design, _, fit, converged = disc_md(pair, d, AlgoParams(eps_sip=1e-8, max_iter_sip=40))
         assert converged
         weights = {round(p[0], 3): w for p, w in zip(design.points, design.weights)}
         assert weights[0.386] == pytest.approx(0.3906, abs=0.01)
@@ -91,28 +82,19 @@ class TestDiscMd:
 
     def test_lp_relaxation_values_nonincreasing(self, toy_pair):
         history = []
-        disc_md(
-            toy_pair,
-            [np.array([0.0]), np.array([0.5]), np.array([1.0])],
-            [np.array([0.1])],
-            TIGHT,
-            history=history,
-        )
+        d = Discretization(toy_pair, [np.array([0.0]), np.array([0.5]), np.array([1.0])], [np.array([0.1])])
+        disc_md(toy_pair, d, TIGHT, history=history)
         t_lps = [r.t_lp for r in history if r.phase == "disc"]
         assert len(t_lps) >= 2
         assert all(b <= a + 1e-10 for a, b in zip(t_lps, t_lps[1:]))
 
     def test_rejects_duplicate_candidates(self, toy_pair):
         with pytest.raises(ValueError, match="distinct"):
-            disc_md(
-                toy_pair,
-                [np.array([0.0]), np.array([0.0])],
-                [np.array([0.0])],
-            )
+            disc_md(toy_pair, Discretization(toy_pair, [np.array([0.0]), np.array([0.0])], [np.array([0.0])]))
 
     def test_rejects_empty_discretization(self, toy_pair):
         with pytest.raises(ValueError, match="discretization"):
-            disc_md(toy_pair, [np.array([0.0])], [])
+            disc_md(toy_pair, Discretization(toy_pair, [np.array([0.0])], []))
 
     def test_validates_sip_settings(self):
         with pytest.raises(ValueError):
@@ -134,33 +116,30 @@ class TestDiscMd:
         # The initial theta already minimizes the distance at the only
         # candidate, so the first cut binds.
         history = []
-        _, thetas, _, converged = disc_md(
-            toy_pair, [np.array([0.3])], [np.array([0.3])], TIGHT, history=history
-        )
+        d = Discretization(toy_pair, [np.array([0.3])], [np.array([0.3])])
+        _, _, _, converged = disc_md(toy_pair, d, TIGHT, history=history)
         assert converged
         assert len(history) == 1
-        assert len(thetas) == 2  # one appended cut
+        assert len(d.thetas) == 2  # one appended cut
 
     def test_grows_until_binding(self, toy_pair):
         history = []
         candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
-        _, thetas, fit, converged = disc_md(
-            toy_pair, candidates, [np.array([0.1])], TIGHT, history=history
-        )
+        d = Discretization(toy_pair, candidates, [np.array([0.1])])
+        _, _, fit, converged = disc_md(toy_pair, d, TIGHT, history=history)
         assert converged
         assert len(history) > 1
-        assert len(thetas) == 1 + len(history)
+        assert len(d.thetas) == 1 + len(history)
         assert fit.objective == pytest.approx(0.25, abs=1e-8)
 
     def test_iteration_limit(self, toy_pair):
         history = []
         candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
         params = AlgoParams(eps_sip=1e-12, max_iter_sip=2)
-        _, thetas, _, converged = disc_md(
-            toy_pair, candidates, [np.array([0.1])], params, history=history
-        )
+        d = Discretization(toy_pair, candidates, [np.array([0.1])])
+        _, _, _, converged = disc_md(toy_pair, d, params, history=history)
         assert not converged
-        assert len(history) == 2 and len(thetas) == 3
+        assert len(history) == 2 and len(d.thetas) == 3
 
     def test_lp_failure_names_its_inner_iteration(self, toy_pair, monkeypatch):
         calls = []
@@ -168,15 +147,12 @@ class TestDiscMd:
 
         def second_fails(instance):
             calls.append(instance)
-            if len(calls) < 2:
-                return original(instance)
-            n = instance.n_points
-            return WeightLpSolution(np.full(n, 1.0 / n), 0.0, "infeasible_numerics")
+            return original(instance) if len(calls) < 2 else None
 
         monkeypatch.setattr(algorithms, "solve_weight_lp", second_fails)
-        candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
+        d = Discretization(toy_pair, [np.array([0.0]), np.array([0.5]), np.array([1.0])], [np.array([0.1])])
         with pytest.raises(SolverError, match="at inner iteration 2"):
-            disc_md(toy_pair, candidates, [np.array([0.1])], TIGHT)
+            disc_md(toy_pair, d, TIGHT)
 
     def test_each_candidate_theta_pair_evaluated_once(self, monkeypatch):
         # The phi matrix carried between outer iterations and the fits that
@@ -231,8 +207,7 @@ class TestTwoAdaptMd:
         initial = Design(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
         result = two_adapt_md(toy_pair, lat, initial, params=TIGHT)
         assert result.converged
-        candidates = list(lat.enumerate())
-        design, _, fit, _ = disc_md(toy_pair, candidates, [np.array([0.2])], TIGHT)
+        design, _, fit, _ = disc_md(toy_pair, Discretization(toy_pair, lat.enumerate(), [np.array([0.2])]), TIGHT)
         assert result.t_value == pytest.approx(fit.objective, abs=1e-6)
 
     def test_explicit_initial_discretization_used(self, toy_pair):
@@ -314,10 +289,73 @@ class TestReferenceRows:
         assert added > 0 and calls == [2, 5] + [1] * added
 
     def test_disc(self, toy_pair):
-        # The initial fit, the candidates (the lattice) and the certificate's scan.
+        # The candidates, the lattice: the initial fit and the certificate's scan reuse their rows.
         pair, calls = self.counted(toy_pair)
         disc(pair, self.LATTICE, self.INITIAL, TIGHT)
-        assert calls == [2, 5, 5]
+        assert calls == [5]
+
+
+class TestDiscretization:
+    @pytest.mark.parametrize("problem", ["toy", "mm"])
+    def test_lp_reads_phi_as_evaluated_from_scratch(self, problem, toy_pair, monkeypatch):
+        # Every weight LP of a 2ADAPT solve reads one row per candidate and
+        # one column per cut of its time, with no NaN left, equal bit for
+        # bit to squared distances evaluated afresh.
+        if problem == "mm":
+            cfg = load_config(MM_CONFIG)
+            pair, args = cfg.pair, (cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        else:
+            pair, args = toy_pair, (TOY_BOX, Design(np.array([[0.5]]), np.array([1.0])), TIGHT)
+        seen, lps = [], []
+        solve_weight_lp, run_disc_md = algorithms.solve_weight_lp, algorithms.disc_md
+
+        def recorded_lp(instance):
+            lps.append((instance.phi, len(seen[-1].points), len(seen[-1].thetas)))
+            return solve_weight_lp(instance)
+
+        def recorded_disc_md(pair, d, *args, **kwargs):
+            seen.append(d)
+            return run_disc_md(pair, d, *args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "solve_weight_lp", recorded_lp)
+        monkeypatch.setattr(algorithms, "disc_md", recorded_disc_md)
+        assert two_adapt_md(pair, *args).converged
+        d = seen[0]
+        assert all(s is d for s in seen) and lps
+        for phi, n_points, n_cuts in lps:
+            assert phi.shape == (n_points, n_cuts) and not np.isnan(phi).any()
+            fresh = np.column_stack([squared_distance(pair, d.points[:n_points], t) for t in d.thetas[:n_cuts]])
+            assert np.array_equal(phi, fresh)
+
+    def test_point_equal_under_canonical_key_not_added(self, toy_pair):
+        calls = []
+
+        def reference(X):
+            calls.append("reference")
+            return toy_pair.reference(X)
+
+        def alternative(X, theta):
+            calls.append("alternative")
+            return toy_pair.alternative(X, theta)
+
+        pair = dataclasses.replace(toy_pair, reference=reference, alternative=alternative)
+        d = Discretization(pair, [np.array([0.25]), np.array([0.75])], [np.array([0.5])])
+        phi = d.matrix()
+        calls.clear()
+        assert d.add(np.array([0.25 + 1e-14])) is False
+        assert calls == [] and np.array_equal(d.matrix(), phi) and len(d.points) == 2
+        assert d.add(np.array([0.5])) is True and calls == ["reference"]
+
+    def test_disc_initial_point_off_the_lattice_by_rounding(self, toy_pair):
+        # 0.25 + 4e-10 lies on the lattice within its 1e-9 tolerance, but
+        # equals no lattice point bit for bit: the initial fit evaluates its
+        # own reference rows and the fill evaluates that phi entry.
+        pair, calls = TestReferenceRows.counted(toy_pair)
+        initial = Design(np.array([[0.25 + 4e-10], [0.75]]), np.array([0.5, 0.5]))
+        result = disc(pair, TestReferenceRows.LATTICE, initial, TIGHT)
+        assert calls == [5, 2]
+        assert result.t_value == pytest.approx(0.24999999999909034, rel=1e-12)
+        assert not result.converged
 
 
 class TestWhereTheMultistartRuns:
