@@ -78,7 +78,7 @@ def with_k1_upper(pair, k1_upper):
     return dataclasses.replace(pair, parameter_space=ParameterSpace(box.lower, upper))
 
 
-def grid_search(pair, design, fit_cfg):
+def grid_search(pair, design, lam):
     """Exhaustive grid over the parameter box, then local fits from the best points."""
     box = pair.parameter_space
     refs = pair.eval_reference(design.points)
@@ -91,9 +91,8 @@ def grid_search(pair, design, fit_cfg):
     scored = sorted(
         (criterion(np.array(theta)), theta) for theta in itertools.product(*axes)
     )
-    local_cfg = dataclasses.replace(fit_cfg, n_starts=0)
     fits = [
-        fit_parameters(pair, design, warm_start=np.array(theta), cfg=local_cfg)
+        fit_parameters(pair, design, warm_start=np.array(theta), n_starts=0, lam=lam)
         for _, theta in scored[:GRID_REFINE]
     ]
     return scored[0], min(fits, key=lambda f: f.objective)
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
     config = importlib.resources.files("discrimopt") / "configs" / "kinetics.config"
     cfg = load_config(str(config))
     pair = cfg.pair
-    fit_cfg = cfg.params.fit_config()
+    n_starts, lam = cfg.params.n_theta_starts, cfg.params.lam
     design = Design(np.array(PUBLISHED_SUPPORT), np.array(PUBLISHED_WEIGHTS))
     box = pair.parameter_space
     print(f"published T = {PUBLISHED_T:.4e}")
@@ -121,12 +120,12 @@ def main(argv=None) -> int:
     print("\n1. Sobol multistart on the shipped box")
     for n in SOBOL_STARTS:
         t0 = time.perf_counter()
-        fit = fit_parameters(pair, design, cfg=dataclasses.replace(fit_cfg, n_starts=n))
+        fit = fit_parameters(pair, design, n_starts=n, lam=lam)
         show(f"{n} starts", fit.objective, fit.theta_hat, box, time.perf_counter() - t0)
 
     print(f"\n2. {GRID_LEVELS ** box.dimension}-point grid on the shipped box")
     t0 = time.perf_counter()
-    (grid_t, grid_theta), refined = grid_search(pair, design, fit_cfg)
+    (grid_t, grid_theta), refined = grid_search(pair, design, lam)
     seconds = time.perf_counter() - t0
     show("best grid point", grid_t, grid_theta, box, seconds)
     show(f"best of {GRID_REFINE} local refinements", refined.objective, refined.theta_hat, box, seconds)
@@ -135,7 +134,7 @@ def main(argv=None) -> int:
     for k1_upper in WIDE_K1_BOUNDS:
         wide = with_k1_upper(pair, k1_upper)
         t0 = time.perf_counter()
-        fit = fit_parameters(wide, design, cfg=fit_cfg)
+        fit = fit_parameters(wide, design, n_starts=n_starts, lam=lam)
         show(
             f"k1 <= {k1_upper}",
             fit.objective,
@@ -147,7 +146,7 @@ def main(argv=None) -> int:
     if args.solve_k1 is not None:
         print(f"\n4. Full 2adapt solve with k1 <= {args.solve_k1}")
         wide = with_k1_upper(pair, args.solve_k1)
-        result = two_adapt_md(wide, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        result = two_adapt_md(wide, cfg.space, cfg.initial, cfg.params)
         status = "converged" if result.converged else "stalled" if result.stalled else "not converged"
         show(
             f"{status}, accuracy {result.accuracy:.1e}",

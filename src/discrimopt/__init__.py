@@ -9,7 +9,6 @@ The package exports the names the README documents; everything else is
 imported from its module (``discrimopt.lsq``, ``discrimopt.models``, ...).
 """
 from .core import Box, Design, Lattice, ModelEvaluationError, ModelPair, ParameterSpace, pointwise
-from .search import GlobalSearchConfig
 from .algorithms import ALGORITHMS, AlgoParams, check_optimality, disc, solve, two_adapt_md, vdm
 from .models import make_mm_pair
 
@@ -20,7 +19,6 @@ __all__ = [
     "AlgoParams",
     "Box",
     "Design",
-    "GlobalSearchConfig",
     "Lattice",
     "ModelEvaluationError",
     "ModelPair",

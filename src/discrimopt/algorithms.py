@@ -28,8 +28,8 @@ from .core import (
     t_value,
 )
 from .lp import WeightLpInstance, solve_weight_lp
-from .lsq import FitConfig, FitResult, fit_parameters
-from .search import GlobalSearchConfig, maximize_distance, scan_grid
+from .lsq import FitResult, fit_parameters
+from .search import maximize_distance, scan_grid
 
 __all__ = [
     "ALGORITHMS",
@@ -96,9 +96,6 @@ class AlgoParams:
         for name in ("n_theta_starts", "lam"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(n_starts=self.n_theta_starts, lam=self.lam)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -189,12 +186,12 @@ class Discretization:
         self.phi = np.column_stack([self.phi, col[:-1]])
 
     def matrix(self) -> np.ndarray:
-        """A copy of phi with every entry evaluated, the missing ones of a cut in one model call."""
+        """phi with every entry evaluated, the missing ones of a cut in one model call."""
         for j, theta in enumerate(self.thetas):
             missing = np.flatnonzero(np.isnan(self.phi[:, j]))
             if missing.size:
                 self.phi[missing, j] = squared_distance(self.pair, self.points[missing], theta, self.refs[missing])
-        return self.phi.copy()
+        return self.phi
 
 
 def _timed(fn, *args, **kwargs):
@@ -230,14 +227,14 @@ def disc_md(
     # A violated cut makes progress whether or not its fit is the global
     # minimum, so each cut fits from the warm start alone; the fits a
     # certificate rests on are the callers' and keep the multistart.
-    fit_cfg = FitConfig(n_starts=0, lam=params.lam)
     clock_start = clock_start if clock_start is not None else time.perf_counter()
 
     for inner in range(1, params.max_iter_sip + 1):
         sol, lp_time = _timed(solve_weight_lp, WeightLpInstance(d.matrix()))
         if sol is None:
             raise SolverError(f"weight LP failed at inner iteration {inner}")
-        fit, ls_time = _timed(fit_parameters, pair, Design(d.points, sol.weights), d.thetas[-1], fit_cfg, d.refs)
+        fit, ls_time = _timed(fit_parameters, pair, Design(d.points, sol.weights), d.thetas[-1],
+                              n_starts=0, lam=params.lam, refs=d.refs)
         d.add_cut(fit.theta_hat, fit.phi)  # the fit's design points are the candidates, in order
         if history is not None:
             history.append(
@@ -273,7 +270,6 @@ def two_adapt_md(
     space: DesignSpace,
     initial: Design,
     params: AlgoParams = AlgoParams(),
-    gcfg: GlobalSearchConfig = GlobalSearchConfig(),
     *,
     theta_disc0: Sequence[np.ndarray] | None = None,
     history: list[IterationRecord] | None = None,
@@ -293,12 +289,12 @@ def two_adapt_md(
     _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
-    fit_cfg = params.fit_config()
+    fit_args = {"n_starts": params.n_theta_starts, "lam": params.lam}
     d = Discretization(pair, initial.points, theta_disc0 or ())
     if not theta_disc0:
-        fit = fit_parameters(pair, initial, cfg=fit_cfg, refs=d.refs)
+        fit = fit_parameters(pair, initial, refs=d.refs, **fit_args)
         d.add_cut(fit.theta_hat, fit.phi)  # its design points are the candidates
-    grid = scan_grid(pair, space, gcfg)
+    grid = scan_grid(pair, space)
 
     best_accuracy = np.inf
     stall = 0
@@ -307,12 +303,11 @@ def two_adapt_md(
 
     for n in range(1, params.max_iter + 1):
         design, rows, fit, _ = disc_md(pair, d, params, history=history, outer_iteration=n, clock_start=t0)
-        fit, ls_time = _timed(fit_parameters, pair, design, fit.theta_hat, fit_cfg, d.refs[rows])
+        fit, ls_time = _timed(fit_parameters, pair, design, fit.theta_hat, refs=d.refs[rows], **fit_args)
         d.add_cut(fit.theta_hat, fit.phi, rows)
 
         report, global_time = _timed(
-            check_optimality, pair, design, fit.theta_hat, space, gcfg,
-            phi=fit.phi, prefer=d.points, grid=grid,
+            check_optimality, pair, design, fit.theta_hat, space, phi=fit.phi, prefer=d.points, grid=grid
         )
         accuracy = report.max_psi
 
@@ -369,7 +364,6 @@ def disc(
     space: DesignSpace,
     initial: Design,
     params: AlgoParams = AlgoParams(),
-    gcfg: GlobalSearchConfig = GlobalSearchConfig(),
     *,
     history: list[IterationRecord] | None = None,
 ) -> SolveResult:
@@ -389,15 +383,15 @@ def disc(
     history = [] if history is None else history
     lattice = isinstance(space, Lattice)
     d = Discretization(pair, space.enumerate() if lattice else initial.points)
-    fit_cfg = params.fit_config()
+    fit_args = {"n_starts": params.n_theta_starts, "lam": params.lam}
     rows = d.rows(initial.points)
-    fit0 = fit_parameters(pair, initial, cfg=fit_cfg, refs=d.refs[rows] if min(rows) >= 0 else None)
+    fit0 = fit_parameters(pair, initial, refs=d.refs[rows] if min(rows) >= 0 else None, **fit_args)
     d.add_cut(fit0.theta_hat, fit0.phi, rows)
     design, rows, fit, converged = disc_md(pair, d, params, history=history, clock_start=t0)
-    fit = fit_parameters(pair, design, fit.theta_hat, fit_cfg, d.refs[rows])
+    fit = fit_parameters(pair, design, fit.theta_hat, refs=d.refs[rows], **fit_args)
     # Lattice.enumerate and scan_grid share the itertools.product order.
     grid = (d.points, d.refs) if lattice else None
-    report = check_optimality(pair, design, fit.theta_hat, space, gcfg, phi=fit.phi, grid=grid)
+    report = check_optimality(pair, design, fit.theta_hat, space, phi=fit.phi, grid=grid)
     return SolveResult(
         design=design,
         theta_hat=fit.theta_hat,
@@ -415,7 +409,6 @@ def vdm(
     space: DesignSpace,
     initial: Design,
     params: AlgoParams = AlgoParams(),
-    gcfg: GlobalSearchConfig = GlobalSearchConfig(),
     *,
     history: list[IterationRecord] | None = None,
 ) -> SolveResult:
@@ -430,10 +423,10 @@ def vdm(
     _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
-    fit_cfg = params.fit_config()
+    fit_args = {"n_starts": params.n_theta_starts, "lam": params.lam}
     design = initial
     d = Discretization(pair, design.points)  # the support points, in design order
-    grid = scan_grid(pair, space, gcfg)
+    grid = scan_grid(pair, space)
     fit = None
     converged = False
 
@@ -442,10 +435,8 @@ def vdm(
             d.add(report.worst_point)  # a new point, as mixing appends it
             design = mix_designs(design, Design(np.array([report.worst_point]), np.array([1.0])), 1.0 / (k + 1))
         warm = fit.theta_hat if fit is not None else None
-        fit, ls_time = _timed(fit_parameters, pair, design, warm_start=warm, cfg=fit_cfg, refs=d.refs)
-        report, global_time = _timed(
-            check_optimality, pair, design, fit.theta_hat, space, gcfg, phi=fit.phi, grid=grid
-        )
+        fit, ls_time = _timed(fit_parameters, pair, design, warm, refs=d.refs, **fit_args)
+        report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, space, phi=fit.phi, grid=grid)
 
         history.append(
             IterationRecord(
@@ -482,7 +473,6 @@ def solve(
     space: DesignSpace,
     initial: Design,
     params: AlgoParams = AlgoParams(),
-    gcfg: GlobalSearchConfig = GlobalSearchConfig(),
     *,
     history: list[IterationRecord] | None = None,
 ) -> SolveResult:
@@ -496,7 +486,7 @@ def solve(
     solvers = dict(zip(ALGORITHMS, (two_adapt_md, disc, vdm)))
     if name not in solvers:
         raise ValueError(f"unknown algorithm {name!r}; known: {list(ALGORITHMS)}")
-    return solvers[name](pair, space, initial, params, gcfg, history=history)
+    return solvers[name](pair, space, initial, params, history=history)
 
 
 def check_optimality(
@@ -504,7 +494,6 @@ def check_optimality(
     design: Design,
     theta_hat,
     space: DesignSpace,
-    gcfg: GlobalSearchConfig = GlobalSearchConfig(),
     *,
     phi=None,
     prefer=None,
@@ -523,7 +512,7 @@ def check_optimality(
     """
     phi = squared_distance(pair, design.points, theta_hat) if phi is None else np.asarray(phi, dtype=float)
     tval = t_value(pair, design, theta_hat, phi)
-    worst, max_phi = maximize_distance(pair, theta_hat, space, gcfg, prefer=prefer, grid=grid)
+    worst, max_phi = maximize_distance(pair, theta_hat, space, prefer=prefer, grid=grid)
     return OptimalityReport(
         max_psi=float(max_phi - tval),
         min_support_gap=float(min(phi - tval)),

@@ -110,8 +110,8 @@ def _load_design_file(path: Path, cfg: ProblemConfig) -> tuple[Design, np.ndarra
     return design, theta
 
 
-def _solve(name: str, cfg: ProblemConfig, history=None) -> SolveResult:
-    return solve(name, cfg.pair, cfg.space, cfg.initial, cfg.params_for(name), cfg.gcfg, history=history)
+def _solve(cfg: ProblemConfig, history=None) -> SolveResult:
+    return solve(cfg.algorithm, cfg.pair, cfg.space, cfg.initial, cfg.params, history=history)
 
 
 def _out_dir(args, cfg: ProblemConfig) -> Path:
@@ -122,12 +122,11 @@ def _out_dir(args, cfg: ProblemConfig) -> Path:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    algorithm = args.algorithm or cfg.algorithm
+    cfg = load_config(args.config, args.algorithm)
     out = _out_dir(args, cfg)
     history: list = []
     try:
-        result = _solve(algorithm, cfg, history)
+        result = _solve(cfg, history)
     except (FitError, ModelEvaluationError, SolverError) as exc:
         _write_history(history, out / "history.csv")
         log.error("solver failed: %s (history flushed to %s)", exc, out / "history.csv")
@@ -137,7 +136,7 @@ def cmd_solve(args) -> int:
     if cfg.emit_psi_curve and isinstance(cfg.space, Box) and cfg.space.dimension == 1:
         _write_psi_curve(cfg, result, out / "psi_curve.csv")
     print(
-        f"{algorithm}: converged={result.converged} t_value={result.t_value:.6e} "
+        f"{cfg.algorithm}: converged={result.converged} t_value={result.t_value:.6e} "
         f"accuracy={result.accuracy:.3e} iterations={result.iterations} "
         f"support={result.design.n_points} runtime={result.runtime_seconds:.1f}s"
     )
@@ -149,8 +148,8 @@ def cmd_verify(args) -> int:
     design, theta0 = _load_design_file(Path(args.design), cfg)
     # The criterion value needs the best-fit parameters for *this* design,
     # and the fit's phi is the certificate's support values.
-    fit = fit_parameters(cfg.pair, design, warm_start=theta0, cfg=cfg.params.fit_config())
-    report = check_optimality(cfg.pair, design, fit.theta_hat, cfg.space, cfg.gcfg, phi=fit.phi)
+    fit = fit_parameters(cfg.pair, design, theta0, n_starts=cfg.params.n_theta_starts, lam=cfg.params.lam)
+    report = check_optimality(cfg.pair, design, fit.theta_hat, cfg.space, phi=fit.phi)
     eps = cfg.params.eps
     verdict = report.is_eps_optimal(eps)
     print(f"max_psi={report.max_psi:.6e}")
@@ -161,20 +160,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise ConfigError("compare: the algorithm list must be nonempty")
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise ConfigError(f"compare: unknown algorithm {name!r}; known: {list(ALGORITHMS)}")
-    out = _out_dir(args, cfg)
+    configs = [load_config(args.config, name) for name in algorithms]
+    out = _out_dir(args, configs[0])
     rows = []
-    for name in algorithms:
-        result = _solve(name, cfg)
+    for cfg in configs:
+        result = _solve(cfg)
         rows.append(
             {
-                "algorithm": name,
+                "algorithm": cfg.algorithm,
                 "reached_accuracy": _fmt(result.accuracy),
                 "t_value": _fmt(result.t_value),
                 "runtime_seconds": _fmt(result.runtime_seconds),
@@ -183,7 +179,7 @@ def cmd_compare(args) -> int:
             }
         )
         print(
-            f"{name}: t_value={result.t_value:.6e} accuracy={result.accuracy:.3e} "
+            f"{cfg.algorithm}: t_value={result.t_value:.6e} accuracy={result.accuracy:.3e} "
             f"runtime={result.runtime_seconds:.1f}s"
         )
     with (out / "comparison.csv").open("w", newline="") as fh:

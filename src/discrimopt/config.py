@@ -7,7 +7,7 @@ two bundled example files under ``discrimopt/configs/``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +16,8 @@ import yaml
 from .algorithms import ALGORITHMS, AlgoParams
 from .core import Box, Design, DesignError, DesignSpace, Lattice, ModelPair, ParameterSpace
 from .models import registered_models, registry_lookup
-from .search import GlobalSearchConfig
 
-__all__ = ["ConfigError", "ProblemConfig", "load_config", "params_for"]
+__all__ = ["ConfigError", "ProblemConfig", "load_config"]
 
 _ALGO_KEYS = {
     "eps": "eps",
@@ -28,10 +27,9 @@ _ALGO_KEYS = {
     "eps_sip": "eps_sip",
     "max_iter_sip": "max_iter_sip",
 }
-_SEARCH_KEYS = {
-    "grid_per_dim": "grid_per_dim",
-    "refine_top": "refine_top",
-}
+# The VDM conventionally runs unregularized (every support point keeps
+# positive weight) with a higher iteration budget; explicit settings win.
+_VDM_DEFAULTS = {"max_iter": 1000, "lambda": 0.0}
 
 
 class ConfigError(ValueError):
@@ -45,25 +43,8 @@ class ProblemConfig:
     initial: Design
     algorithm: str
     params: AlgoParams
-    gcfg: GlobalSearchConfig
     emit_psi_curve: bool = True
     output_dir: str | None = None
-    # Raw algorithm-section overrides, kept so parameters can be rebuilt for a
-    # different algorithm choice (the VDM has its own customary defaults).
-    algo_overrides: dict = field(default_factory=dict)
-
-    def params_for(self, algorithm: str) -> AlgoParams:
-        return params_for(algorithm, self.algo_overrides)
-
-
-def params_for(algorithm: str, overrides: dict) -> AlgoParams:
-    """Algorithm parameters from defaults plus explicit config overrides.
-
-    The VDM conventionally runs unregularized (every support point keeps
-    positive weight) with a higher iteration budget; explicit overrides win.
-    """
-    defaults = {"max_iter": 1000, "lambda": 0.0} if algorithm == "vdm" else {}
-    return _parse_overrides({**defaults, **overrides}, _ALGO_KEYS, "algorithm", AlgoParams)
 
 
 def _expect_mapping(node, path):
@@ -168,29 +149,23 @@ def _parse_initial(node, space: DesignSpace, path="initial_design") -> Design:
     return design
 
 
-def _parse_overrides(node, keymap, path, builder):
-    kwargs = {}
-    for key, target in keymap.items():
-        if key in node:
-            kwargs[target] = node[key]
-    try:
-        return builder(**kwargs)
-    except (TypeError, ValueError) as exc:
-        # A message that opens with a field's name is about that field.
-        key = {target: key for key, target in keymap.items()}.get(str(exc).split(" ", 1)[0])
-        raise ConfigError(f"{path}.{key}: {exc}" if key else f"{path}: {exc}") from exc
-
-
-def _parse_algorithm(node, path="algorithm"):
+def _parse_algorithm(node, algorithm=None, path="algorithm"):
+    """The algorithm that will run, ``algorithm`` or else the configured one, and its parameters."""
     node = _expect_mapping(node, path)
-    _reject_unknown(node, {"name", *_ALGO_KEYS, *_SEARCH_KEYS}, path)
+    _reject_unknown(node, {"name", *_ALGO_KEYS}, path)
     name = node.get("name", "2adapt")
     if name not in ALGORITHMS:
         raise ConfigError(f"{path}.name: must be one of {list(ALGORITHMS)}, got {name!r}")
-    overrides = {k: v for k, v in node.items() if k in _ALGO_KEYS}
-    params = params_for(name, overrides)
-    gcfg = _parse_overrides(node, _SEARCH_KEYS, path, GlobalSearchConfig)
-    return name, params, gcfg, overrides
+    if algorithm is not None and algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; known: {list(ALGORITHMS)}")
+    name = algorithm or name
+    settings = {**(_VDM_DEFAULTS if name == "vdm" else {}), **node}
+    try:
+        return name, AlgoParams(**{_ALGO_KEYS[key]: v for key, v in settings.items() if key in _ALGO_KEYS})
+    except (TypeError, ValueError) as exc:
+        # A message that opens with a field's name is about that field.
+        key = {target: key for key, target in _ALGO_KEYS.items()}.get(str(exc).split(" ", 1)[0])
+        raise ConfigError(f"{path}.{key}: {exc}" if key else f"{path}: {exc}") from exc
 
 
 def _parse_output(node, path="output"):
@@ -205,8 +180,12 @@ def _parse_output(node, path="output"):
     return emit, directory
 
 
-def load_config(path: str | Path) -> ProblemConfig:
-    """Parse and validate a problem configuration file."""
+def load_config(path: str | Path, algorithm: str | None = None) -> ProblemConfig:
+    """Parse and validate a problem configuration file.
+
+    ``algorithm``, one of :data:`~discrimopt.algorithms.ALGORITHMS`, replaces the configured
+    ``algorithm.name``; the parameters are built for the algorithm that will run.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -224,7 +203,7 @@ def load_config(path: str | Path) -> ProblemConfig:
     pair = _parse_model(_get(tree, "model", "<root>"))
     space = _parse_space(_get(tree, "design_space", "<root>"))
     initial = _parse_initial(_get(tree, "initial_design", "<root>"), space)
-    name, params, gcfg, overrides = _parse_algorithm(tree.get("algorithm", {}))
+    name, params = _parse_algorithm(tree.get("algorithm", {}), algorithm)
     emit, directory = _parse_output(tree.get("output"))
     return ProblemConfig(
         pair=pair,
@@ -232,8 +211,6 @@ def load_config(path: str | Path) -> ProblemConfig:
         initial=initial,
         algorithm=name,
         params=params,
-        gcfg=gcfg,
         emit_psi_curve=emit,
         output_dir=directory,
-        algo_overrides=overrides,
     )

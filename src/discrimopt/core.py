@@ -77,6 +77,8 @@ class Design:
             raise DesignError("designs must have at least one point")
         if not np.all(np.isfinite(pts)):
             raise DesignError("design point coordinates must be finite")
+        if not np.all(np.isfinite(w)):
+            raise DesignError("weights must be finite")
         if np.any(w < 0):
             raise DesignError(f"weights must be nonnegative, got {w}")
         total = float(w.sum())
@@ -201,7 +203,8 @@ class ModelPair:
 
     Both evaluators take the design points as the rows of X, shape (n, d),
     and return the responses as the rows of an (n, d_y) array; they must be
-    deterministic.  ``pointwise`` adapts per-point callables.
+    deterministic, and a non-finite output is a :class:`ModelEvaluationError`.
+    ``pointwise`` adapts per-point callables.
     ``alternative_jac``, when given, returns ``(f2(X, theta), d f2 / d theta)``
     with shapes (n, d_y) and (n, d_y, p) from one call; its responses must
     equal ``alternative``'s.  Without it, fits use finite differences.  The
@@ -227,7 +230,7 @@ class ModelPair:
         return tuple(self._evaluate("alternative_jac", X, theta))
 
     def _evaluate(self, name: str, X, theta=None) -> list[np.ndarray]:
-        """Call one model callable on the rows of X, with one error wrap and one shape check."""
+        """Call one model callable on the rows of X, with one error wrap and one shape and finiteness check."""
         x = np.asarray(X, dtype=float)
         X = np.atleast_2d(x)
         theta = None if theta is None else np.atleast_1d(np.asarray(theta, dtype=float))
@@ -250,6 +253,9 @@ class ModelPair:
             raise ModelEvaluationError(
                 f"{name} model returned shapes {shapes}, expected {expected}", x=x, theta=theta
             )
+        if not all(np.isfinite(a).all() for a in out):
+            raise ModelEvaluationError(f"{name} model returned non-finite values at x={x}, theta={theta}",
+                                       x=x, theta=theta)
         return out
 
 

@@ -15,12 +15,15 @@ __all__ = ["WeightLpInstance", "WeightLpSolution", "solve_weight_lp"]
 
 @dataclass(frozen=True)
 class WeightLpInstance:
-    """phi[i, j] = squared distance at candidate i under discretized theta j."""
+    """phi[i, j] = squared distance at candidate i under discretized theta j.
+
+    The instance holds a read-only copy; the caller's array stays as it was.
+    """
 
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
+        phi = np.array(self.phi, dtype=float, ndmin=2)
         if phi.size == 0:
             raise ValueError("phi matrix must be nonempty")
         if not np.all(np.isfinite(phi)):

@@ -13,7 +13,7 @@ from scipy.optimize import least_squares
 
 from .core import Design, ModelEvaluationError, ModelPair, ParameterSpace, squared_distance, t_value
 
-__all__ = ["FitConfig", "FitResult", "FitError", "sobol_points", "fit_parameters"]
+__all__ = ["FitResult", "FitError", "sobol_points", "fit_parameters"]
 
 # Each least-squares start stops at xtol = ftol = gtol = _LOCAL_TOL, or after
 # _MAX_LOCAL_ITERS * (p + 1) residual evaluations for p parameters.
@@ -27,20 +27,6 @@ class FitError(RuntimeError):
     def __init__(self, message, skipped=()):
         super().__init__(message)
         self.skipped = tuple(skipped)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Multistart and regularization settings for the weighted LS fit."""
-
-    n_starts: int = 9
-    lam: float = 1e-8
-
-    def __post_init__(self):
-        if self.n_starts < 0:
-            raise ValueError("n_starts must be >= 0")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -167,30 +153,36 @@ def fit_parameters(
     pair: ModelPair,
     design: Design,
     warm_start=None,
-    cfg: FitConfig = FitConfig(),
+    n_starts: int = 9,
+    lam: float = 1e-8,
     refs=None,
 ) -> FitResult:
     """Fit the alternative model's parameters to the reference on a design.
 
     Minimizes sum_i (w_i + lam) * ||f1(x_i) - f2(x_i, theta)||^2 over the
     parameter box with a bound-constrained trust-region least-squares solver,
-    started from the warm start plus ``cfg.n_starts`` Sobol points.  The
+    started from the warm start plus ``n_starts`` Sobol points; a negative
+    ``n_starts`` or ``lam`` raises ValueError.  The
     Jacobian is exact when the pair has ``alternative_jac`` and a forward
     difference (relative step 1e-7) otherwise.  ``objective`` is the
     unregularized value, the weighted sum of ``phi``.  ``refs`` is the
     reference rows at the design's points when the caller holds them;
     only without it is the reference evaluated, once.
     """
+    if n_starts < 0:
+        raise ValueError("n_starts must be >= 0")
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
     space = pair.parameter_space
     starts: list[np.ndarray] = []
     if warm_start is not None:
         starts.append(space.clip(warm_start))
-    starts.extend(sobol_points(space.dimension, cfg.n_starts, space))
+    starts.extend(sobol_points(space.dimension, n_starts, space))
     if not starts:
         raise FitError("no starting points: supply a warm start or n_starts > 0")
 
     refs = pair.eval_reference(design.points) if refs is None else refs
-    residuals, jac = _stacked_residuals(pair, design, refs, cfg.lam)
+    residuals, jac = _stacked_residuals(pair, design, refs, lam)
     best = None
     best_index = -1
     skipped = []

@@ -7,7 +7,6 @@ refinement on boxes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -22,8 +21,12 @@ from .core import (
     squared_distance,
 )
 
-__all__ = ["GlobalSearchConfig", "maximize_distance", "scan_grid"]
+__all__ = ["maximize_distance", "scan_grid"]
 
+# The box search scans _GRID_PER_DIM levels per axis and refines the best
+# _REFINE_TOP grid points with L-BFGS-B.
+_GRID_PER_DIM = 64
+_REFINE_TOP = 5
 # The absolute finite-difference step of the box refinement's gradient.
 _FD_STEP = 1e-7
 # L-BFGS-B's ftol and gtol in the box refinement.
@@ -33,18 +36,6 @@ _LOCAL_TOL = 1e-10
 # (relative error in the squared distance is ~10x the integration
 # tolerance through the squaring).
 _TIE_REL = 1e-6
-
-
-@dataclass(frozen=True)
-class GlobalSearchConfig:
-    grid_per_dim: int = 64
-    refine_top: int = 5
-
-    def __post_init__(self):
-        if self.grid_per_dim < 2:
-            raise ValueError("grid_per_dim must be >= 2")
-        if self.refine_top < 1:
-            raise ValueError("refine_top must be >= 1")
 
 
 def _first_or_none(fn, *args):
@@ -84,13 +75,13 @@ def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarr
     return neg_phi_and_gradient
 
 
-def scan_grid(pair: ModelPair, space: DesignSpace, cfg: GlobalSearchConfig = GlobalSearchConfig()):
+def scan_grid(pair: ModelPair, space: DesignSpace):
     """The points that :func:`maximize_distance` scans, the lattice or the box's grid, and their reference rows.
 
     A point where the reference fails is left out, so every scan skips it; failing everywhere raises.
     """
     axes = space.levels if isinstance(space, Lattice) else [
-        np.linspace(lo, hi, cfg.grid_per_dim) for lo, hi in zip(space.lower, space.upper)]
+        np.linspace(lo, hi, _GRID_PER_DIM) for lo, hi in zip(space.lower, space.upper)]
     X = np.array(list(itertools.product(*axes)), dtype=float)
     try:
         return X, pair.eval_reference(X)
@@ -106,7 +97,7 @@ def maximize_distance(
     pair: ModelPair,
     theta_hat,
     space: DesignSpace,
-    cfg: GlobalSearchConfig = GlobalSearchConfig(),
+    *,
     prefer=None,
     grid=None,
 ) -> tuple[np.ndarray, float]:
@@ -123,7 +114,7 @@ def maximize_distance(
     and one during a local refinement ends it at the best point it evaluated.
     """
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    X, refs = scan_grid(pair, space, cfg) if grid is None else grid
+    X, refs = scan_grid(pair, space) if grid is None else grid
     error = None
     try:
         values = squared_distance(pair, X, theta_hat, refs)
@@ -158,7 +149,7 @@ def maximize_distance(
     best = [-np.inf, None]  # a refinement's largest evaluated phi and its point
     neg_phi_and_gradient = _neg_phi_and_gradient(pair, theta_hat, space, free, best)
     bounds = list(zip(space.lower[free], space.upper[free]))
-    for v0, x0 in scored[: cfg.refine_top] if free.size else ():
+    for v0, x0 in scored[:_REFINE_TOP] if free.size else ():
         best[:] = -np.inf, None
         try:
             res = minimize(

@@ -28,7 +28,7 @@ from discrimopt import (
 from discrimopt.algorithms import Discretization, disc_md
 from discrimopt.config import load_config
 from discrimopt.core import squared_distance, t_value
-from discrimopt.lsq import FitConfig, fit_parameters
+from discrimopt.lsq import fit_parameters
 from discrimopt.models import IntegratorTol, KineticsInput, KineticsParams, integrate_kinetics
 from discrimopt.cli import main
 
@@ -163,7 +163,7 @@ def published_kinetics_t():
         np.array(list(KINETICS_PUBLISHED_DESIGN)),
         np.array(list(KINETICS_PUBLISHED_DESIGN.values())),
     )
-    return fit_parameters(cfg.pair, design, cfg=cfg.params.fit_config()).objective
+    return fit_parameters(cfg.pair, design, n_starts=cfg.params.n_theta_starts, lam=cfg.params.lam).objective
 
 
 def test_kinetics_benchmark_reproduction(kinetics_run):
@@ -238,7 +238,7 @@ def test_equivalence_theorem_suite(toy_run, mm_run, kinetics_run):
         cfg = load_config(config)
         design = Design(np.array(payload["support"]), np.array(payload["weights"]))
         theta = np.array(payload["theta_hat"])
-        rep = check_optimality(cfg.pair, design, theta, cfg.space, cfg.gcfg)
+        rep = check_optimality(cfg.pair, design, theta, cfg.space)
         if not (rep.max_psi <= 1e-5 and rep.min_support_gap <= 1e-5):
             failures.append(
                 f"{label}: max_psi={rep.max_psi:.2e}, gap={rep.min_support_gap:.2e}"
@@ -252,12 +252,12 @@ def test_equivalence_theorem_suite(toy_run, mm_run, kinetics_run):
     w[1] -= 0.05
     perturbed = Design(np.array(payload["support"]), w)
     fit = fit_parameters(cfg.pair, perturbed, warm_start=payload["theta_hat"])
-    rep = check_optimality(cfg.pair, perturbed, fit.theta_hat, cfg.space, cfg.gcfg)
+    rep = check_optimality(cfg.pair, perturbed, fit.theta_hat, cfg.space)
     if not rep.max_psi > 10 * 1e-5:
         failures.append(f"perturbed mm: max_psi={rep.max_psi:.2e} not > 1e-4")
 
     toy_perturbed = Design(np.array([[0.0], [1.0]]), np.array([0.55, 0.45]))
-    fit = fit_parameters(toy_run[0], toy_perturbed, cfg=FitConfig(lam=0.0))
+    fit = fit_parameters(toy_run[0], toy_perturbed, lam=0.0)
     rep = check_optimality(toy_run[0], toy_perturbed, fit.theta_hat, Box([0.0], [1.0]))
     if not rep.max_psi > 10 * 1e-5:
         failures.append(f"perturbed toy: max_psi={rep.max_psi:.2e} not > 1e-4")

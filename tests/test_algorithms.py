@@ -12,7 +12,6 @@ from discrimopt import (
     AlgoParams,
     Box,
     Design,
-    GlobalSearchConfig,
     Lattice,
     ModelPair,
     ParameterSpace,
@@ -27,7 +26,7 @@ from discrimopt import (
 from discrimopt.algorithms import Discretization, SolverError, disc_md
 from discrimopt.config import load_config
 from discrimopt.core import squared_distance, t_value
-from discrimopt.lsq import FitConfig, fit_parameters
+from discrimopt.lsq import fit_parameters
 
 from conftest import linear_vs_constant
 
@@ -160,7 +159,7 @@ class TestDiscMd:
         # global search is not counted.
         cfg = load_config(MM_CONFIG)
         pair, seen = counting_pairs(cfg.pair, monkeypatch)
-        result = two_adapt_md(pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        result = two_adapt_md(pair, cfg.space, cfg.initial, cfg.params)
         assert result.converged
         assert seen and max(seen.values()) == 1
 
@@ -243,7 +242,7 @@ class TestDisc:
         # the last fit's phi.
         cfg = load_config(MM_CONFIG)
         pair, seen = counting_pairs(cfg.pair, monkeypatch)
-        disc(pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        disc(pair, cfg.space, cfg.initial, cfg.params)
         assert seen and max(seen.values()) == 1
 
     def test_box_uses_initial_points(self, toy_pair):
@@ -303,7 +302,7 @@ class TestDiscretization:
         # bit to squared distances evaluated afresh.
         if problem == "mm":
             cfg = load_config(MM_CONFIG)
-            pair, args = cfg.pair, (cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+            pair, args = cfg.pair, (cfg.space, cfg.initial, cfg.params)
         else:
             pair, args = toy_pair, (TOY_BOX, Design(np.array([[0.5]]), np.array([1.0])), TIGHT)
         seen, lps = [], []
@@ -397,7 +396,7 @@ class TestWhereTheMultistartRuns:
         cfg = load_config(MM_CONFIG)
         n = cfg.params.n_theta_starts
         fits = self.starts_per_fit(monkeypatch)
-        result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params)
         assert result.converged and n > 0
         assert fits[0] == [False, n]
         cuts = sum(r.phase == "disc" for r in result.history)
@@ -408,7 +407,7 @@ class TestWhereTheMultistartRuns:
         cfg = load_config(MM_CONFIG)
         n = cfg.params.n_theta_starts
         fits = self.starts_per_fit(monkeypatch)
-        result = disc(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
+        result = disc(cfg.pair, cfg.space, cfg.initial, cfg.params)
         assert fits == [[False, n]] + [[True, 1]] * len(result.history) + [[False, 1 + n]]
 
 
@@ -489,7 +488,7 @@ class TestCheckOptimality:
 
     def test_perturbed_weights_fail(self, toy_pair):
         perturbed = Design(np.array([[0.0], [1.0]]), np.array([0.55, 0.45]))
-        fit = fit_parameters(toy_pair, perturbed, cfg=FitConfig(lam=0.0))
+        fit = fit_parameters(toy_pair, perturbed, lam=0.0)
         report = check_optimality(toy_pair, perturbed, fit.theta_hat, TOY_BOX)
         assert report.max_psi > 10 * 1e-5
         assert not report.is_eps_optimal(1e-5)
@@ -498,8 +497,8 @@ class TestCheckOptimality:
         # Re-certified from scratch, with no phi and no preferred points,
         # the 2ADAPT result gives the accuracy the solver reported.
         cfg = load_config(MM_CONFIG)
-        result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
-        report = check_optimality(cfg.pair, result.design, result.theta_hat, cfg.space, cfg.gcfg)
+        result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params)
+        report = check_optimality(cfg.pair, result.design, result.theta_hat, cfg.space)
         assert result.converged and report.is_eps_optimal(cfg.params.eps)
         assert report.max_psi == result.accuracy
 
@@ -507,8 +506,8 @@ class TestCheckOptimality:
         # DISC certifies from its final refit's phi; re-certified from
         # scratch, its design gives the accuracy the solver reported.
         cfg = load_config(MM_CONFIG)
-        result = disc(cfg.pair, cfg.space, cfg.initial, cfg.params, cfg.gcfg)
-        report = check_optimality(cfg.pair, result.design, result.theta_hat, cfg.space, cfg.gcfg)
+        result = disc(cfg.pair, cfg.space, cfg.initial, cfg.params)
+        report = check_optimality(cfg.pair, result.design, result.theta_hat, cfg.space)
         assert report.max_psi == result.accuracy
 
     def test_single_point_design_far_from_optimal(self):

@@ -7,6 +7,7 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import discrimopt.algorithms as algorithms
@@ -54,6 +55,25 @@ def _mm_failing_after(params):
 
 
 register_model("mm_failing_after", _mm_failing_after)
+
+
+def _mm_nan_above(params):
+    """The mm pair whose alternative is NaN at design points above ``x_max``."""
+    x_max = float(params.pop("x_max"))
+    pair = make_mm_pair(**params)
+
+    def alternative_jac(X, theta):
+        y, jac = pair.alternative_jac(X, theta)
+        return np.where(X > x_max, np.nan, y), np.where(X[:, :, None] > x_max, np.nan, jac)
+
+    return dataclasses.replace(
+        pair,
+        alternative=lambda X, theta: np.where(X > x_max, np.nan, pair.alternative(X, theta)),
+        alternative_jac=alternative_jac,
+    )
+
+
+register_model("mm_nan_above", _mm_nan_above)
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +274,13 @@ class TestFailurePaths:
             assert len(rows) < len(full)
             assert without_times(rows) == without_times(full[: len(rows)])
 
+    def test_nonfinite_model_output_flushes_history(self, tmp_path, capsys):
+        # Every point of the initial design lies above 0.8, so each start of the first fit fails.
+        cfg = write_mm_config(tmp_path / "nan.config", "mm_nan_above", "{x_max: 0.8}")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert (tmp_path / "history.csv").exists() and not (tmp_path / "design.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_fit_failure_flushes_history(self, tmp_path, monkeypatch):
         fits = itertools.count()
         original = algorithms.fit_parameters
@@ -323,6 +350,15 @@ class TestVerify:
         monkeypatch.setattr(cli, "load_config", lambda _: counted_cfg)
         assert main(["verify", "--design", str(out / "design.json"), "--config", MM_CONFIG]) == 0
         assert seen and max(seen.values()) == 1
+
+    def test_nonfinite_weight_rejected(self, tmp_path, capsys):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({"support": [[0.4], [2.6], [5.0]], "weights": [float("nan"), 0.6, 0.4]}))
+        assert main(["verify", "--design", str(path), "--config", MM_CONFIG]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0] == f"error: design file {path}: weights must be finite"
+        assert "Traceback" not in err
 
     def test_malformed_design_file(self, tmp_path):
         bad = tmp_path / "broken.json"

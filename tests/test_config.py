@@ -9,10 +9,9 @@ import pytest
 import yaml
 
 import discrimopt
-from discrimopt import AlgoParams, Box, GlobalSearchConfig, Lattice
+from discrimopt import AlgoParams, Box, Lattice
 from discrimopt.cli import main
 from discrimopt.config import ConfigError, ProblemConfig, load_config
-from discrimopt.lsq import FitConfig
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
 ROOT = Path(__file__).parent.parent
@@ -144,16 +143,23 @@ class TestAlgorithmDefaults:
         assert cfg.params.max_iter == 50
 
     def test_params_for_other_algorithm(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, MINIMAL))
-        assert cfg.params.max_iter == 100
-        assert cfg.params_for("vdm").max_iter == 1000
-        assert cfg.params_for("vdm").lam == 0.0
+        path = write_config(tmp_path, MINIMAL)
+        assert load_config(path).params.max_iter == 100
+        vdm = load_config(path, "vdm")
+        assert vdm.algorithm == "vdm"
+        assert vdm.params.max_iter == 1000
+        assert vdm.params.lam == 0.0
+
+    def test_unknown_algorithm_argument_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown algorithm 'simplex'"):
+            load_config(write_config(tmp_path, MINIMAL), "simplex")
 
     def test_eps_alone_sets_eps_sip(self, tmp_path):
         body = MINIMAL + "\nalgorithm:\n  name: 2adapt\n  eps: 1.0e-6\n"
-        cfg = load_config(write_config(tmp_path, body))
+        path = write_config(tmp_path, body)
+        cfg = load_config(path)
         assert cfg.params.eps == cfg.params.eps_sip == 1e-6
-        assert cfg.params_for("vdm").eps_sip == 1e-6
+        assert load_config(path, "vdm").params.eps_sip == 1e-6
 
     def test_lambda_key_maps_to_regularizer(self, tmp_path):
         body = MINIMAL + "\nalgorithm:\n  name: 2adapt\n  lambda: 1.0e-6\n"
@@ -171,8 +177,7 @@ class TestAcceptedSurface:
         ("model", "parameter_space"): ["lower", "upper"],
         ("design_space",): ["lower", "type", "upper"],
         ("initial_design",): ["points", "weights"],
-        ("algorithm",): ["eps", "eps_sip", "grid_per_dim", "lambda", "max_iter", "max_iter_sip",
-                         "n_theta_starts", "name", "refine_top"],
+        ("algorithm",): ["eps", "eps_sip", "lambda", "max_iter", "max_iter_sip", "n_theta_starts", "name"],
         ("output",): ["directory", "emit_psi_curve"],
     }
 
@@ -196,19 +201,16 @@ class TestAcceptedSurface:
             assert str(err.value) == f"{''.join(p + '.' for p in section)}bogus: unknown field(s); known: {known}"
 
         assert sorted(discrimopt.__all__) == [
-            "ALGORITHMS", "AlgoParams", "Box", "Design", "GlobalSearchConfig", "Lattice",
+            "ALGORITHMS", "AlgoParams", "Box", "Design", "Lattice",
             "ModelEvaluationError", "ModelPair", "ParameterSpace", "check_optimality", "disc",
             "make_mm_pair", "pointwise", "solve", "two_adapt_md", "vdm",
         ]
         assert discrimopt.ParameterSpace is Box
         names = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-                 for cls in (AlgoParams, FitConfig, GlobalSearchConfig, ProblemConfig)}
+                 for cls in (AlgoParams, ProblemConfig)}
         assert names == {
             "AlgoParams": ["eps", "max_iter", "n_theta_starts", "lam", "eps_sip", "max_iter_sip"],
-            "FitConfig": ["n_starts", "lam"],
-            "GlobalSearchConfig": ["grid_per_dim", "refine_top"],
-            "ProblemConfig": ["pair", "space", "initial", "algorithm", "params", "gcfg", "emit_psi_curve",
-                              "output_dir", "algo_overrides"],
+            "ProblemConfig": ["pair", "space", "initial", "algorithm", "params", "emit_psi_curve", "output_dir"],
         }
 
     @pytest.mark.parametrize("section, key, value", [
@@ -216,6 +218,8 @@ class TestAcceptedSurface:
         ("algorithm", "prune_threshold", 1.0e-6),
         ("algorithm", "tie_rel", 1.0e-6),
         ("algorithm", "local_tol", 1.0e-10),
+        ("algorithm", "grid_per_dim", 64),
+        ("algorithm", "refine_top", 5),
         ("output", "psi_grid", 400),
     ])
     def test_removed_key_rejected(self, section, key, value, tmp_path, capsys):

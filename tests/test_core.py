@@ -71,6 +71,11 @@ class TestDesign:
         with pytest.raises(DesignError):
             Design(np.array([[np.nan]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(DesignError, match="weights must be finite"):
+            Design(np.array([[1.0], [2.0]]), np.array([bad, 1.0]))
+
     def test_immutable(self):
         d = Design(np.array([[0.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
@@ -154,6 +159,20 @@ class TestSquaredDistance:
         )
         with pytest.raises(ModelEvaluationError, match="shape"):
             squared_distance(pair, [0.5], [0.5])
+
+    @pytest.mark.parametrize("method", ["eval_reference", "eval_alternative", "eval_alternative_jac"])
+    def test_nonfinite_output_rejected(self, method):
+        pair = ModelPair(
+            reference=lambda X: np.where(X > 0.8, np.nan, X),
+            alternative=lambda X, th: np.where(X > 0.8, np.inf, th[0]),
+            parameter_space=ParameterSpace([0.0], [1.0]),
+            alternative_jac=lambda X, th: (np.zeros((len(X), 1)), np.where(X > 0.8, np.nan, 1.0)[:, :, None]),
+        )
+        args = ([0.5],) if method != "eval_reference" else ()
+        getattr(pair, method)([[0.5]], *args)
+        with pytest.raises(ModelEvaluationError, match="non-finite") as err:
+            getattr(pair, method)([[0.5], [0.9]], *args)
+        assert err.value.x is not None
 
 
 class TestPointwise:

@@ -32,6 +32,13 @@ class TestWeightLpInstance:
         with pytest.raises(ValueError):
             WeightLpInstance(np.array([[1.0], [-0.5]]))
 
+    def test_copies_the_callers_array(self):
+        phi = np.array([[1.0, 2.0], [3.0, 4.0]])
+        inst = WeightLpInstance(phi)
+        assert phi.flags.writeable and not inst.phi.flags.writeable
+        phi[0, 0] = 9.0
+        assert inst.phi[0, 0] == 1.0
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             WeightLpInstance(np.array([[np.inf], [1.0]]))

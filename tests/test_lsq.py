@@ -12,7 +12,7 @@ import discrimopt
 
 from discrimopt import Design, ModelPair, ParameterSpace, make_mm_pair, pointwise
 from discrimopt.core import squared_distance, t_value
-from discrimopt.lsq import FitConfig, FitError, fit_parameters, sobol_points
+from discrimopt.lsq import FitError, fit_parameters, sobol_points
 from discrimopt.models import make_kinetics_pair
 
 from conftest import linear_vs_constant
@@ -74,7 +74,7 @@ class TestSobolPoints:
 
 class TestFitParameters:
     def test_toy_weighted_mean(self, toy_pair, toy_optimum):
-        fit = fit_parameters(toy_pair, toy_optimum, cfg=FitConfig(lam=0.0))
+        fit = fit_parameters(toy_pair, toy_optimum, lam=0.0)
         assert fit.theta_hat[0] == pytest.approx(0.5, abs=1e-8)
         assert fit.objective == pytest.approx(0.25, abs=1e-10)
 
@@ -82,7 +82,7 @@ class TestFitParameters:
         # Reference with no linear term is the alternative at (V, K) = (1, 1).
         pair = make_mm_pair(F=0.0)
         design = Design(np.array([[0.5], [1.5], [3.0]]), np.full(3, 1 / 3))
-        fit = fit_parameters(pair, design, cfg=FitConfig(lam=0.0))
+        fit = fit_parameters(pair, design, lam=0.0)
         assert fit.objective == pytest.approx(0.0, abs=1e-12)
         assert fit.theta_hat == pytest.approx([1.0, 1.0], abs=1e-4)
 
@@ -97,14 +97,14 @@ class TestFitParameters:
     def test_bounds_respected(self, toy_pair):
         design = Design(np.array([[1.0]]), np.array([1.0]))
         # Best unconstrained theta is 1.0, exactly at the bound.
-        fit = fit_parameters(toy_pair, design, cfg=FitConfig(lam=0.0))
+        fit = fit_parameters(toy_pair, design, lam=0.0)
         assert 0.0 <= fit.theta_hat[0] <= 1.0
         assert fit.theta_hat[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_warm_start_never_hurts(self, toy_pair, toy_optimum):
-        cold = fit_parameters(toy_pair, toy_optimum, cfg=FitConfig(n_starts=9))
+        cold = fit_parameters(toy_pair, toy_optimum, n_starts=9)
         warm = fit_parameters(
-            toy_pair, toy_optimum, warm_start=[0.5], cfg=FitConfig(n_starts=9)
+            toy_pair, toy_optimum, warm_start=[0.5], n_starts=9
         )
         assert warm.regularized_objective <= cold.regularized_objective + 1e-15
 
@@ -116,7 +116,7 @@ class TestFitParameters:
         assert a.start_index == b.start_index
 
     def test_interior_stationarity(self, toy_pair, toy_optimum):
-        fit = fit_parameters(toy_pair, toy_optimum, cfg=FitConfig(lam=0.0))
+        fit = fit_parameters(toy_pair, toy_optimum, lam=0.0)
         theta = fit.theta_hat[0]
         h = 1e-6 * (1 + abs(theta))
 
@@ -130,7 +130,7 @@ class TestFitParameters:
 
     def test_no_starts_at_all_rejected(self, toy_pair, toy_optimum):
         with pytest.raises(FitError):
-            fit_parameters(toy_pair, toy_optimum, cfg=FitConfig(n_starts=0))
+            fit_parameters(toy_pair, toy_optimum, n_starts=0)
 
     def test_failing_starts_skipped(self, toy_optimum):
         calls = {"n": 0}
@@ -146,7 +146,7 @@ class TestFitParameters:
             alternative=pointwise(flaky),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
-        fit = fit_parameters(pair, toy_optimum, cfg=FitConfig(lam=0.0))
+        fit = fit_parameters(pair, toy_optimum, lam=0.0)
         assert fit.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_failing_jacobian_starts_skipped(self, toy_optimum):
@@ -156,7 +156,7 @@ class TestFitParameters:
             return np.full((len(X), 1), theta[0]), np.ones((len(X), 1, 1))
 
         pair = dataclasses.replace(linear_vs_constant(), alternative_jac=flaky_jac)
-        fit = fit_parameters(pair, toy_optimum, cfg=FitConfig(lam=0.0))
+        fit = fit_parameters(pair, toy_optimum, lam=0.0)
         assert fit.theta_hat[0] == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("failing", ["alternative", "alternative_jac"])
@@ -168,7 +168,7 @@ class TestFitParameters:
 
         pair = dataclasses.replace(linear_vs_constant(), **{failing: broken})
         with pytest.raises(FitError) as err:
-            fit_parameters(pair, toy_optimum, warm_start=[0.5], cfg=FitConfig(n_starts=3))
+            fit_parameters(pair, toy_optimum, warm_start=[0.5], n_starts=3)
         assert [i for i, _ in err.value.skipped] == [0, 1, 2, 3]
 
     def test_exact_jacobian_evaluates_each_theta_once(self):
@@ -182,7 +182,7 @@ class TestFitParameters:
 
         pair = dataclasses.replace(base, alternative_jac=counted_jac)
         design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
-        fit = fit_parameters(pair, design, cfg=FitConfig(n_starts=1))
+        fit = fit_parameters(pair, design, n_starts=1)
         assert len(seen) == len(set(seen))
         assert fit.theta_hat == pytest.approx([1.86, 2.15], abs=0.02)
 
@@ -190,8 +190,8 @@ class TestFitParameters:
         exact = make_mm_pair()
         approx = dataclasses.replace(exact, alternative_jac=None)
         design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
-        a = fit_parameters(exact, design, cfg=FitConfig(n_starts=3))
-        b = fit_parameters(approx, design, cfg=FitConfig(n_starts=3))
+        a = fit_parameters(exact, design, n_starts=3)
+        b = fit_parameters(approx, design, n_starts=3)
         assert a.objective == pytest.approx(b.objective, rel=1e-8)
         assert a.theta_hat == pytest.approx(b.theta_hat, rel=1e-5)
 
@@ -211,12 +211,12 @@ class TestFitParameters:
         # Callers use fit.phi in place of evaluating the alternative again.
         pair = make_pair()
         design = Design(np.array(points), np.array(weights))
-        fit = fit_parameters(pair, design, cfg=FitConfig(n_starts=1))
+        fit = fit_parameters(pair, design, n_starts=1)
         assert np.array_equal(fit.phi, squared_distance(pair, design.points, fit.theta_hat))
         assert fit.objective == t_value(pair, design, fit.theta_hat)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FitConfig(n_starts=-1)
-        with pytest.raises(ValueError):
-            FitConfig(lam=-1e-9)
+    def test_config_validation(self, toy_pair, toy_optimum):
+        with pytest.raises(ValueError, match="n_starts"):
+            fit_parameters(toy_pair, toy_optimum, n_starts=-1)
+        with pytest.raises(ValueError, match="lam"):
+            fit_parameters(toy_pair, toy_optimum, lam=-1e-9)

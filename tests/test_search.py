@@ -9,7 +9,6 @@ import discrimopt.search as search
 
 from discrimopt import (
     Box,
-    GlobalSearchConfig,
     Lattice,
     ModelEvaluationError,
     ModelPair,
@@ -19,14 +18,6 @@ from discrimopt import (
 )
 from discrimopt.core import squared_distance
 from discrimopt.search import _neg_phi_and_gradient, maximize_distance, scan_grid
-
-
-class TestConfigValidation:
-    def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            GlobalSearchConfig(grid_per_dim=1)
-        with pytest.raises(ValueError):
-            GlobalSearchConfig(refine_top=0)
 
 
 class TestBoxSearch:
@@ -52,16 +43,15 @@ class TestBoxSearch:
         assert v == pytest.approx(1.2876e-3, abs=5e-6)
 
     def test_refinement_beats_grid(self, toy_pair):
-        # A coarse grid misses the interior maximum of -(x-0.37)^2... here the
-        # max is at the boundary, so use a model peaking between grid nodes.
+        # A model peaking at 0.341, midway between the grid nodes 21/63 and 22/63,
+        # where the grid's best value is ~0.994.
         pair = ModelPair(
-            reference=pointwise(lambda x: np.array([np.exp(-50 * (x[0] - 0.333) ** 2)])),
+            reference=pointwise(lambda x: np.array([np.exp(-50 * (x[0] - 0.341) ** 2)])),
             alternative=pointwise(lambda x, th: np.array([0.0])),
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
-        cfg = GlobalSearchConfig(grid_per_dim=8)
-        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]), cfg)
-        assert x[0] == pytest.approx(0.333, abs=1e-3)
+        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
+        assert x[0] == pytest.approx(0.341, abs=1e-3)
         assert v == pytest.approx(1.0, abs=1e-6)
 
     def test_deterministic(self, toy_pair):
@@ -141,12 +131,22 @@ class TestFailureHandling:
         x, v = maximize_distance(pair, [0.5], lat)
         assert x[0] == 0.8
 
+    def test_nonfinite_point_skipped(self):
+        # phi is NaN at 0.2, the lexicographically smallest lattice point.
+        pair = ModelPair(
+            reference=lambda X: X,
+            alternative=lambda X, th: np.where(X < 0.5, np.nan, 0.0),
+            parameter_space=ParameterSpace([0.0], [1.0]),
+        )
+        x, v = maximize_distance(pair, [0.5], Lattice(([0.2, 0.6, 0.8],)))
+        assert x[0] == 0.8 and v == 0.8**2
+
     def test_failed_refinement_keeps_its_best_evaluated_point(self):
-        # phi = reference**2 peaks at 0.37, between the grid points 2/7 and 3/7.
+        # phi = reference**2 peaks at 0.373, midway between the grid points 23/63 and 24/63.
         # The alternative fails from its sixth call on: the scan is the first,
         # so the first refinement fails after four steps, and the others at once.
         def phi(X):
-            return np.exp(-100 * (X[:, 0] - 0.37) ** 2)
+            return np.exp(-100 * (X[:, 0] - 0.373) ** 2)
 
         evaluated = []
 
@@ -157,11 +157,11 @@ class TestFailureHandling:
             return np.zeros((len(X), 1))
 
         pair = ModelPair(
-            reference=lambda X: np.exp(-50 * (X[:, :1] - 0.37) ** 2),
+            reference=lambda X: np.exp(-50 * (X[:, :1] - 0.373) ** 2),
             alternative=alternative,
             parameter_space=ParameterSpace([0.0], [1.0]),
         )
-        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]), GlobalSearchConfig(grid_per_dim=8))
+        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         grid_max = evaluated[0].max()
         refined_max = max(e.max() for e in evaluated[1:])
         assert len(evaluated) == 5 and refined_max > grid_max
@@ -274,7 +274,6 @@ class TestRefinementGradient:
     ], ids=["mm", "toy", "toy-width-0", "toy-width-5e-8"])
     def test_maximize_distance_matches_the_scipy_default_search(self, make, theta, lower, upper, monkeypatch):
         pair, theta, space = make(), np.array(theta), Box(lower, upper)
-        cfg = GlobalSearchConfig(grid_per_dim=16)
         runs = []
 
         def recording_minimize(*args, **kwargs):
@@ -283,24 +282,24 @@ class TestRefinementGradient:
 
         monkeypatch.setattr(search, "minimize", recording_minimize)
         counted, calls = _counting(pair)
-        x, v = maximize_distance(counted, theta, space, cfg, grid=scan_grid(pair, space, cfg))
-        expected_x, expected_v = _reference_box_search(pair, theta, space, cfg)
+        x, v = maximize_distance(counted, theta, space, grid=scan_grid(pair, space))
+        expected_x, expected_v = _reference_box_search(pair, theta, space)
         assert np.array_equal(x, expected_x) and v == expected_v
         # The scan is one call; every refinement step is one more.
-        assert len(runs) == cfg.refine_top
+        assert len(runs) == search._REFINE_TOP
         assert len(calls) == 1 + sum(res.nfev for res in runs)
 
 
-def _reference_box_search(pair, theta, space, cfg):
+def _reference_box_search(pair, theta, space):
     """The box search as it ran with scipy's own finite differences, one model call per point."""
-    axes = [np.linspace(lo, hi, cfg.grid_per_dim) for lo, hi in zip(space.lower, space.upper)]
+    axes = [np.linspace(lo, hi, search._GRID_PER_DIM) for lo, hi in zip(space.lower, space.upper)]
     X = np.array(list(itertools.product(*axes)))
     values = squared_distance(pair, X, theta)
     best_v, best_x = -np.inf, None
     for v, x in zip(values, X):
         if v > best_v or (v == best_v and tuple(x) < tuple(best_x)):
             best_v, best_x = v, x
-    for i in sorted(range(len(X)), key=lambda i: -values[i])[: cfg.refine_top]:
+    for i in sorted(range(len(X)), key=lambda i: -values[i])[: search._REFINE_TOP]:
         res = _scipy_default(pair, theta, X[i], list(zip(space.lower, space.upper)), search._LOCAL_TOL)
         x, v = np.clip(res.x, space.lower, space.upper), -float(res.fun)
         if v > best_v or (v == best_v and tuple(x) < tuple(best_x)):
@@ -310,8 +309,8 @@ def _reference_box_search(pair, theta, space, cfg):
 
 class TestScanGrid:
     def test_box_grid_and_reference_rows(self, toy_pair):
-        X, refs = scan_grid(toy_pair, Box([0.0], [1.0]), GlobalSearchConfig(grid_per_dim=5))
-        assert np.array_equal(X, np.linspace(0.0, 1.0, 5)[:, None])
+        X, refs = scan_grid(toy_pair, Box([0.0], [1.0]))
+        assert np.array_equal(X, np.linspace(0.0, 1.0, search._GRID_PER_DIM)[:, None])
         assert np.array_equal(refs, toy_pair.eval_reference(X))
 
     def test_reference_failures_left_out(self):
