@@ -1,8 +1,9 @@
 """Inner global maximization of the squared model distance.
 
 Finds the design point maximizing phi(x, theta_hat) for fixed fitted
-parameters: exact enumeration on lattices, dense-grid multistart with local
-refinement on boxes.
+parameters: exact enumeration on lattices; on boxes, a dense grid scan and
+local refinement from the grid's best local maxima, so that each peak is
+refined once.
 """
 from __future__ import annotations
 
@@ -23,8 +24,9 @@ from .core import (
 
 __all__ = ["maximize_distance", "scan_grid"]
 
-# The box search scans _GRID_PER_DIM levels per axis and refines the best
-# _REFINE_TOP grid points with L-BFGS-B.
+# The box search scans _GRID_PER_DIM levels per axis of nonzero width (one
+# level on an axis of width 0) and refines with L-BFGS-B from at most
+# _REFINE_TOP grid points, the best of the grid's local maxima.
 _GRID_PER_DIM = 64
 _REFINE_TOP = 5
 # The absolute finite-difference step of the box refinement's gradient.
@@ -75,14 +77,39 @@ def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarr
     return neg_phi_and_gradient
 
 
+def _axes(space: DesignSpace) -> list:
+    """The levels of each axis of the scan: the lattice's, or the box grid's (one level where the width is 0)."""
+    if isinstance(space, Lattice):
+        return space.levels
+    return [np.linspace(lo, hi, _GRID_PER_DIM if lo < hi else 1) for lo, hi in zip(space.lower, space.upper)]
+
+
+def _local_maxima(space: Box, X: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The rows of ``X``, box grid points, whose value is >= both neighbours' along every axis, best first.
+
+    A grid point missing from ``X`` or with value -inf is no maximum and counts as -inf for its
+    neighbours; among equal values the order of ``X`` stands.
+    """
+    axes = _axes(space)
+    V = np.full([len(a) for a in axes], -np.inf)
+    row = np.full(V.shape, -1)
+    at = tuple(np.searchsorted(a, X[:, j]) for j, a in enumerate(axes))
+    V[at], row[at] = values, np.arange(len(X))
+    peak = V > -np.inf
+    for axis in range(V.ndim):
+        v, p = np.moveaxis(V, axis, 0), np.moveaxis(peak, axis, 0)
+        p[1:] &= v[1:] >= v[:-1]
+        p[:-1] &= v[:-1] >= v[1:]
+    rows = row[peak]  # in the order of X, which is the grid's
+    return rows[np.argsort(-values[rows], kind="stable")]
+
+
 def scan_grid(pair: ModelPair, space: DesignSpace):
     """The points that :func:`maximize_distance` scans, the lattice or the box's grid, and their reference rows.
 
     A point where the reference fails is left out, so every scan skips it; failing everywhere raises.
     """
-    axes = space.levels if isinstance(space, Lattice) else [
-        np.linspace(lo, hi, _GRID_PER_DIM) for lo, hi in zip(space.lower, space.upper)]
-    X = np.array(list(itertools.product(*axes)), dtype=float)
+    X = np.array(list(itertools.product(*_axes(space))), dtype=float)
     try:
         return X, pair.eval_reference(X)
     except ModelEvaluationError as exc:
@@ -108,7 +135,8 @@ def maximize_distance(
     tracks) when one ties, else to the lexicographically smallest point, so
     equivalent lattice points never displace known ones.  Box spaces use a
     dense coordinate grid followed by bound-constrained local refinement
-    from the best grid cells, one model call per L-BFGS-B step.  ``grid`` is
+    from the best grid points that are local maxima (at most
+    ``_REFINE_TOP``), one model call per L-BFGS-B step.  ``grid`` is
     :func:`scan_grid`'s points and reference rows when the caller holds
     them.  Model evaluation failures at individual candidates are skipped,
     and one during a local refinement ends it at the best point it evaluated.
@@ -142,14 +170,14 @@ def maximize_distance(
         preferred = [x for x in tied if canonical_key(x) in prefer_keys]
         return min(preferred or tied, key=tuple).copy(), best_val
 
-    # Box: refine the top grid cells with a local bound-constrained maximizer
-    # in the coordinates of nonzero width, as minimize does without a gradient.
-    scored.sort(key=lambda sv: -sv[0])
+    # Box: refine the best local maxima of the grid with a local bound-constrained
+    # maximizer in the coordinates of nonzero width, as minimize does without a gradient.
+    starts = _local_maxima(space, X, np.array([-np.inf if v is None else v for v in values]))
     free = np.flatnonzero(space.lower < space.upper)
     best = [-np.inf, None]  # a refinement's largest evaluated phi and its point
     neg_phi_and_gradient = _neg_phi_and_gradient(pair, theta_hat, space, free, best)
     bounds = list(zip(space.lower[free], space.upper[free]))
-    for v0, x0 in scored[:_REFINE_TOP] if free.size else ():
+    for x0 in X[starts[:_REFINE_TOP]] if free.size else ():
         best[:] = -np.inf, None
         try:
             res = minimize(

@@ -8,9 +8,11 @@ disc runs stop unconverged, with exit code 2.  A change that moves an
 answer, a speed-up included, fails here.  Numbers are compared
 within 1e-12 relative; on one machine they repeat exactly.
 
-``mm-vdm`` was written by commit a7d9129.  The other four were written again
-by the commit that makes DISC's cut fits start from the warm start alone
-(the child of c54ae4e); CHANGES.md gives how far each answer moved.
+``mm-disc``, ``kinetics-2adapt`` and ``kinetics-disc`` were written by
+commit a51d231, which makes DISC's cut fits start from the warm start alone.
+``mm-2adapt`` and ``mm-vdm`` were written again by the commit that starts
+the box search's refinements only from grid points that are local maxima
+(the child of d05acfc).  CHANGES.md gives how far each answer moved.
 """
 import csv
 import importlib.resources

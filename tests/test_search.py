@@ -54,6 +54,20 @@ class TestBoxSearch:
         assert x[0] == pytest.approx(0.341, abs=1e-3)
         assert v == pytest.approx(1.0, abs=1e-6)
 
+    def test_higher_narrow_peak_refined(self):
+        # phi = 1 - (x - 0.2)^2 / 2 plus a narrow bump of 0.3 at c, midway between the grid
+        # nodes 50/63 and 51/63; the broad peak's top five grid cells rank above the bump's.
+        c = 50.5 / 63
+        pair = ModelPair(
+            reference=lambda X: np.sqrt(
+                1 - 0.5 * (X[:, :1] - 0.2) ** 2 + 0.3 * np.exp(-(((X[:, :1] - c) / 0.005) ** 2))),
+            alternative=lambda X, th: np.zeros((len(X), 1)),
+            parameter_space=ParameterSpace([0.0], [1.0]),
+        )
+        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
+        assert x[0] == pytest.approx(c, abs=1e-3)
+        assert v > 1.1
+
     def test_deterministic(self, toy_pair):
         a = maximize_distance(toy_pair, [0.4], Box([0.0], [1.0]))
         b = maximize_distance(toy_pair, [0.4], Box([0.0], [1.0]))
@@ -166,6 +180,25 @@ class TestFailureHandling:
         refined_max = max(e.max() for e in evaluated[1:])
         assert len(evaluated) == 5 and refined_max > grid_max
         assert v >= refined_max and v == pytest.approx(phi(x[None])[0], rel=1e-14)
+
+    @pytest.mark.parametrize("failing", ["reference", "alternative"])
+    def test_failed_grid_point_counts_as_minus_infinity(self, failing):
+        # phi peaks at 0.341, between the grid nodes 21/63 and 22/63; the higher one, 21/63,
+        # fails, so 22/63 is the only local maximum and its refinement reaches the peak.
+        node = np.linspace(0.0, 1.0, search._GRID_PER_DIM)[21]
+
+        def failing_at_node(f):
+            return lambda x, *th: f(x, *th) if x[0] != node else 1 / 0
+
+        models = {
+            "reference": lambda x: np.array([np.exp(-50 * (x[0] - 0.341) ** 2)]),
+            "alternative": lambda x, th: np.array([0.0]),
+        }
+        models[failing] = failing_at_node(models[failing])
+        pair = ModelPair(**{k: pointwise(f) for k, f in models.items()}, parameter_space=ParameterSpace([0.0], [1.0]))
+        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
+        assert x[0] == pytest.approx(0.341, abs=1e-3)
+        assert v == pytest.approx(1.0, abs=1e-6)
 
     def test_total_failure_raises(self):
         def broken(x):
@@ -283,28 +316,43 @@ class TestRefinementGradient:
         monkeypatch.setattr(search, "minimize", recording_minimize)
         counted, calls = _counting(pair)
         x, v = maximize_distance(counted, theta, space, grid=scan_grid(pair, space))
-        expected_x, expected_v = _reference_box_search(pair, theta, space)
+        expected_x, expected_v, n_starts = _reference_box_search(pair, theta, space)
         assert np.array_equal(x, expected_x) and v == expected_v
         # The scan is one call; every refinement step is one more.
-        assert len(runs) == search._REFINE_TOP
+        assert len(runs) == n_starts
         assert len(calls) == 1 + sum(res.nfev for res in runs)
+        if make is make_mm_pair:
+            # The mm grid's best cells sit on one peak, which is refined once.
+            assert n_starts < search._REFINE_TOP
 
 
 def _reference_box_search(pair, theta, space):
-    """The box search as it ran with scipy's own finite differences, one model call per point."""
-    axes = [np.linspace(lo, hi, search._GRID_PER_DIM) for lo, hi in zip(space.lower, space.upper)]
+    """The box search with scipy's own finite differences, one model call per point, and its number of starts.
+
+    The grid has one level on an axis of width 0; the refinements start from the best grid points
+    whose value is >= that of every neighbour along an axis.
+    """
+    axes = [np.linspace(lo, hi, search._GRID_PER_DIM if lo < hi else 1) for lo, hi in zip(space.lower, space.upper)]
+    shape = tuple(len(a) for a in axes)
     X = np.array(list(itertools.product(*axes)))
     values = squared_distance(pair, X, theta)
     best_v, best_x = -np.inf, None
     for v, x in zip(values, X):
         if v > best_v or (v == best_v and tuple(x) < tuple(best_x)):
             best_v, best_x = v, x
-    for i in sorted(range(len(X)), key=lambda i: -values[i])[: search._REFINE_TOP]:
+    peaks = []
+    for i, index in enumerate(itertools.product(*map(range, shape))):
+        neighbours = [index[:a] + (index[a] + d,) + index[a + 1:]
+                      for a in range(len(shape)) for d in (-1, 1) if 0 <= index[a] + d < shape[a]]
+        if all(values[i] >= values[np.ravel_multi_index(n, shape)] for n in neighbours):
+            peaks.append(i)
+    starts = sorted(peaks, key=lambda i: -values[i])[: search._REFINE_TOP]
+    for i in starts:
         res = _scipy_default(pair, theta, X[i], list(zip(space.lower, space.upper)), search._LOCAL_TOL)
         x, v = np.clip(res.x, space.lower, space.upper), -float(res.fun)
         if v > best_v or (v == best_v and tuple(x) < tuple(best_x)):
             best_v, best_x = v, x
-    return best_x, best_v
+    return best_x, best_v, len(starts)
 
 
 class TestScanGrid:
@@ -312,6 +360,16 @@ class TestScanGrid:
         X, refs = scan_grid(toy_pair, Box([0.0], [1.0]))
         assert np.array_equal(X, np.linspace(0.0, 1.0, search._GRID_PER_DIM)[:, None])
         assert np.array_equal(refs, toy_pair.eval_reference(X))
+
+    def test_zero_width_axis_has_one_level(self, monkeypatch):
+        space = Box([0.0, 0.3], [1.0, 0.3])
+        X, _ = scan_grid(_toy_2d(), space)
+        levels = np.linspace(0.0, 1.0, search._GRID_PER_DIM)
+        assert np.array_equal(X, np.column_stack([levels, np.full_like(levels, 0.3)]))
+        runs = []
+        monkeypatch.setattr(search, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)) or runs[-1])
+        maximize_distance(_toy_2d(), [0.3, -0.2], space)
+        assert len(runs) == 1
 
     def test_reference_failures_left_out(self):
         def flaky(x):
