@@ -93,9 +93,10 @@ class AlgoParams:
             raise ValueError(f"eps_sip {self.eps_sip:g} exceeds eps {self.eps:g}")
         if self.max_iter < 1 or self.max_iter_sip < 1:
             raise ValueError("iteration limits must be >= 1")
-        for name in ("n_theta_starts", "lam"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if self.n_theta_starts < 1:
+            raise ValueError("n_theta_starts must be >= 1: the fit a run stops on needs a Sobol start")
+        if self.lam < 0:
+            raise ValueError("lam must be nonnegative")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -200,6 +201,37 @@ def _timed(fn, *args, **kwargs):
     return fn(*args, **kwargs), time.perf_counter() - t0
 
 
+def _refit(pair, design, warm, space, params, refs, run_ends, **certify):
+    """Fit ``design`` from ``warm`` alone and certify the fit; run the Sobol check where the run ends.
+
+    A violated cut makes progress from any local fit, and only the fit a run
+    ends on needs the global one (Blankenship & Falk, 1976).  When
+    ``run_ends(report)`` holds for the warm fit's certificate, the
+    ``n_theta_starts`` Sobol starts run against that fit, which makes it the
+    full multistart's result; a start that beats it is logged and certified
+    in turn.  Without a warm start the one fit is that multistart.  Returns
+    the fits made (the warm fit, then a winner), the certificate of the last
+    and the seconds spent fitting and certifying.  ``refs`` is the reference
+    rows at the design's points; ``certify`` goes to :func:`check_optimality`.
+    """
+    fit_args = {"lam": params.lam, "refs": refs}
+    n_starts = params.n_theta_starts if warm is None else 0
+    fit, ls_time = _timed(fit_parameters, pair, design, warm, n_starts=n_starts, **fit_args)
+    report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, space, phi=fit.phi, **certify)
+    fits = [fit]
+    if warm is not None and run_ends(report):
+        best, seconds = _timed(fit_parameters, pair, design, n_starts=params.n_theta_starts, incumbent=fit, **fit_args)
+        ls_time += seconds
+        if best is not fit:
+            log.info("Sobol start %d beat the warm fit the run would end on by %.3e (regularized objective %.9e)",
+                     best.start_index, fit.regularized_objective - best.regularized_objective,
+                     best.regularized_objective)
+            fits.append(best)
+            report, seconds = _timed(check_optimality, pair, design, best.theta_hat, space, phi=best.phi, **certify)
+            global_time += seconds
+    return fits, report, ls_time, global_time
+
+
 def disc_md(
     pair: ModelPair,
     discretization: Discretization,
@@ -225,8 +257,8 @@ def disc_md(
     if not d.thetas:
         raise ValueError("initial parameter discretization must be nonempty")
     # A violated cut makes progress whether or not its fit is the global
-    # minimum, so each cut fits from the warm start alone; the fits a
-    # certificate rests on are the callers' and keep the multistart.
+    # minimum, so each cut fits from the warm start alone; the fit a run
+    # ends on is the callers' and gets the Sobol check.
     clock_start = clock_start if clock_start is not None else time.perf_counter()
 
     for inner in range(1, params.max_iter_sip + 1):
@@ -277,10 +309,16 @@ def two_adapt_md(
     """Nested adaptive discretization of parameters and design points.
 
     Each outer iteration computes weights on the current candidate set via
-    :func:`disc_md`, refits the parameters on the resulting design and
-    certifies the refit with :func:`check_optimality`, from the refit's
-    ``phi``.  It stops once :meth:`OptimalityReport.is_eps_optimal` holds at
-    ``params.eps``, else adds the report's ``worst_point`` to the candidates.
+    :func:`disc_md`, refits the parameters on the resulting design from the
+    last cut alone and certifies the refit with :func:`check_optimality`,
+    from the refit's ``phi``.  It stops once
+    :meth:`OptimalityReport.is_eps_optimal` holds at ``params.eps``, else
+    adds the report's ``worst_point`` to the candidates.  Where the run
+    would end (certified, about to stall, or at ``max_iter``), the refit
+    first meets the ``n_theta_starts`` Sobol starts; one that beats it adds
+    its cut, is certified in turn and resets the stall count, and the run
+    goes on unless that certificate ends it.  The initial fit, without
+    ``theta_disc0``, is the Sobol multistart.
     One :class:`Discretization` carries the candidates, their reference
     rows, the cuts and phi over all outer iterations; the scan points'
     reference rows are evaluated once per solve.  Records are appended to
@@ -289,10 +327,9 @@ def two_adapt_md(
     _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
-    fit_args = {"n_starts": params.n_theta_starts, "lam": params.lam}
     d = Discretization(pair, initial.points, theta_disc0 or ())
     if not theta_disc0:
-        fit = fit_parameters(pair, initial, refs=d.refs, **fit_args)
+        fit = fit_parameters(pair, initial, n_starts=params.n_theta_starts, lam=params.lam, refs=d.refs)
         d.add_cut(fit.theta_hat, fit.phi)  # its design points are the candidates
     grid = scan_grid(pair, space)
 
@@ -301,14 +338,22 @@ def two_adapt_md(
     stalled = False
     converged = False
 
+    def run_ends(report):
+        # Certified, at the last iteration, or a stall about to fire: the point is no new candidate and
+        # the accuracy does not improve (as d.add and the stall count below decide).
+        return (report.is_eps_optimal(params.eps) or n == params.max_iter
+                or (stall + 1 >= _STALL_LIMIT and canonical_key(report.worst_point) in d.index
+                    and not report.max_psi < best_accuracy))
+
     for n in range(1, params.max_iter + 1):
         design, rows, fit, _ = disc_md(pair, d, params, history=history, outer_iteration=n, clock_start=t0)
-        fit, ls_time = _timed(fit_parameters, pair, design, fit.theta_hat, refs=d.refs[rows], **fit_args)
-        d.add_cut(fit.theta_hat, fit.phi, rows)
-
-        report, global_time = _timed(
-            check_optimality, pair, design, fit.theta_hat, space, phi=fit.phi, prefer=d.points, grid=grid
+        fits, report, ls_time, global_time = _refit(
+            pair, design, fit.theta_hat, space, params, d.refs[rows], run_ends, prefer=d.points, grid=grid
         )
+        for fit in fits:
+            d.add_cut(fit.theta_hat, fit.phi, rows)
+        if len(fits) > 1:
+            stall = 0
         accuracy = report.max_psi
 
         history.append(
@@ -417,26 +462,33 @@ def vdm(
     Mixes the current design with a point mass at the certificate's
     ``worst_point`` with the harmonic step 1/(k+1) at iteration k (Atkinson &
     Fedorov, 1975), and stops once its ``max_psi`` is at most eps (the
-    support gap is not checked).  A run that reaches ``max_iter`` returns
-    its last fitted and certified design, unmixed.
+    support gap is not checked).  The first fit is the Sobol multistart;
+    each later one starts from the fit before it alone, and where the run
+    would end (``max_psi`` at most eps, or ``max_iter``) it first meets the
+    ``n_theta_starts`` Sobol starts.  A start that beats it is certified in
+    turn, and the run goes on unless that certificate ends it.  A run that
+    reaches ``max_iter`` returns its last fitted and certified design,
+    unmixed.
     """
     _validate_design(space, initial)
     t0 = time.perf_counter()
     history = [] if history is None else history
-    fit_args = {"n_starts": params.n_theta_starts, "lam": params.lam}
     design = initial
     d = Discretization(pair, design.points)  # the support points, in design order
     grid = scan_grid(pair, space)
     fit = None
     converged = False
 
+    def run_ends(report):
+        return report.max_psi <= params.eps or k == params.max_iter - 1
+
     for k in range(params.max_iter):
         if fit is not None:
             d.add(report.worst_point)  # a new point, as mixing appends it
             design = mix_designs(design, Design(np.array([report.worst_point]), np.array([1.0])), 1.0 / (k + 1))
         warm = fit.theta_hat if fit is not None else None
-        fit, ls_time = _timed(fit_parameters, pair, design, warm, refs=d.refs, **fit_args)
-        report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, space, phi=fit.phi, grid=grid)
+        fits, report, ls_time, global_time = _refit(pair, design, warm, space, params, d.refs, run_ends, grid=grid)
+        fit = fits[-1]
 
         history.append(
             IterationRecord(

@@ -156,6 +156,8 @@ def fit_parameters(
     n_starts: int = 9,
     lam: float = 1e-8,
     refs=None,
+    *,
+    incumbent: FitResult | None = None,
 ) -> FitResult:
     """Fit the alternative model's parameters to the reference on a design.
 
@@ -168,25 +170,36 @@ def fit_parameters(
     unregularized value, the weighted sum of ``phi``.  ``refs`` is the
     reference rows at the design's points when the caller holds them;
     only without it is the reference evaluated, once.
+
+    ``incumbent`` is a fit of this design, with these ``lam`` and ``refs``,
+    from its warm start alone; it stands in for that start, which is not run
+    again, and may not come with ``warm_start``.  A Sobol start replaces it
+    only with a strictly lower cost, so the result equals the multistart from
+    that warm start bit for bit; the incumbent itself is returned, and no phi
+    evaluated, when none does.
     """
     if n_starts < 0:
         raise ValueError("n_starts must be >= 0")
     if lam < 0:
         raise ValueError("lam must be >= 0")
+    if incumbent is not None and warm_start is not None:
+        raise ValueError("incumbent stands in for the warm start; pass one of them")
     space = pair.parameter_space
     starts: list[np.ndarray] = []
     if warm_start is not None:
         starts.append(space.clip(warm_start))
     starts.extend(sobol_points(space.dimension, n_starts, space))
-    if not starts:
+    if not starts and incumbent is None:
         raise FitError("no starting points: supply a warm start or n_starts > 0")
 
     refs = pair.eval_reference(design.points) if refs is None else refs
     residuals, jac = _stacked_residuals(pair, design, refs, lam)
     best = None
     best_index = -1
+    # The incumbent is start 0; its regularized objective is twice its cost, exactly.
+    best_cost = None if incumbent is None else incumbent.regularized_objective / 2.0
     skipped = []
-    for i, x0 in enumerate(starts):
+    for i, x0 in enumerate(starts, start=0 if incumbent is None else 1):
         try:
             res = least_squares(
                 residuals,
@@ -203,10 +216,11 @@ def fit_parameters(
         except ModelEvaluationError as exc:
             skipped.append((i, exc))
             continue
-        if best is None or res.cost < best.cost:
-            best = res
-            best_index = i
+        if best_cost is None or res.cost < best_cost:
+            best, best_cost, best_index = res, res.cost, i
     if best is None:
+        if incumbent is not None:
+            return incumbent
         raise FitError(
             f"all {len(starts)} least-squares starts failed", skipped=skipped
         )

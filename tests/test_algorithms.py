@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.resources
+import logging
 from collections import Counter
 
 import numpy as np
@@ -28,7 +29,7 @@ from discrimopt.config import load_config
 from discrimopt.core import squared_distance, t_value
 from discrimopt.lsq import fit_parameters
 
-from conftest import linear_vs_constant
+from conftest import linear_vs_constant, two_basins
 
 TOY_BOX = Box([0.0], [1.0])
 MM_CONFIG = importlib.resources.files("discrimopt") / "configs" / "mm.config"
@@ -100,6 +101,12 @@ class TestDiscMd:
             AlgoParams(eps_sip=0.0)
         with pytest.raises(ValueError):
             AlgoParams(max_iter_sip=0)
+
+    def test_n_theta_starts_at_least_one(self):
+        # With no Sobol start the fit a run stops on would go unchecked.
+        with pytest.raises(ValueError, match="^n_theta_starts must be >= 1"):
+            AlgoParams(n_theta_starts=0)
+        assert AlgoParams(n_theta_starts=1).n_theta_starts == 1
 
     def test_eps_sip_follows_eps(self):
         assert AlgoParams().eps_sip == AlgoParams().eps == 1e-5
@@ -358,12 +365,14 @@ class TestDiscretization:
 
 
 class TestWhereTheMultistartRuns:
-    """Each cut fit of :func:`disc_md` runs one least-squares start, its warm start.
+    """Every fit that has a warm start runs that start alone; the Sobol starts run where a run ends.
 
-    The fits that a certificate or a returned answer rests on run the
-    configured multistart: the initial fit its ``n_theta_starts`` Sobol
-    points (it has no warm start), 2ADAPT's outer refits and DISC's final
-    refit the warm start and those points.
+    Each cut fit of :func:`disc_md` and each refit of 2ADAPT and VDM runs one
+    least-squares start, its warm start.  The refit a run ends on then meets
+    the ``n_theta_starts`` Sobol starts (the Sobol check), which makes it the
+    full multistart's result.  The fits without a warm start, the initial fit
+    of 2ADAPT and VDM's first fit, run the Sobol starts alone; DISC on its
+    own keeps one multistart refit, the warm start and those points.
     """
 
     @staticmethod
@@ -397,11 +406,21 @@ class TestWhereTheMultistartRuns:
         n = cfg.params.n_theta_starts
         fits = self.starts_per_fit(monkeypatch)
         result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params)
-        assert result.converged and n > 0
+        assert result.converged and n > 1
         assert fits[0] == [False, n]
         cuts = sum(r.phase == "disc" for r in result.history)
         assert [s for inside, s in fits[1:] if inside] == [1] * cuts
-        assert [s for inside, s in fits[1:] if not inside] == [1 + n] * result.iterations
+        # One warm refit per outer iteration; the certified one then meets the Sobol starts, and none beats it.
+        assert [s for inside, s in fits[1:] if not inside] == [1] * result.iterations + [n]
+        assert fits[-2:] == [[False, 1], [False, n]]
+
+    def test_vdm(self, monkeypatch):
+        cfg = load_config(MM_CONFIG, algorithm="vdm")
+        n = cfg.params.n_theta_starts
+        fits = self.starts_per_fit(monkeypatch)
+        result = vdm(cfg.pair, cfg.space, cfg.initial, cfg.params)
+        assert result.converged and result.iterations > 2
+        assert fits == [[False, n]] + [[False, 1]] * (result.iterations - 1) + [[False, n]]
 
     def test_disc(self, monkeypatch):
         cfg = load_config(MM_CONFIG)
@@ -409,6 +428,48 @@ class TestWhereTheMultistartRuns:
         fits = self.starts_per_fit(monkeypatch)
         result = disc(cfg.pair, cfg.space, cfg.initial, cfg.params)
         assert fits == [[False, n]] + [[True, 1]] * len(result.history) + [[False, 1 + n]]
+
+    def test_sobol_check_overturns_a_warm_fit_in_the_worse_basin(self, caplog):
+        # From the cut theta = 0.2, on the local maximum of c, the warm refit of
+        # the one-point design {1: 1} stays there, and its certificate says stop:
+        # psi(x) = (x - c(0.2))^2 - (1 - c(0.2))^2 peaks at 0, at x = 1.
+        pair = two_basins()
+        initial = Design(np.array([[1.0]]), np.array([1.0]))
+        warm = fit_parameters(pair, initial, [0.2], n_starts=0)
+        assert warm.theta_hat[0] == pytest.approx(0.2, abs=1e-6)
+        assert check_optimality(pair, initial, warm.theta_hat, TOY_BOX).is_eps_optimal(1e-5)
+
+        with caplog.at_level(logging.INFO, logger="discrimopt"):
+            result = two_adapt_md(pair, TOY_BOX, initial, theta_disc0=[np.array([0.2])])
+        assert "beat the warm fit" in caplog.text
+        # Outer iteration 1 records the winner's certificate, c(theta) = 1 and psi(0) = 1, and the run goes on.
+        first = next(r for r in result.history if r.phase == "outer")
+        assert first.accuracy == pytest.approx(1.0, abs=1e-6)
+        assert result.iterations > 1
+        assert result.converged and result.t_value == pytest.approx(0.25, abs=1e-6)
+        assert sorted(round(p[0], 6) for p in result.design.points) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("name, max_iter", [("2adapt", 3), ("vdm", 5)])
+    def test_run_ending_at_max_iter_returns_the_multistart_fit(self, name, max_iter, monkeypatch):
+        cfg = load_config(MM_CONFIG, algorithm=name)
+        params = dataclasses.replace(cfg.params, max_iter=max_iter)
+        calls = []
+        recorded = algorithms.fit_parameters
+
+        def recorded_fit(*args, **kwargs):
+            calls.append((args, kwargs))
+            return recorded(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "fit_parameters", recorded_fit)
+        result = solve(name, cfg.pair, cfg.space, cfg.initial, params)
+        assert not result.converged and result.iterations == max_iter
+        # The last two fits are the final warm refit and its Sobol check.
+        (pair, design, warm), kwargs = calls[-2][0], calls[-2][1]
+        assert "incumbent" in calls[-1][1]
+        full = fit_parameters(pair, design, warm, n_starts=params.n_theta_starts, lam=params.lam, refs=kwargs["refs"])
+        assert np.array_equal(result.theta_hat, full.theta_hat)
+        assert result.t_value == full.objective == result.history[-1].t_value
+        assert np.array_equal(result.design.points, design.points)
 
 
 class TestSolve:

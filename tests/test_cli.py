@@ -21,6 +21,7 @@ from discrimopt.cli import main
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
 MM_CONFIG = str(CONFIG_DIR / "mm.config")
 KINETICS_CONFIG = str(CONFIG_DIR / "kinetics.config")
+KINETICS_BENCH = str(Path(__file__).parent.parent / "benchmarks" / "kinetics.config")
 TIME_COLUMNS = {"lp_time", "ls_time", "global_time", "wall_time"}
 
 
@@ -220,6 +221,18 @@ class TestSolve:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert errors == ["error: algorithm.eps_sip: eps_sip 1e-05 exceeds eps 1e-06"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "history.csv").exists()
+
+    def test_no_sobol_starts_rejected(self, tmp_path, capsys):
+        text = Path(KINETICS_BENCH).read_text()
+        assert "  n_theta_starts: 1\n" in text
+        path = tmp_path / "bad.config"
+        path.write_text(text.replace("  n_theta_starts: 1\n", "  n_theta_starts: 0\n"))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: algorithm.n_theta_starts: n_theta_starts must be >= 1")
         assert "Traceback" not in err
         assert not (tmp_path / "history.csv").exists()
 

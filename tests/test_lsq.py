@@ -15,7 +15,7 @@ from discrimopt.core import squared_distance, t_value
 from discrimopt.lsq import FitError, fit_parameters, sobol_points
 from discrimopt.models import make_kinetics_pair
 
-from conftest import linear_vs_constant
+from conftest import linear_vs_constant, two_basins
 
 
 class TestSobolPoints:
@@ -127,6 +127,25 @@ class TestFitParameters:
 
         grad = (obj(theta + h) - obj(theta - h)) / (2 * h)
         assert abs(grad) <= 1e-4 * (1 + abs(fit.objective))
+
+    def test_incumbent_stands_in_for_the_warm_start(self):
+        # On {1: 1} the warm start theta = 0.2 stays in the worse basin and a Sobol start wins.
+        pair, design = two_basins(), Design(np.array([[1.0]]), np.array([1.0]))
+        warm = fit_parameters(pair, design, [0.2], n_starts=0)
+        checked = fit_parameters(pair, design, n_starts=9, incumbent=warm)
+        full = fit_parameters(pair, design, [0.2], n_starts=9)
+        assert checked.start_index == full.start_index > 0
+        assert np.array_equal(checked.theta_hat, full.theta_hat) and np.array_equal(checked.phi, full.phi)
+        assert checked.objective == full.objective
+        assert checked.regularized_objective == full.regularized_objective < warm.regularized_objective
+
+    def test_incumbent_kept_when_no_start_beats_it(self, toy_pair, toy_optimum):
+        # The multistart's own winner ties its start again, and a tie does not replace it.
+        best = fit_parameters(toy_pair, toy_optimum, n_starts=9)
+        assert fit_parameters(toy_pair, toy_optimum, n_starts=9, incumbent=best) is best
+        assert fit_parameters(toy_pair, toy_optimum, n_starts=0, incumbent=best) is best
+        with pytest.raises(ValueError, match="incumbent"):
+            fit_parameters(toy_pair, toy_optimum, [0.5], incumbent=best)
 
     def test_no_starts_at_all_rejected(self, toy_pair, toy_optimum):
         with pytest.raises(FitError):

@@ -51,11 +51,7 @@ def test_closed_form_design_certifies(n):
     assert fit.objective == pytest.approx(t_star, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [
-    pytest.param(2, marks=pytest.mark.xfail(
-        strict=True, reason="stalls after 22 outer iterations at accuracy 1.5e-5 (ROADMAP item 1)")),
-    3, 4, 5,
-])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_two_adapt_reaches_the_closed_form_design(n):
     pair = polynomial_pair(n)
     initial = Design(np.linspace(-0.9, 0.9, n + 2)[:, None], np.full(n + 2, 1.0 / (n + 2)))
