@@ -7,12 +7,16 @@ several algorithms on one problem and tabulates the results.
 
 Exit codes: 0 success/converged, 2 non-converged termination (stall or
 iteration limit), 1 error.  The ``DISCRIM_OPT_LOG`` environment variable
-(error | info | debug) controls log verbosity.
+(error | info | debug) controls log verbosity.  Each command runs every
+OpenBLAS loaded in the process on one thread, and restores its thread count
+on return; library callers of :func:`~discrimopt.algorithms.solve` keep their own.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import json
 import logging
 import os
@@ -41,6 +45,28 @@ log = logging.getLogger("discrimopt")
 
 # Points of the psi curve, equispaced over the 1-D box.
 _PSI_GRID = 400
+
+# dlinfo's request for an object's entry in the loader's list of loaded objects.
+_RTLD_DI_LINKMAP = 2
+# OpenBLAS's thread-count setter, by build: the prefixed builds in the numpy
+# (64-bit integers) and scipy wheels, then a plain one.  Each has a getter of
+# the same name with "get" for "set".
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+)
+
+
+class _LinkMap(ctypes.Structure):
+    """The public head of ``struct link_map`` (``<link.h>``), one loaded object."""
+
+    _fields_ = [
+        ("l_addr", ctypes.c_void_p),
+        ("l_name", ctypes.c_char_p),
+        ("l_ld", ctypes.c_void_p),
+        ("l_next", ctypes.c_void_p),
+    ]
 
 
 def _fmt(value):
@@ -215,6 +241,59 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries loaded in this process; none where the loader has no dlinfo."""
+    # On POSIX ctypes.pythonapi wraps dlopen(NULL), the handle of the process itself.
+    process, head = ctypes.pythonapi, ctypes.c_void_p()
+    try:
+        dlinfo = process["dlinfo"]  # a new function object, so the declarations below stay local
+    except AttributeError:
+        return []
+    dlinfo.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(ctypes.c_void_p))
+    dlinfo.restype = ctypes.c_int
+    if dlinfo(process._handle, _RTLD_DI_LINKMAP, ctypes.byref(head)) != 0:
+        return []
+    paths, node = [], head.value
+    while node:
+        entry = _LinkMap.from_address(node)
+        name = entry.l_name
+        if name and b"openblas" in name:
+            paths.append(os.fsdecode(name))
+        node = entry.l_next
+    return paths
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run every loaded OpenBLAS on one thread, then restore each one's count.
+
+    The arrays here are small, so a second BLAS thread does no work, yet it
+    spins after the search's L-BFGS-B calls.  A library that cannot be
+    opened, or that has no known setter, is left as it is.
+    """
+    restore = []
+    for path in _loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            try:
+                set_threads, get_threads = lib[name], lib[name.replace("_set_", "_get_")]
+            except AttributeError:
+                continue
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+            restore.append((set_threads, get_threads()))
+            set_threads(1)
+            break
+    try:
+        yield
+    finally:
+        for set_threads, count in reversed(restore):
+            set_threads(count)
+
+
 def _configure_logging():
     level = os.environ.get("DISCRIM_OPT_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -229,7 +308,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except (ConfigError, DesignError, FitError, ModelEvaluationError, SolverError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

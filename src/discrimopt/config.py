@@ -47,7 +47,10 @@ class ProblemConfig:
     output_dir: str | None = None
 
 
-def _expect_mapping(node, path):
+def _expect_mapping(node, path, optional=False):
+    """``node`` as a mapping; an optional section whose keys are all commented out is null, read as empty."""
+    if optional and node is None:
+        return {}
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
     return node
@@ -83,7 +86,7 @@ def _parse_model(node, path="model") -> ModelPair:
     name = _get(node, "name", path)
     if not isinstance(name, str):
         raise ConfigError(f"{path}.name: expected a string")
-    params = dict(_expect_mapping(node.get("reference_params", {}), f"{path}.reference_params"))
+    params = dict(_expect_mapping(node.get("reference_params"), f"{path}.reference_params", optional=True))
     space = None
     if "parameter_space" in node:
         ps = _expect_mapping(node["parameter_space"], f"{path}.parameter_space")
@@ -151,7 +154,7 @@ def _parse_initial(node, space: DesignSpace, path="initial_design") -> Design:
 
 def _parse_algorithm(node, algorithm=None, path="algorithm"):
     """The algorithm that will run, ``algorithm`` or else the configured one, and its parameters."""
-    node = _expect_mapping(node, path)
+    node = _expect_mapping(node, path, optional=True)
     _reject_unknown(node, {"name", *_ALGO_KEYS}, path)
     name = node.get("name", "2adapt")
     if name not in ALGORITHMS:
@@ -169,7 +172,7 @@ def _parse_algorithm(node, algorithm=None, path="algorithm"):
 
 
 def _parse_output(node, path="output"):
-    node = _expect_mapping(node or {}, path)
+    node = _expect_mapping(node, path, optional=True)
     _reject_unknown(node, {"directory", "emit_psi_curve"}, path)
     emit = node.get("emit_psi_curve", True)
     if not isinstance(emit, bool):
@@ -203,7 +206,7 @@ def load_config(path: str | Path, algorithm: str | None = None) -> ProblemConfig
     pair = _parse_model(_get(tree, "model", "<root>"))
     space = _parse_space(_get(tree, "design_space", "<root>"))
     initial = _parse_initial(_get(tree, "initial_design", "<root>"), space)
-    name, params = _parse_algorithm(tree.get("algorithm", {}), algorithm)
+    name, params = _parse_algorithm(tree.get("algorithm"), algorithm)
     emit, directory = _parse_output(tree.get("output"))
     return ProblemConfig(
         pair=pair,

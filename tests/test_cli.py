@@ -1,8 +1,11 @@
+import _ctypes
+import ctypes
 import csv
 import dataclasses
 import importlib.resources
 import itertools
 import json
+import os
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -451,3 +454,80 @@ class TestArgumentParsing:
     def test_threads_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["solve", "--config", MM_CONFIG, "--threads", "1"])
+
+
+def _loaded_openblas_threads():
+    """Each OpenBLAS mapped into this process, read from /proc/self/maps, with its thread-count functions."""
+    maps = Path("/proc/self/maps")
+    lines = maps.read_text().splitlines() if maps.exists() else []
+    paths = sorted({p for p in (line.split(None, 5)[-1] for line in lines) if "openblas" in Path(p).name})
+    found = {}
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for suffix in ("", "64_"):
+            for prefix in ("openblas", "scipy_openblas"):
+                if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                    found[path] = (lib[f"{prefix}_get_num_threads{suffix}"], lib[f"{prefix}_set_num_threads{suffix}"])
+        assert path in found, f"{path} has no known thread-count functions"
+    return found
+
+
+@pytest.fixture
+def openblas():
+    """The loaded OpenBLAS libraries, each set to two threads for the test and restored after it."""
+    libs = _loaded_openblas_threads()
+    if not libs:
+        pytest.skip("no OpenBLAS library is loaded in this process")
+    before = {path: get() for path, (get, _) in libs.items()}
+    for _, set_threads in libs.values():
+        set_threads(2)
+    yield lambda: {path: get() for path, (get, _) in libs.items()}
+    for path, (_, set_threads) in libs.items():
+        set_threads(before[path])
+
+
+class TestBlasThreads:
+    """Each command runs BLAS on one thread and leaves every library's count as it found it."""
+
+    def test_limiter_finds_every_loaded_openblas(self, openblas):
+        assert {os.path.realpath(p) for p in cli._loaded_openblas()} == set(openblas())
+
+    def _record(self, monkeypatch, openblas, name):
+        seen = []
+        wrapped = getattr(cli, name)
+
+        def recording(*args, **kwargs):
+            seen.append(openblas())
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+        return seen
+
+    def test_solve(self, openblas, monkeypatch, tmp_path):
+        seen = self._record(monkeypatch, openblas, "solve")
+        assert main(["solve", "--config", MM_CONFIG, "--out", str(tmp_path)]) == 0
+        assert [set(counts.values()) for counts in seen] == [{1}]
+        assert set(openblas().values()) == {2}
+
+    def test_verify(self, openblas, mm_solution, monkeypatch):
+        seen = self._record(monkeypatch, openblas, "fit_parameters")
+        _, out = mm_solution
+        assert main(["verify", "--design", str(out / "design.json"), "--config", MM_CONFIG]) == 0
+        assert [set(counts.values()) for counts in seen] == [{1}]
+        assert set(openblas().values()) == {2}
+
+    def test_failed_command_restores_counts(self, openblas, tmp_path):
+        assert main(["verify", "--design", str(tmp_path / "missing.json"), "--config", MM_CONFIG]) == 1
+        assert set(openblas().values()) == {2}
+
+    def test_unloadable_and_symbolless_libraries_skipped(self, openblas, mm_solution, monkeypatch, tmp_path):
+        # A path that is not loaded fails RTLD_NOLOAD; the ctypes extension is loaded but is
+        # no BLAS.  Each OpenBLAS is listed twice, and still ends at its own count.
+        loaded = cli._loaded_openblas()
+        extra = [str(tmp_path / "libopenblas_missing.so"), _ctypes.__file__]
+        monkeypatch.setattr(cli, "_loaded_openblas", lambda: extra + loaded + extra + loaded)
+        seen = self._record(monkeypatch, openblas, "fit_parameters")
+        _, out = mm_solution
+        assert main(["verify", "--design", str(out / "design.json"), "--config", MM_CONFIG]) == 0
+        assert [set(counts.values()) for counts in seen] == [{1}]
+        assert set(openblas().values()) == {2}

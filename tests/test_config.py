@@ -70,6 +70,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "model:\n  name: mm_vs_modmm\n"))
 
+    def test_algorithm_with_every_key_commented_out(self, tmp_path):
+        body = MINIMAL + "\nalgorithm:\n  # name: vdm\n  # eps: 1.0e-6\n"
+        cfg = load_config(write_config(tmp_path, body))
+        assert cfg.algorithm == "2adapt"
+        assert cfg.params == load_config(write_config(tmp_path, MINIMAL)).params
+
+    def test_reference_params_with_every_key_commented_out(self, tmp_path):
+        body = MINIMAL.replace(
+            "  name: mm_vs_modmm\n", "  name: mm_vs_modmm\n  reference_params:\n    # V: 2.0\n"
+        )
+        default = load_config(write_config(tmp_path, MINIMAL))
+        cfg = load_config(write_config(tmp_path, body))
+        assert cfg.pair.eval_reference([1.0])[0] == default.pair.eval_reference([1.0])[0]
+
+    def test_output_of_another_type_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="output: expected a mapping, got bool"):
+            load_config(write_config(tmp_path, MINIMAL + "\noutput: false\n"))
+
     def test_unknown_field_named(self, tmp_path):
         bad = MINIMAL + "\nalgorithm:\n  name: 2adapt\n  epsilon: 1.0\n"
         with pytest.raises(ConfigError, match="algorithm"):
