@@ -9,6 +9,8 @@ solvers share one signature and :func:`solve` runs any of them by name.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -86,6 +88,13 @@ class AlgoParams:
         if self.eps_sip is None:
             object.__setattr__(self, "eps_sip", self.eps)
         # Each message opens with the field it is about; the config loader names that field.
+        for name in ("eps", "eps_sip", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("max_iter", "n_theta_starts", "max_iter_sip"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         for name in ("eps", "eps_sip"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -201,35 +210,71 @@ def _timed(fn, *args, **kwargs):
     return fn(*args, **kwargs), time.perf_counter() - t0
 
 
-def _refit(pair, design, warm, space, params, refs, run_ends, **certify):
-    """Fit ``design`` from ``warm`` alone and certify the fit; run the Sobol check where the run ends.
+def _record(history: list, clock_start: float, **fields):
+    """Append an :class:`IterationRecord` of ``fields``, its ``wall_time`` the seconds since ``clock_start``."""
+    history.append(IterationRecord(**fields, wall_time=time.perf_counter() - clock_start))
 
-    A violated cut makes progress from any local fit, and only the fit a run
-    ends on needs the global one (Blankenship & Falk, 1976).  When
-    ``run_ends(report)`` holds for the warm fit's certificate, the
-    ``n_theta_starts`` Sobol starts run against that fit, which makes it the
-    full multistart's result; a start that beats it is logged and certified
-    in turn.  Without a warm start the one fit is that multistart.  Returns
-    the fits made (the warm fit, then a winner), the certificate of the last
-    and the seconds spent fitting and certifying.  ``refs`` is the reference
-    rows at the design's points; ``certify`` goes to :func:`check_optimality`.
+
+class _Run:
+    """One solve: its pair, space, settings, records and clock, and the refit-and-certify step every solver shares.
+
+    The constructor checks that the initial design lies in the space and
+    starts the clock.  ``history`` is the caller's list when one is given, so
+    the records survive a sub-solver's exception.
     """
-    fit_args = {"lam": params.lam, "refs": refs}
-    n_starts = params.n_theta_starts if warm is None else 0
-    fit, ls_time = _timed(fit_parameters, pair, design, warm, n_starts=n_starts, **fit_args)
-    report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, space, phi=fit.phi, **certify)
-    fits = [fit]
-    if warm is not None and run_ends(report):
-        best, seconds = _timed(fit_parameters, pair, design, n_starts=params.n_theta_starts, incumbent=fit, **fit_args)
-        ls_time += seconds
-        if best is not fit:
-            log.info("Sobol start %d beat the warm fit the run would end on by %.3e (regularized objective %.9e)",
-                     best.start_index, fit.regularized_objective - best.regularized_objective,
-                     best.regularized_objective)
-            fits.append(best)
-            report, seconds = _timed(check_optimality, pair, design, best.theta_hat, space, phi=best.phi, **certify)
-            global_time += seconds
-    return fits, report, ls_time, global_time
+
+    def __init__(self, pair: ModelPair, space: DesignSpace, initial: Design, params: AlgoParams,
+                 history: list[IterationRecord] | None = None):
+        for p in initial.points:
+            if not space.contains(p):
+                raise DesignError(f"design point {p} lies outside the design space")
+        self.pair, self.space, self.params = pair, space, params
+        self.history = [] if history is None else history
+        self.t0 = time.perf_counter()
+
+    def refit(self, design: Design, warm, refs=None, run_ends=lambda report: True, **certify):
+        """Fit ``design`` from ``warm`` alone and certify the fit; run the Sobol check where the run ends.
+
+        A violated cut makes progress from any local fit, and only the fit a
+        run ends on needs the global one (Blankenship & Falk, 1976).  When
+        ``run_ends(report)`` holds for the warm fit's certificate (by default
+        it does), the ``n_theta_starts`` Sobol starts run against that fit,
+        which makes it the full multistart's result; a start that beats it is
+        logged and certified in turn.  Without a warm start the one fit is that
+        multistart.  Returns the fits made (the warm fit, then a winner), the
+        certificate of the last, and the ``ls_time`` and ``global_time`` spent
+        fitting and certifying.  ``refs`` is the reference rows at the design's
+        points, evaluated here once when not given; ``certify`` goes to
+        :func:`check_optimality`.
+        """
+        pair, params = self.pair, self.params
+        fit_args = {"lam": params.lam, "refs": pair.eval_reference(design.points) if refs is None else refs}
+        n_starts = params.n_theta_starts if warm is None else 0
+        fit, ls_time = _timed(fit_parameters, pair, design, warm, n_starts=n_starts, **fit_args)
+        report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, self.space, phi=fit.phi, **certify)
+        fits = [fit]
+        if warm is not None and run_ends(report):
+            best, seconds = _timed(fit_parameters, pair, design, n_starts=params.n_theta_starts, incumbent=fit,
+                                   **fit_args)
+            ls_time += seconds
+            if best is not fit:
+                log.info("Sobol start %d beat the warm fit the run would end on by %.3e (regularized objective %.9e)",
+                         best.start_index, fit.regularized_objective - best.regularized_objective,
+                         best.regularized_objective)
+                fits.append(best)
+                report, seconds = _timed(check_optimality, pair, design, best.theta_hat, self.space, phi=best.phi,
+                                         **certify)
+                global_time += seconds
+        return fits, report, {"ls_time": ls_time, "global_time": global_time}
+
+    def record(self, **fields):
+        _record(self.history, self.t0, **fields)
+
+    def result(self, design: Design, fit: FitResult, report: OptimalityReport, iterations: int, converged: bool,
+               stalled: bool = False) -> SolveResult:
+        """The run's result: ``design`` with ``fit``, the ``max_psi`` of ``report`` as its accuracy, and the records."""
+        return SolveResult(design, fit.theta_hat, fit.objective, report.max_psi, iterations, converged,
+                           tuple(self.history), time.perf_counter() - self.t0, stalled)
 
 
 def disc_md(
@@ -269,32 +314,15 @@ def disc_md(
                               n_starts=0, lam=params.lam, refs=d.refs)
         d.add_cut(fit.theta_hat, fit.phi)  # the fit's design points are the candidates, in order
         if history is not None:
-            history.append(
-                IterationRecord(
-                    phase="disc",
-                    outer_iteration=outer_iteration,
-                    inner_iteration=inner,
-                    t_lp=sol.t,
-                    t_value=fit.objective,
-                    n_theta=len(d.thetas),
-                    n_candidates=len(d.points),
-                    lp_time=lp_time,
-                    ls_time=ls_time,
-                    wall_time=time.perf_counter() - clock_start,
-                )
-            )
+            _record(history, clock_start, phase="disc", outer_iteration=outer_iteration, inner_iteration=inner,
+                    t_lp=sol.t, t_value=fit.objective, n_theta=len(d.thetas), n_candidates=len(d.points),
+                    lp_time=lp_time, ls_time=ls_time)
         converged = bool(sol.weights @ fit.phi - sol.t >= -params.eps_sip)
         if converged:
             break
 
     design = prune_design(Design(d.points, sol.weights))
     return design, d.rows(design.points), fit, converged
-
-
-def _validate_design(space: DesignSpace, design: Design):
-    for p in design.points:
-        if not space.contains(p):
-            raise DesignError(f"design point {p} lies outside the design space")
 
 
 def two_adapt_md(
@@ -324,19 +352,14 @@ def two_adapt_md(
     reference rows are evaluated once per solve.  Records are appended to
     ``history`` when one is given, so they survive a sub-solver's exception.
     """
-    _validate_design(space, initial)
-    t0 = time.perf_counter()
-    history = [] if history is None else history
+    run = _Run(pair, space, initial, params, history)
     d = Discretization(pair, initial.points, theta_disc0 or ())
     if not theta_disc0:
         fit = fit_parameters(pair, initial, n_starts=params.n_theta_starts, lam=params.lam, refs=d.refs)
         d.add_cut(fit.theta_hat, fit.phi)  # its design points are the candidates
     grid = scan_grid(pair, space)
 
-    best_accuracy = np.inf
-    stall = 0
-    stalled = False
-    converged = False
+    best_accuracy, stall, stalled = np.inf, 0, False
 
     def run_ends(report):
         # Certified, at the last iteration, or a stall about to fire: the point is no new candidate and
@@ -346,34 +369,19 @@ def two_adapt_md(
                     and not report.max_psi < best_accuracy))
 
     for n in range(1, params.max_iter + 1):
-        design, rows, fit, _ = disc_md(pair, d, params, history=history, outer_iteration=n, clock_start=t0)
-        fits, report, ls_time, global_time = _refit(
-            pair, design, fit.theta_hat, space, params, d.refs[rows], run_ends, prefer=d.points, grid=grid
-        )
+        design, rows, fit, _ = disc_md(pair, d, params, history=run.history, outer_iteration=n, clock_start=run.t0)
+        fits, report, times = run.refit(design, fit.theta_hat, d.refs[rows], run_ends, prefer=d.points, grid=grid)
         for fit in fits:
             d.add_cut(fit.theta_hat, fit.phi, rows)
         if len(fits) > 1:
             stall = 0
         accuracy = report.max_psi
-
-        history.append(
-            IterationRecord(
-                phase="outer",
-                outer_iteration=n,
-                t_value=fit.objective,
-                accuracy=accuracy,
-                n_theta=len(d.thetas),
-                n_candidates=len(d.points),
-                ls_time=ls_time,
-                global_time=global_time,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
+        run.record(phase="outer", outer_iteration=n, t_value=fit.objective, accuracy=accuracy,
+                   n_theta=len(d.thetas), n_candidates=len(d.points), **times)
         log.info("outer %d: T=%.6e accuracy=%.2e candidates=%d thetas=%d",
                  n, fit.objective, accuracy, len(d.points), len(d.thetas))
 
         if report.is_eps_optimal(params.eps):
-            converged = True
             break
 
         grew = d.add(report.worst_point)
@@ -391,17 +399,7 @@ def two_adapt_md(
         else:
             stall = 0
 
-    return SolveResult(
-        design=design,
-        theta_hat=fit.theta_hat,
-        t_value=fit.objective,
-        accuracy=accuracy,
-        iterations=n,
-        converged=converged,
-        history=tuple(history),
-        runtime_seconds=time.perf_counter() - t0,
-        stalled=stalled,
-    )
+    return run.result(design, fit, report, n, report.is_eps_optimal(params.eps), stalled)
 
 
 def disc(
@@ -418,35 +416,24 @@ def disc(
     otherwise the points of the initial design.  The fit of the initial
     design reuses the candidates' reference rows and fills the first phi
     column where its points equal candidates bit for bit.  The pruned design
-    is refitted with the multistart, warm started at the last cut, and
-    certified from that refit, as 2ADAPT's outer loop does; on a lattice the
-    certificate scans the candidates.  Converged means the inner loop
-    converged and the report's ``max_psi`` is at most eps.
+    is refitted from the last cut alone and certified from that refit, and
+    the refit then meets the ``n_theta_starts`` Sobol starts, as the fit a
+    2ADAPT run ends on does: the result is the full multistart's, and a start
+    that beats the refit is certified in turn.  On a lattice the certificate
+    scans the candidates.  Converged means the inner loop converged and the
+    report's ``max_psi`` is at most eps.
     """
-    _validate_design(space, initial)
-    t0 = time.perf_counter()
-    history = [] if history is None else history
+    run = _Run(pair, space, initial, params, history)
     lattice = isinstance(space, Lattice)
     d = Discretization(pair, space.enumerate() if lattice else initial.points)
-    fit_args = {"n_starts": params.n_theta_starts, "lam": params.lam}
     rows = d.rows(initial.points)
-    fit0 = fit_parameters(pair, initial, refs=d.refs[rows] if min(rows) >= 0 else None, **fit_args)
+    fit0 = fit_parameters(pair, initial, n_starts=params.n_theta_starts, lam=params.lam,
+                          refs=d.refs[rows] if min(rows) >= 0 else None)
     d.add_cut(fit0.theta_hat, fit0.phi, rows)
-    design, rows, fit, converged = disc_md(pair, d, params, history=history, clock_start=t0)
-    fit = fit_parameters(pair, design, fit.theta_hat, refs=d.refs[rows], **fit_args)
+    design, rows, fit, converged = disc_md(pair, d, params, history=run.history, clock_start=run.t0)
     # Lattice.enumerate and scan_grid share the itertools.product order.
-    grid = (d.points, d.refs) if lattice else None
-    report = check_optimality(pair, design, fit.theta_hat, space, phi=fit.phi, grid=grid)
-    return SolveResult(
-        design=design,
-        theta_hat=fit.theta_hat,
-        t_value=fit.objective,
-        accuracy=report.max_psi,
-        iterations=len(d.thetas) - 1,
-        converged=converged and report.max_psi <= params.eps,
-        history=tuple(history),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    fits, report, _ = run.refit(design, fit.theta_hat, d.refs[rows], grid=(d.points, d.refs) if lattice else None)
+    return run.result(design, fits[-1], report, len(d.thetas) - 1, converged and report.max_psi <= params.eps)
 
 
 def vdm(
@@ -470,14 +457,11 @@ def vdm(
     reaches ``max_iter`` returns its last fitted and certified design,
     unmixed.
     """
-    _validate_design(space, initial)
-    t0 = time.perf_counter()
-    history = [] if history is None else history
+    run = _Run(pair, space, initial, params, history)
     design = initial
     d = Discretization(pair, design.points)  # the support points, in design order
     grid = scan_grid(pair, space)
     fit = None
-    converged = False
 
     def run_ends(report):
         return report.max_psi <= params.eps or k == params.max_iter - 1
@@ -487,36 +471,15 @@ def vdm(
             d.add(report.worst_point)  # a new point, as mixing appends it
             design = mix_designs(design, Design(np.array([report.worst_point]), np.array([1.0])), 1.0 / (k + 1))
         warm = fit.theta_hat if fit is not None else None
-        fits, report, ls_time, global_time = _refit(pair, design, warm, space, params, d.refs, run_ends, grid=grid)
+        fits, report, times = run.refit(design, warm, d.refs, run_ends, grid=grid)
         fit = fits[-1]
-
-        history.append(
-            IterationRecord(
-                phase="vdm",
-                outer_iteration=k,
-                t_value=fit.objective,
-                accuracy=report.max_psi,
-                n_candidates=design.n_points,
-                ls_time=ls_time,
-                global_time=global_time,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
+        run.record(phase="vdm", outer_iteration=k, t_value=fit.objective, accuracy=report.max_psi,
+                   n_candidates=design.n_points, **times)
 
         if report.max_psi <= params.eps:
-            converged = True
             break
 
-    return SolveResult(
-        design=design,
-        theta_hat=fit.theta_hat,
-        t_value=fit.objective,
-        accuracy=report.max_psi,
-        iterations=k + 1,
-        converged=converged,
-        history=tuple(history),
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return run.result(design, fit, report, k + 1, report.max_psi <= params.eps)
 
 
 def solve(

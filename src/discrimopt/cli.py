@@ -31,13 +31,12 @@ from .algorithms import (
     IterationRecord,
     SolveResult,
     SolverError,
-    _validate_design,
-    check_optimality,
+    _Run,
     solve,
 )
 from .config import ConfigError, ProblemConfig, load_config
 from .core import Box, Design, DesignError, ModelEvaluationError, squared_distance
-from .lsq import FitError, fit_parameters
+from .lsq import FitError
 
 __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_compare"]
 
@@ -110,8 +109,8 @@ def _write_psi_curve(cfg: ProblemConfig, result: SolveResult, path: Path):
         writer.writerows([_fmt(float(x)), _fmt(float(p))] for x, p in zip(xs, psi))
 
 
-def _load_design_file(path: Path, cfg: ProblemConfig) -> tuple[Design, np.ndarray | None]:
-    """The design and optional ``theta_hat`` of a design file, checked against the config."""
+def _load_design_file(path: Path, cfg: ProblemConfig) -> tuple[_Run, Design, np.ndarray | None]:
+    """A run of the config on the design of a design file, the design and its optional ``theta_hat``."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -120,12 +119,12 @@ def _load_design_file(path: Path, cfg: ProblemConfig) -> tuple[Design, np.ndarra
         raise ConfigError(f"design file {path} must contain 'support' and 'weights'")
     try:
         design = Design(np.array(payload["support"], dtype=float), np.array(payload["weights"], dtype=float))
-        _validate_design(cfg.space, design)
+        run = _Run(cfg.pair, cfg.space, design, cfg.params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"design file {path}: {exc}") from exc
     raw = payload.get("theta_hat")
     if raw is None:
-        return design, None
+        return run, design, None
     bounds = cfg.pair.parameter_space.lower
     try:
         theta = np.array(raw, dtype=float)
@@ -133,7 +132,7 @@ def _load_design_file(path: Path, cfg: ProblemConfig) -> tuple[Design, np.ndarra
         theta = None
     if theta is None or theta.shape != bounds.shape or not np.all(np.isfinite(theta)):
         raise ConfigError(f"design file {path}: theta_hat must be {len(bounds)} finite numbers, got {raw!r}")
-    return design, theta
+    return run, design, theta
 
 
 def _solve(cfg: ProblemConfig, history=None) -> SolveResult:
@@ -171,11 +170,9 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    design, theta0 = _load_design_file(Path(args.design), cfg)
-    # The criterion value needs the best-fit parameters for *this* design,
-    # and the fit's phi is the certificate's support values.
-    fit = fit_parameters(cfg.pair, design, theta0, n_starts=cfg.params.n_theta_starts, lam=cfg.params.lam)
-    report = check_optimality(cfg.pair, design, fit.theta_hat, cfg.space, phi=fit.phi)
+    run, design, theta0 = _load_design_file(Path(args.design), cfg)
+    # The criterion value needs the best-fit parameters for *this* design.
+    _, report, _ = run.refit(design, theta0)
     eps = cfg.params.eps
     verdict = report.is_eps_optimal(eps)
     print(f"max_psi={report.max_psi:.6e}")

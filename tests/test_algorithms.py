@@ -1,7 +1,9 @@
 import dataclasses
 import importlib.resources
+import json
 import logging
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from discrimopt import (
     vdm,
 )
 from discrimopt.algorithms import Discretization, SolverError, disc_md
+from discrimopt.cli import main
 from discrimopt.config import load_config
 from discrimopt.core import squared_distance, t_value
 from discrimopt.lsq import fit_parameters
@@ -33,6 +36,7 @@ from conftest import linear_vs_constant, two_basins
 
 TOY_BOX = Box([0.0], [1.0])
 MM_CONFIG = importlib.resources.files("discrimopt") / "configs" / "mm.config"
+GOLDEN = Path(__file__).parent / "golden"
 TIGHT = AlgoParams(eps=1e-8, eps_sip=1e-12, max_iter_sip=60)
 
 
@@ -370,9 +374,11 @@ class TestWhereTheMultistartRuns:
     Each cut fit of :func:`disc_md` and each refit of 2ADAPT and VDM runs one
     least-squares start, its warm start.  The refit a run ends on then meets
     the ``n_theta_starts`` Sobol starts (the Sobol check), which makes it the
-    full multistart's result.  The fits without a warm start, the initial fit
-    of 2ADAPT and VDM's first fit, run the Sobol starts alone; DISC on its
-    own keeps one multistart refit, the warm start and those points.
+    full multistart's result.  The fits without a warm start (the initial
+    fits of 2ADAPT and DISC, VDM's first fit, and ``verify`` of a file
+    without ``theta_hat``) run the Sobol starts alone.  DISC's final refit,
+    and ``verify`` from a file's ``theta_hat``, end a run: the warm start,
+    then the Sobol check.
     """
 
     @staticmethod
@@ -427,7 +433,20 @@ class TestWhereTheMultistartRuns:
         n = cfg.params.n_theta_starts
         fits = self.starts_per_fit(monkeypatch)
         result = disc(cfg.pair, cfg.space, cfg.initial, cfg.params)
-        assert fits == [[False, n]] + [[True, 1]] * len(result.history) + [[False, 1 + n]]
+        assert fits == [[False, n]] + [[True, 1]] * len(result.history) + [[False, 1], [False, n]]
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["theta_hat", "no-theta_hat"])
+    def test_verify(self, warm, monkeypatch, tmp_path):
+        # From the file's theta_hat, the warm fit alone and then the Sobol check; without one, the multistart.
+        n = load_config(MM_CONFIG).params.n_theta_starts
+        payload = json.loads((GOLDEN / "mm-2adapt.design.json").read_text())
+        if not warm:
+            del payload["theta_hat"]
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(payload))
+        fits = self.starts_per_fit(monkeypatch)
+        assert main(["verify", "--design", str(path), "--config", str(MM_CONFIG)]) == 0
+        assert fits == ([[False, 1], [False, n]] if warm else [[False, n]])
 
     def test_sobol_check_overturns_a_warm_fit_in_the_worse_basin(self, caplog):
         # From the cut theta = 0.2, on the local maximum of c, the warm refit of

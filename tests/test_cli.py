@@ -5,6 +5,7 @@ import dataclasses
 import importlib.resources
 import itertools
 import json
+import logging
 import os
 import textwrap
 from collections import Counter
@@ -20,6 +21,8 @@ from discrimopt.config import load_config
 from discrimopt.lsq import FitError
 from discrimopt.models import register_model
 from discrimopt.cli import main
+
+from conftest import two_basins
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
 MM_CONFIG = str(CONFIG_DIR / "mm.config")
@@ -78,6 +81,7 @@ def _mm_nan_above(params):
 
 
 register_model("mm_nan_above", _mm_nan_above)
+register_model("two_basins", lambda params: two_basins())
 
 
 @pytest.fixture(scope="module")
@@ -405,7 +409,33 @@ class TestVerify:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and message in errors[0]
+        if message == "outside the design space":
+            assert errors[0].startswith(f"error: design file {path}: design point ")
         assert "Traceback" not in err
+
+    def test_sobol_start_beating_the_warm_fit_is_certified(self, tmp_path, capsys, caplog):
+        # From theta_hat = 0.2, on the local maximum of c, the warm fit of {1: 1} stays there and
+        # certifies; a Sobol start reaches c(theta) = 1, whose certificate has psi(0) = 1.
+        config = tmp_path / "two_basins.config"
+        config.write_text(textwrap.dedent(
+            """
+            model:
+              name: two_basins
+            design_space:
+              type: box
+              lower: [0.0]
+              upper: [1.0]
+            initial_design:
+              points: [[0.0], [1.0]]
+              weights: [0.5, 0.5]
+            """
+        ))
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"support": [[1.0]], "weights": [1.0], "theta_hat": [0.2]}))
+        with caplog.at_level(logging.INFO, logger="discrimopt"):
+            assert main(["verify", "--design", str(design), "--config", str(config)]) == 1
+        assert "beat the warm fit" in caplog.text
+        assert "max_psi=1.000000e+00" in capsys.readouterr().out.splitlines()
 
 
 class TestCompare:
@@ -492,25 +522,26 @@ class TestBlasThreads:
     def test_limiter_finds_every_loaded_openblas(self, openblas):
         assert {os.path.realpath(p) for p in cli._loaded_openblas()} == set(openblas())
 
-    def _record(self, monkeypatch, openblas, name):
+    def _record(self, monkeypatch, openblas, module, name):
         seen = []
-        wrapped = getattr(cli, name)
+        wrapped = getattr(module, name)
 
         def recording(*args, **kwargs):
             seen.append(openblas())
             return wrapped(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(module, name, recording)
         return seen
 
     def test_solve(self, openblas, monkeypatch, tmp_path):
-        seen = self._record(monkeypatch, openblas, "solve")
+        seen = self._record(monkeypatch, openblas, cli, "solve")
         assert main(["solve", "--config", MM_CONFIG, "--out", str(tmp_path)]) == 0
         assert [set(counts.values()) for counts in seen] == [{1}]
         assert set(openblas().values()) == {2}
 
     def test_verify(self, openblas, mm_solution, monkeypatch):
-        seen = self._record(monkeypatch, openblas, "fit_parameters")
+        # The certificate, made once: no Sobol start beats the warm fit of the solver's design.
+        seen = self._record(monkeypatch, openblas, algorithms, "check_optimality")
         _, out = mm_solution
         assert main(["verify", "--design", str(out / "design.json"), "--config", MM_CONFIG]) == 0
         assert [set(counts.values()) for counts in seen] == [{1}]
@@ -526,7 +557,8 @@ class TestBlasThreads:
         loaded = cli._loaded_openblas()
         extra = [str(tmp_path / "libopenblas_missing.so"), _ctypes.__file__]
         monkeypatch.setattr(cli, "_loaded_openblas", lambda: extra + loaded + extra + loaded)
-        seen = self._record(monkeypatch, openblas, "fit_parameters")
+        # The certificate, made once: no Sobol start beats the warm fit of the solver's design.
+        seen = self._record(monkeypatch, openblas, algorithms, "check_optimality")
         _, out = mm_solution
         assert main(["verify", "--design", str(out / "design.json"), "--config", MM_CONFIG]) == 0
         assert [set(counts.values()) for counts in seen] == [{1}]

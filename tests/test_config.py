@@ -184,6 +184,28 @@ class TestAlgorithmDefaults:
         cfg = load_config(write_config(tmp_path, body))
         assert cfg.params.lam == 1e-6
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lambda", ".nan", "lam must be finite, got nan"),
+        ("lambda", ".inf", "lam must be finite, got inf"),
+        ("eps", ".nan", "eps must be finite, got nan"),
+        ("eps_sip", ".nan", "eps_sip must be finite, got nan"),
+        ("max_iter", "3.0", "max_iter must be an integer, got 3.0"),
+        ("n_theta_starts", "2.5", "n_theta_starts must be an integer, got 2.5"),
+    ])
+    def test_nonfinite_and_noninteger_settings_rejected(self, key, value, message, tmp_path, capsys):
+        # Unchecked, each reaches the solver: a scipy traceback, a TypeError mid-solve, or a run that no eps stops.
+        path = write_config(tmp_path, MINIMAL + f"\nalgorithm:\n  name: 2adapt\n  {key}: {value}\n")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: algorithm.{key}: {message}"]
+        assert "Traceback" not in err
+
+    def test_bool_count_rejected(self):
+        with pytest.raises(TypeError, match="^max_iter_sip must be an integer, got True$"):
+            AlgoParams(max_iter_sip=True)
+        assert AlgoParams(max_iter=np.int64(3)).max_iter == 3
+
 
 class TestAcceptedSurface:
     """The keys a config accepts and the names the package exports; a new option is a test edit."""
