@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from discrimopt import Design, ParameterSpace, two_adapt_md
+from discrimopt import Box, Design, two_adapt_md
 from discrimopt.config import load_config
 from discrimopt.lsq import fit_parameters
 
@@ -52,7 +52,7 @@ GRID_REFINE = 5
 WIDE_K1_BOUNDS = (1.2, 1.5, 2.0)
 
 
-def on_bounds(theta, space: ParameterSpace) -> str:
+def on_bounds(theta, space: Box) -> str:
     names = ("k1", "k2", "n1", "n2")
     marks = [
         f"{name}={'lower' if np.isclose(v, lo) else 'upper'}"
@@ -75,7 +75,7 @@ def with_k1_upper(pair, k1_upper):
     box = pair.parameter_space
     upper = box.upper.copy()
     upper[0] = k1_upper
-    return dataclasses.replace(pair, parameter_space=ParameterSpace(box.lower, upper))
+    return dataclasses.replace(pair, parameter_space=Box(box.lower, upper))
 
 
 def grid_search(pair, design, lam):

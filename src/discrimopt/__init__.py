@@ -8,7 +8,7 @@ Method baseline and equivalence-theorem verification.
 The package exports the names the README documents; everything else is
 imported from its module (``discrimopt.lsq``, ``discrimopt.models``, ...).
 """
-from .core import Box, Design, Lattice, ModelEvaluationError, ModelPair, ParameterSpace, pointwise
+from .core import Box, Design, Lattice, ModelEvaluationError, ModelPair, pointwise
 from .algorithms import ALGORITHMS, AlgoParams, check_optimality, disc, solve, two_adapt_md, vdm
 from .models import make_mm_pair
 
@@ -22,7 +22,6 @@ __all__ = [
     "Lattice",
     "ModelEvaluationError",
     "ModelPair",
-    "ParameterSpace",
     "check_optimality",
     "disc",
     "make_mm_pair",

@@ -278,7 +278,6 @@ class _Run:
 
 
 def disc_md(
-    pair: ModelPair,
     discretization: Discretization,
     params: AlgoParams = AlgoParams(),
     *,
@@ -293,8 +292,8 @@ def disc_md(
     fit the parameters to the LP weights, and append the fit as a new cut,
     until the cut binds: w . phi[:, new] - t_LP >= -eps_sip.  Each fit starts
     from the last cut alone, without the Sobol multistart.  The cuts are
-    appended to ``discretization``, whose candidates and pair are the
-    problem's.  Returns the pruned design, its points' rows among the
+    appended to ``discretization``, which holds the problem's pair and
+    candidates.  Returns the pruned design, its points' rows among the
     candidates, the last fit, and whether the cut bound within
     ``max_iter_sip`` iterations.
     """
@@ -310,7 +309,7 @@ def disc_md(
         sol, lp_time = _timed(solve_weight_lp, WeightLpInstance(d.matrix()))
         if sol is None:
             raise SolverError(f"weight LP failed at inner iteration {inner}")
-        fit, ls_time = _timed(fit_parameters, pair, Design(d.points, sol.weights), d.thetas[-1],
+        fit, ls_time = _timed(fit_parameters, d.pair, Design(d.points, sol.weights), d.thetas[-1],
                               n_starts=0, lam=params.lam, refs=d.refs)
         d.add_cut(fit.theta_hat, fit.phi)  # the fit's design points are the candidates, in order
         if history is not None:
@@ -361,15 +360,18 @@ def two_adapt_md(
 
     best_accuracy, stall, stalled = np.inf, 0, False
 
+    def stuck(report):
+        # The worst point is a candidate already and the accuracy did not improve: the discretization
+        # resolution is exhausted.
+        return canonical_key(report.worst_point) in d.index and not report.max_psi < best_accuracy
+
     def run_ends(report):
-        # Certified, at the last iteration, or a stall about to fire: the point is no new candidate and
-        # the accuracy does not improve (as d.add and the stall count below decide).
+        # Certified, at the last iteration, or a stall about to fire.
         return (report.is_eps_optimal(params.eps) or n == params.max_iter
-                or (stall + 1 >= _STALL_LIMIT and canonical_key(report.worst_point) in d.index
-                    and not report.max_psi < best_accuracy))
+                or (stall + 1 >= _STALL_LIMIT and stuck(report)))
 
     for n in range(1, params.max_iter + 1):
-        design, rows, fit, _ = disc_md(pair, d, params, history=run.history, outer_iteration=n, clock_start=run.t0)
+        design, rows, fit, _ = disc_md(d, params, history=run.history, outer_iteration=n, clock_start=run.t0)
         fits, report, times = run.refit(design, fit.theta_hat, d.refs[rows], run_ends, prefer=d.points, grid=grid)
         for fit in fits:
             d.add_cut(fit.theta_hat, fit.phi, rows)
@@ -384,12 +386,7 @@ def two_adapt_md(
         if report.is_eps_optimal(params.eps):
             break
 
-        grew = d.add(report.worst_point)
-        improved = accuracy < best_accuracy
-        best_accuracy = min(best_accuracy, accuracy)
-        if not grew and not improved:
-            # The candidate set cannot grow and the criterion is not
-            # improving: the discretization resolution is exhausted.
+        if stuck(report):
             stall += 1
             if stall >= _STALL_LIMIT:
                 stalled = True
@@ -398,6 +395,8 @@ def two_adapt_md(
                 break
         else:
             stall = 0
+        d.add(report.worst_point)
+        best_accuracy = min(best_accuracy, accuracy)
 
     return run.result(design, fit, report, n, report.is_eps_optimal(params.eps), stalled)
 
@@ -430,7 +429,7 @@ def disc(
     fit0 = fit_parameters(pair, initial, n_starts=params.n_theta_starts, lam=params.lam,
                           refs=d.refs[rows] if min(rows) >= 0 else None)
     d.add_cut(fit0.theta_hat, fit0.phi, rows)
-    design, rows, fit, converged = disc_md(pair, d, params, history=run.history, clock_start=run.t0)
+    design, rows, fit, converged = disc_md(d, params, history=run.history, clock_start=run.t0)
     # Lattice.enumerate and scan_grid share the itertools.product order.
     fits, report, _ = run.refit(design, fit.theta_hat, d.refs[rows], grid=(d.points, d.refs) if lattice else None)
     return run.result(design, fits[-1], report, len(d.thetas) - 1, converged and report.max_psi <= params.eps)

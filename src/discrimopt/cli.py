@@ -142,7 +142,10 @@ def _solve(cfg: ProblemConfig, history=None) -> SolveResult:
 def _out_dir(args, cfg: ProblemConfig) -> Path:
     out = args.out or cfg.output_dir or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 

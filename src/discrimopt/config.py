@@ -7,26 +7,20 @@ two bundled example files under ``discrimopt/configs/``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .algorithms import ALGORITHMS, AlgoParams
-from .core import Box, Design, DesignError, DesignSpace, Lattice, ModelPair, ParameterSpace
+from .core import Box, Design, DesignError, DesignSpace, Lattice, ModelPair
 from .models import registered_models, registry_lookup
 
 __all__ = ["ConfigError", "ProblemConfig", "load_config"]
 
-_ALGO_KEYS = {
-    "eps": "eps",
-    "max_iter": "max_iter",
-    "n_theta_starts": "n_theta_starts",
-    "lambda": "lam",
-    "eps_sip": "eps_sip",
-    "max_iter_sip": "max_iter_sip",
-}
+# Config key -> AlgoParams field; ``lam`` is spelled ``lambda``.
+_ALGO_KEYS = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(AlgoParams)}
 # The VDM conventionally runs unregularized (every support point keeps
 # positive weight) with a higher iteration budget; explicit settings win.
 _VDM_DEFAULTS = {"max_iter": 1000, "lambda": 0.0}
@@ -92,7 +86,7 @@ def _parse_model(node, path="model") -> ModelPair:
         ps = _expect_mapping(node["parameter_space"], f"{path}.parameter_space")
         _reject_unknown(ps, {"lower", "upper"}, f"{path}.parameter_space")
         try:
-            space = ParameterSpace(
+            space = Box(
                 _float_list(_get(ps, "lower", f"{path}.parameter_space"), f"{path}.parameter_space.lower"),
                 _float_list(_get(ps, "upper", f"{path}.parameter_space"), f"{path}.parameter_space.upper"),
             )

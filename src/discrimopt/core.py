@@ -18,7 +18,6 @@ __all__ = [
     "Design",
     "Box",
     "Lattice",
-    "ParameterSpace",
     "ModelPair",
     "pointwise",
     "canonical_key",
@@ -116,7 +115,7 @@ class Design:
 @dataclass(frozen=True)
 class Box:
     """Bounded box [lower, upper] componentwise: a continuous design space, or
-    the admissible parameters of the alternative model (``ParameterSpace``)."""
+    the admissible parameters of the alternative model."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -149,10 +148,6 @@ class Box:
             and np.all(x >= self.lower - tol)
             and np.all(x <= self.upper + tol)
         )
-
-
-# The alternative model's parameter box.
-ParameterSpace = Box
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,9 @@ class ModelPair:
     Both evaluators take the design points as the rows of X, shape (n, d),
     and return the responses as the rows of an (n, d_y) array; they must be
     deterministic, and a non-finite output is a :class:`ModelEvaluationError`.
-    ``pointwise`` adapts per-point callables.
+    A row may depend only on its own point (and theta): rows from one call
+    are reused one by one, as the candidates' and the scan grid's reference
+    rows are for a whole solve.  ``pointwise`` adapts per-point callables.
     ``alternative_jac``, when given, returns ``(f2(X, theta), d f2 / d theta)``
     with shapes (n, d_y) and (n, d_y, p) from one call; its responses must
     equal ``alternative``'s.  Without it, fits use finite differences.  The
@@ -213,7 +210,7 @@ class ModelPair:
 
     reference: Callable[[np.ndarray], np.ndarray]
     alternative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    parameter_space: ParameterSpace
+    parameter_space: Box
     d_y: int = 1
     alternative_jac: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 

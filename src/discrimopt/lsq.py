@@ -5,13 +5,12 @@ with deterministic Sobol multistart.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import Design, ModelEvaluationError, ModelPair, ParameterSpace, squared_distance, t_value
+from .core import Box, Design, DesignError, ModelEvaluationError, ModelPair, squared_distance, t_value
 
 __all__ = ["FitResult", "FitError", "sobol_points", "fit_parameters"]
 
@@ -84,30 +83,18 @@ def _sobol_unit(dim: int, n: int) -> np.ndarray:
     return unit * 2.0**-bits
 
 
-def sobol_points(dim: int, n: int, box: ParameterSpace) -> list[np.ndarray]:
+def sobol_points(n: int, box: Box) -> list[np.ndarray]:
     """First n post-origin points of the unscrambled Sobol sequence in the box.
 
     The all-zeros initial point is skipped: it maps to a box corner, which is
-    a poor start for kinetic models.  Deterministic across runs.  Up to 32
-    dimensions the points come from the embedded direction numbers, which
-    keeps ``scipy.stats`` off the import path; above that from scipy.
+    a poor start for kinetic models.  Deterministic across runs.  The points
+    come from the embedded direction numbers, which keeps ``scipy.stats`` off
+    the import path, so the box may have 1 to 32 dimensions; another raises
+    DesignError.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if dim != box.dimension:
-        raise ValueError(f"dim {dim} does not match box dimension {box.dimension}")
-    if n == 0:
-        return []
-    if dim <= len(_SOBOL_POLY) + 1:
-        unit = _sobol_unit(dim, n)
-    else:
-        from scipy.stats import qmc
-
-        with warnings.catch_warnings():
-            # n + 1 is generally not a power of two; balance is irrelevant here.
-            warnings.simplefilter("ignore", UserWarning)
-            unit = qmc.Sobol(d=dim, scramble=False).random(n + 1)[1:]
-    return [box.lower + u * (box.upper - box.lower) for u in unit]
+    if not 1 <= box.dimension <= len(_SOBOL_POLY) + 1:
+        raise DesignError(f"Sobol starts need a box of 1 to 32 dimensions, got {box.dimension}")
+    return [box.lower + u * (box.upper - box.lower) for u in _sobol_unit(box.dimension, n)]
 
 
 def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: float):
@@ -188,7 +175,7 @@ def fit_parameters(
     starts: list[np.ndarray] = []
     if warm_start is not None:
         starts.append(space.clip(warm_start))
-    starts.extend(sobol_points(space.dimension, n_starts, space))
+    starts.extend(sobol_points(n_starts, space))
     if not starts and incumbent is None:
         raise FitError("no starting points: supply a warm start or n_starts > 0")
 

@@ -6,12 +6,13 @@ small ODE system (three responses), plus a registry for selection by name.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DesignError, ModelEvaluationError, ModelPair, ParameterSpace
+from .core import Box, DesignError, ModelEvaluationError, ModelPair
 
 __all__ = [
     "KineticsParams",
@@ -558,26 +559,18 @@ def integrate_kinetics(
     return _integrate_rows(params, [(inp.a0, inp.b0, inp.c0, inp.t)], tol)[0]
 
 
-# Reference parameter defaults for the bundled benchmark pairs.
-MM_DEFAULTS = {"V": 1.0, "K": 1.0, "F": 0.1}
-MM_PARAMETER_SPACE = ParameterSpace([1e-3, 1e-3], [5.0, 5.0])
-
-KINETICS_DEFAULTS = {"k1": 0.7, "k2": 0.2, "k3": 0.1, "n1": 2.0, "n2": 2.0, "n3": 1.0}
-KINETICS_PARAMETER_SPACE = ParameterSpace([0.5, 0.05, 1.5, 1.5], [1.0, 0.5, 3.5, 3.0])
+# The alternative models' parameter boxes.
+MM_PARAMETER_SPACE = Box([1e-3, 1e-3], [5.0, 5.0])
+KINETICS_PARAMETER_SPACE = Box([0.5, 0.05, 1.5, 1.5], [1.0, 0.5, 3.5, 3.0])
 
 
-def make_mm_pair(
-    V: float = 1.0,
-    K: float = 1.0,
-    F: float = 0.1,
-    parameter_space: ParameterSpace | None = None,
-) -> ModelPair:
+def make_mm_pair(V: float = 1.0, K: float = 1.0, F: float = 0.1) -> ModelPair:
     """Modified Michaelis-Menten reference vs. Michaelis-Menten alternative.
 
     The reference includes the alternative (F = 0), so the roles must be this
-    way around for a nonzero criterion.
+    way around for a nonzero criterion.  The parameter box is
+    ``MM_PARAMETER_SPACE``; :func:`registry_lookup` gives the pair another.
     """
-    space = parameter_space or MM_PARAMETER_SPACE
 
     def alternative_jac(X, theta):
         x, V, K = X[:, :1], theta[0], theta[1]
@@ -589,7 +582,7 @@ def make_mm_pair(
     return ModelPair(
         reference=lambda X: modmm_eval(X[:, :1], V, K, F),
         alternative=lambda X, theta: mm_eval(X[:, :1], theta[0], theta[1]),
-        parameter_space=space,
+        parameter_space=MM_PARAMETER_SPACE,
         d_y=1,
         alternative_jac=alternative_jac,
     )
@@ -602,17 +595,17 @@ def make_kinetics_pair(
     n1: float = 2.0,
     n2: float = 2.0,
     n3: float = 1.0,
-    parameter_space: ParameterSpace | None = None,
-    tol: IntegratorTol = IntegratorTol(),
 ) -> ModelPair:
     """Partially reversible reference vs. irreversible alternative (k3 = 0).
 
     Design points are (a0, b0, c0, t); responses are the three concentrations
-    at the measurement time.  Alternative parameters are (k1, k2, n1, n2).
-    Points that share an initial state are integrated in one kernel pass.
+    at the measurement time.  Alternative parameters are (k1, k2, n1, n2), in
+    ``KINETICS_PARAMETER_SPACE``; :func:`registry_lookup` gives the pair
+    another box.  Points that share an initial state are integrated in one
+    kernel pass, at the tolerances of ``IntegratorTol()``.
     """
-    space = parameter_space or KINETICS_PARAMETER_SPACE
     ref_params = KineticsParams(k1, k2, k3, n1, n2, n3)
+    tol = IntegratorTol()
 
     def alt_params(theta):
         return KineticsParams(
@@ -622,27 +615,28 @@ def make_kinetics_pair(
     return ModelPair(
         reference=lambda X: _integrate_rows(ref_params, X, tol),
         alternative=lambda X, theta: _integrate_rows(alt_params(theta), X, tol),
-        parameter_space=space,
+        parameter_space=KINETICS_PARAMETER_SPACE,
         d_y=3,
         alternative_jac=lambda X, theta: _integrate_rows(alt_params(theta), X, tol, jac=True),
     )
 
 
-def _builder(name: str, make, defaults: dict):
-    """Registry builder: reference parameters merged over ``defaults``, as floats."""
+def _builder(name: str, make):
+    """Registry builder: the reference parameters ``make`` takes, as floats; the others keep its defaults."""
+    known = sorted(inspect.signature(make).parameters)
 
     def build(params: dict) -> ModelPair:
-        unknown = set(params) - set(defaults)
+        unknown = set(params) - set(known)
         if unknown:
-            raise KeyError(f"unknown {name} parameters: {sorted(unknown)}; known: {sorted(defaults)}")
-        return make(**{k: float(v) for k, v in {**defaults, **params}.items()})
+            raise KeyError(f"unknown {name} parameters: {sorted(unknown)}; known: {known}")
+        return make(**{k: float(v) for k, v in params.items()})
 
     return build
 
 
 _REGISTRY = {
-    "mm_vs_modmm": _builder("mm_vs_modmm", make_mm_pair, MM_DEFAULTS),
-    "kinetics_rev_vs_irrev": _builder("kinetics_rev_vs_irrev", make_kinetics_pair, KINETICS_DEFAULTS),
+    "mm_vs_modmm": _builder("mm_vs_modmm", make_mm_pair),
+    "kinetics_rev_vs_irrev": _builder("kinetics_rev_vs_irrev", make_kinetics_pair),
 }
 
 

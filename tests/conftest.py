@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from discrimopt import Design, ModelPair, ParameterSpace, pointwise
+from discrimopt import Box, Design, ModelPair, pointwise
 
 
 def linear_vs_constant() -> ModelPair:
@@ -12,7 +12,7 @@ def linear_vs_constant() -> ModelPair:
     return ModelPair(
         reference=pointwise(lambda x: np.array([x[0]])),
         alternative=pointwise(lambda x, theta: np.array([theta[0]])),
-        parameter_space=ParameterSpace([0.0], [1.0]),
+        parameter_space=Box([0.0], [1.0]),
         d_y=1,
     )
 
@@ -34,7 +34,7 @@ def two_basins() -> ModelPair:
     return ModelPair(
         reference=pointwise(lambda x: np.array([x[0]])),
         alternative=pointwise(c),
-        parameter_space=ParameterSpace([0.0], [1.0]),
+        parameter_space=Box([0.0], [1.0]),
         d_y=1,
     )
 

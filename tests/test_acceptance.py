@@ -19,7 +19,6 @@ from discrimopt import (
     Design,
     Lattice,
     ModelPair,
-    ParameterSpace,
     check_optimality,
     make_mm_pair,
     pointwise,
@@ -291,7 +290,7 @@ def test_small_lattice_brute_force_equivalence():
     levels = [0.2, 0.8, 1.6, 2.8, 5.0]
     candidates = [np.array([x]) for x in levels]
     d = Discretization(pair, candidates, [np.array([1.0, 1.0])])
-    _, _, fit, converged = disc_md(pair, d, AlgoParams(eps_sip=1e-6, max_iter_sip=40))
+    _, _, fit, converged = disc_md(d, AlgoParams(eps_sip=1e-6, max_iter_sip=40))
 
     # Independent maximin oracle: exhaustive inner minimum over a 200x200
     # parameter grid, hierarchical weight-simplex grid refined to 1e-3.
@@ -347,7 +346,7 @@ def test_small_lattice_brute_force_equivalence():
 def test_multi_response_consistency():
     # The same scalar model exposed as a float return and as a length-1
     # vector return must produce bit-identical criterion values.
-    space = ParameterSpace([0.0], [1.0])
+    space = Box([0.0], [1.0])
     scalar_pair = ModelPair(
         reference=pointwise(lambda x: math.sin(3.0 * x[0])),
         alternative=pointwise(lambda x, th: th[0] * x[0]),

@@ -17,7 +17,6 @@ from discrimopt import (
     Design,
     Lattice,
     ModelPair,
-    ParameterSpace,
     check_optimality,
     disc,
     make_mm_pair,
@@ -60,14 +59,14 @@ def counting_pairs(pair, monkeypatch):
 class TestDiscMd:
     def test_single_candidate_gets_all_weight(self, toy_pair):
         d = Discretization(toy_pair, [np.array([0.3])], [np.array([0.0])])
-        design, rows, fit, converged = disc_md(toy_pair, d, AlgoParams())
+        design, rows, fit, converged = disc_md(d, AlgoParams())
         assert converged
         assert design.n_points == 1 and design.weights[0] == 1.0
         assert fit.theta_hat[0] == pytest.approx(0.3, abs=1e-6)
 
     def test_toy_two_candidates(self, toy_pair):
         d = Discretization(toy_pair, [np.array([0.0]), np.array([1.0])], [np.array([0.0])])
-        design, rows, fit, converged = disc_md(toy_pair, d, TIGHT)
+        design, rows, fit, converged = disc_md(d, TIGHT)
         assert converged
         assert np.array_equal(d.points[rows], design.points)
         assert design.weights == pytest.approx([0.5, 0.5], abs=1e-5)
@@ -77,7 +76,7 @@ class TestDiscMd:
         pair = make_mm_pair()
         candidates = [np.array([0.386]), np.array([2.596]), np.array([5.0])]
         d = Discretization(pair, candidates, [np.array([1.0, 1.0])])
-        design, _, fit, converged = disc_md(pair, d, AlgoParams(eps_sip=1e-8, max_iter_sip=40))
+        design, _, fit, converged = disc_md(d, AlgoParams(eps_sip=1e-8, max_iter_sip=40))
         assert converged
         weights = {round(p[0], 3): w for p, w in zip(design.points, design.weights)}
         assert weights[0.386] == pytest.approx(0.3906, abs=0.01)
@@ -87,18 +86,18 @@ class TestDiscMd:
     def test_lp_relaxation_values_nonincreasing(self, toy_pair):
         history = []
         d = Discretization(toy_pair, [np.array([0.0]), np.array([0.5]), np.array([1.0])], [np.array([0.1])])
-        disc_md(toy_pair, d, TIGHT, history=history)
+        disc_md(d, TIGHT, history=history)
         t_lps = [r.t_lp for r in history if r.phase == "disc"]
         assert len(t_lps) >= 2
         assert all(b <= a + 1e-10 for a, b in zip(t_lps, t_lps[1:]))
 
     def test_rejects_duplicate_candidates(self, toy_pair):
         with pytest.raises(ValueError, match="distinct"):
-            disc_md(toy_pair, Discretization(toy_pair, [np.array([0.0]), np.array([0.0])], [np.array([0.0])]))
+            disc_md(Discretization(toy_pair, [np.array([0.0]), np.array([0.0])], [np.array([0.0])]))
 
     def test_rejects_empty_discretization(self, toy_pair):
         with pytest.raises(ValueError, match="discretization"):
-            disc_md(toy_pair, Discretization(toy_pair, [np.array([0.0])], []))
+            disc_md(Discretization(toy_pair, [np.array([0.0])], []))
 
     def test_validates_sip_settings(self):
         with pytest.raises(ValueError):
@@ -127,7 +126,7 @@ class TestDiscMd:
         # candidate, so the first cut binds.
         history = []
         d = Discretization(toy_pair, [np.array([0.3])], [np.array([0.3])])
-        _, _, _, converged = disc_md(toy_pair, d, TIGHT, history=history)
+        _, _, _, converged = disc_md(d, TIGHT, history=history)
         assert converged
         assert len(history) == 1
         assert len(d.thetas) == 2  # one appended cut
@@ -136,7 +135,7 @@ class TestDiscMd:
         history = []
         candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
         d = Discretization(toy_pair, candidates, [np.array([0.1])])
-        _, _, fit, converged = disc_md(toy_pair, d, TIGHT, history=history)
+        _, _, fit, converged = disc_md(d, TIGHT, history=history)
         assert converged
         assert len(history) > 1
         assert len(d.thetas) == 1 + len(history)
@@ -147,7 +146,7 @@ class TestDiscMd:
         candidates = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
         params = AlgoParams(eps_sip=1e-12, max_iter_sip=2)
         d = Discretization(toy_pair, candidates, [np.array([0.1])])
-        _, _, _, converged = disc_md(toy_pair, d, params, history=history)
+        _, _, _, converged = disc_md(d, params, history=history)
         assert not converged
         assert len(history) == 2 and len(d.thetas) == 3
 
@@ -162,7 +161,7 @@ class TestDiscMd:
         monkeypatch.setattr(algorithms, "solve_weight_lp", second_fails)
         d = Discretization(toy_pair, [np.array([0.0]), np.array([0.5]), np.array([1.0])], [np.array([0.1])])
         with pytest.raises(SolverError, match="at inner iteration 2"):
-            disc_md(toy_pair, d, TIGHT)
+            disc_md(d, TIGHT)
 
     def test_each_candidate_theta_pair_evaluated_once(self, monkeypatch):
         # The phi matrix carried between outer iterations and the fits that
@@ -217,7 +216,7 @@ class TestTwoAdaptMd:
         initial = Design(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
         result = two_adapt_md(toy_pair, lat, initial, params=TIGHT)
         assert result.converged
-        design, _, fit, _ = disc_md(toy_pair, Discretization(toy_pair, lat.enumerate(), [np.array([0.2])]), TIGHT)
+        design, _, fit, _ = disc_md(Discretization(toy_pair, lat.enumerate(), [np.array([0.2])]), TIGHT)
         assert result.t_value == pytest.approx(fit.objective, abs=1e-6)
 
     def test_explicit_initial_discretization_used(self, toy_pair):
@@ -323,9 +322,9 @@ class TestDiscretization:
             lps.append((instance.phi, len(seen[-1].points), len(seen[-1].thetas)))
             return solve_weight_lp(instance)
 
-        def recorded_disc_md(pair, d, *args, **kwargs):
+        def recorded_disc_md(d, *args, **kwargs):
             seen.append(d)
-            return run_disc_md(pair, d, *args, **kwargs)
+            return run_disc_md(d, *args, **kwargs)
 
         monkeypatch.setattr(algorithms, "solve_weight_lp", recorded_lp)
         monkeypatch.setattr(algorithms, "disc_md", recorded_disc_md)

@@ -327,6 +327,19 @@ class TestFailurePaths:
         assert "weight LP failed" in caplog.text
         assert len(read_history(tmp_path)) >= 2
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("under", [False, True], ids=["at-a-file", "under-a-file"])
+    def test_output_directory_that_cannot_be_made(self, command, under, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "out" if under else taken
+        algorithms = ["--algorithms", "2adapt,disc"] if command == "compare" else []
+        assert main([command, "--config", MM_CONFIG, *algorithms, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_roundtrip_accepts_solver_output(self, mm_solution, capsys):

@@ -9,7 +9,6 @@ from discrimopt import (
     Lattice,
     ModelEvaluationError,
     ModelPair,
-    ParameterSpace,
     make_mm_pair,
     pointwise,
 )
@@ -107,13 +106,13 @@ class TestSpaces:
             Lattice(([1.0, 1.0],))
 
     def test_parameter_space_clip(self):
-        ps = ParameterSpace([0.0, 0.0], [1.0, 1.0])
+        ps = Box([0.0, 0.0], [1.0, 1.0])
         assert np.allclose(ps.clip([2.0, -1.0]), [1.0, 0.0])
         assert ps.contains([0.5, 0.5]) and not ps.contains([2.0, 0.5])
 
     def test_parameter_space_must_be_bounded(self):
         with pytest.raises(DesignError, match="bounded"):
-            ParameterSpace([0.0], [np.inf])
+            Box([0.0], [np.inf])
 
 
 class TestSquaredDistance:
@@ -126,7 +125,7 @@ class TestSquaredDistance:
         pair = ModelPair(
             reference=pointwise(lambda x: np.array([x[0] ** 2])),
             alternative=pointwise(lambda x, th: np.array([x[0] ** 2])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         for x in (0.0, 0.3, 1.0):
             assert squared_distance(pair, [x], [0.5]) == 0.0
@@ -144,7 +143,7 @@ class TestSquaredDistance:
         pair = ModelPair(
             reference=pointwise(bad),
             alternative=pointwise(lambda x, th: np.array([0.0])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         with pytest.raises(ModelEvaluationError) as err:
             squared_distance(pair, [0.5], [0.5])
@@ -154,7 +153,7 @@ class TestSquaredDistance:
         pair = ModelPair(
             reference=pointwise(lambda x: np.array([1.0, 2.0])),
             alternative=pointwise(lambda x, th: np.array([0.0])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
             d_y=1,
         )
         with pytest.raises(ModelEvaluationError, match="shape"):
@@ -165,7 +164,7 @@ class TestSquaredDistance:
         pair = ModelPair(
             reference=lambda X: np.where(X > 0.8, np.nan, X),
             alternative=lambda X, th: np.where(X > 0.8, np.inf, th[0]),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
             alternative_jac=lambda X, th: (np.zeros((len(X), 1)), np.where(X > 0.8, np.nan, 1.0)[:, :, None]),
         )
         args = ([0.5],) if method != "eval_reference" else ()
@@ -193,7 +192,7 @@ class TestPointwise:
         pair = ModelPair(
             reference=lambda x: np.array([x[0]]),
             alternative=pointwise(lambda x, th: np.array([th[0]])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         with pytest.raises(ModelEvaluationError, match="shape"):
             pair.eval_reference(np.array([[0.1], [0.2]]))
@@ -205,7 +204,7 @@ class TestAlternativeJac:
         return ModelPair(
             reference=pointwise(lambda x: np.array([x[0]])),
             alternative=pointwise(lambda x, th: np.array([th[0] * x[0]])),
-            parameter_space=ParameterSpace([0.0, 0.0], [1.0, 1.0]),
+            parameter_space=Box([0.0, 0.0], [1.0, 1.0]),
             alternative_jac=jac,
         )
 

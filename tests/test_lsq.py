@@ -10,8 +10,8 @@ import pytest
 
 import discrimopt
 
-from discrimopt import Design, ModelPair, ParameterSpace, make_mm_pair, pointwise
-from discrimopt.core import squared_distance, t_value
+from discrimopt import Box, Design, ModelPair, make_mm_pair, pointwise
+from discrimopt.core import DesignError, squared_distance, t_value
 from discrimopt.lsq import FitError, fit_parameters, sobol_points
 from discrimopt.models import make_kinetics_pair
 
@@ -20,40 +20,40 @@ from conftest import linear_vs_constant, two_basins
 
 class TestSobolPoints:
     def test_first_three_one_dimensional(self):
-        box = ParameterSpace([0.0], [1.0])
-        pts = sobol_points(1, 3, box)
+        box = Box([0.0], [1.0])
+        pts = sobol_points(3, box)
         # First post-origin values of the unscrambled sequence.
         assert [p[0] for p in pts] == pytest.approx([0.5, 0.75, 0.25], abs=1e-15)
 
     def test_empty_request(self):
-        assert sobol_points(1, 0, ParameterSpace([0.0], [1.0])) == []
+        assert sobol_points(0, Box([0.0], [1.0])) == []
 
     def test_first_point_scales_into_box(self):
-        box = ParameterSpace([0.0, 0.0], [2.0, 2.0])
-        pts = sobol_points(2, 1, box)
+        box = Box([0.0, 0.0], [2.0, 2.0])
+        pts = sobol_points(1, box)
         assert pts[0] == pytest.approx([1.0, 1.0], abs=1e-15)
 
     def test_deterministic(self):
-        box = ParameterSpace([0.0], [1.0])
-        a = sobol_points(1, 5, box)
-        b = sobol_points(1, 5, box)
+        box = Box([0.0], [1.0])
+        a = sobol_points(5, box)
+        b = sobol_points(5, box)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sobol_points(2, 3, ParameterSpace([0.0], [1.0]))
+    @pytest.mark.parametrize("dim", [0, 33])
+    def test_dimensions_outside_the_direction_numbers_rejected(self, dim):
+        with pytest.raises(DesignError, match=f"1 to 32 dimensions, got {dim}"):
+            sobol_points(3, Box(np.zeros(dim), np.ones(dim)))
 
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_equal_to_scipy(self, n):
         from scipy.stats import qmc
 
-        # Above 32 dimensions sobol_points takes scipy's generator.
-        for dim in [*range(1, 33), 33, 40]:
-            box = ParameterSpace(np.zeros(dim), np.ones(dim))
+        for dim in range(1, 33):
+            box = Box(np.zeros(dim), np.ones(dim))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 expected = qmc.Sobol(dim, scramble=False).random(n + 1)[1:]
-            assert np.array_equal(np.array(sobol_points(dim, n, box)), expected)
+            assert np.array_equal(np.array(sobol_points(n, box)), expected)
 
     def test_scipy_stats_not_imported(self):
         # The embedded direction numbers keep scipy.stats (~0.5 s, ~20 MB)
@@ -163,7 +163,7 @@ class TestFitParameters:
         pair = ModelPair(
             reference=pointwise(lambda x: np.array([x[0]])),
             alternative=pointwise(flaky),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         fit = fit_parameters(pair, toy_optimum, lam=0.0)
         assert fit.theta_hat[0] == pytest.approx(0.5, abs=1e-6)

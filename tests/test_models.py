@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -6,10 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from discrimopt import ModelEvaluationError, ParameterSpace, make_mm_pair
+from discrimopt import Box, ModelEvaluationError, make_mm_pair
 from discrimopt.core import DesignError
 from discrimopt.models import (
-    KINETICS_DEFAULTS,
     KINETICS_PARAMETER_SPACE,
     MM_PARAMETER_SPACE,
     IntegratorTol,
@@ -30,6 +30,8 @@ from discrimopt.models import (
 FULL_LATTICE = list(
     itertools.product([0.5, 0.7, 0.9], [0.1, 0.2, 0.3], [0.0, 0.15, 0.3], [2.0, 4.0, 6.0, 8.0, 10.0])
 )
+# The reference parameters, as the builder's defaults state them.
+KINETICS_DEFAULTS = {k: p.default for k, p in inspect.signature(make_kinetics_pair).parameters.items()}
 
 
 def linear_chain_solution(k1, k2, a0, b0, c0, t):
@@ -126,7 +128,7 @@ class TestIntegrator:
         fine = integrate_kinetics(params, inp, IntegratorTol(rel=5e-7, abs=5e-9))
         assert np.max(np.abs(coarse - fine)) < 1e-6
 
-    def test_cache_returns_copies(self):
+    def test_returns_a_fresh_array_per_call(self):
         params = KineticsParams(0.7, 0.2, 0.1, 2, 2, 1)
         inp = KineticsInput(0.5, 0.1, 0.0, 2.0)
         a = integrate_kinetics(params, inp)
@@ -275,6 +277,23 @@ class TestGroupedSolves:
         _dopri5(rhs, times, y0, tol.rel, tol.abs, out)
         assert out == [_dopri5(rhs, t, y0, tol.rel, tol.abs)[0] for t in times]
 
+    def test_sensitivity_time_with_clipped_initial_step_solved_alone(self):
+        tol = IntegratorTol()
+        rhs = _kinetics_sens_rhs(alternative_params([1.0, 0.2568, 3.0591, 2.4137]))
+        y0 = (0.5, 0.1, 0.0)
+        times = (1e-10, 1e-3, 2.0, 10.0)
+
+        def states(a, b, c):
+            return rhs(a, b, c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[:3]
+
+        _, bound = _initial_step(states, times[0], *y0, *states(*y0), tol.rel, tol.abs)
+        assert bound
+        out, singles = [], []
+        _dopri5_sens(rhs, times, y0, tol.rel, tol.abs, out)
+        for t in times:
+            _dopri5_sens(rhs, (t,), y0, tol.rel, tol.abs, singles)
+        assert out == singles
+
     def test_pair_batch_equals_one_row_calls(self):
         # Shuffled lattice rows with repeats, so groups interleave.
         pair = make_kinetics_pair()
@@ -309,8 +328,8 @@ class TestSensitivities:
 
     def test_kinetics_states_equal_plain_kernel_on_lattice(self):
         lo, hi = KINETICS_PARAMETER_SPACE.lower, KINETICS_PARAMETER_SPACE.upper
-        tol = IntegratorTol()
-        pair = make_kinetics_pair(tol=tol)
+        tol = IntegratorTol()  # the pair's
+        pair = make_kinetics_pair()
         for th in (lo, hi, (lo + hi) / 2, [1.0, 0.2568, 3.0591, 2.4137]):
             rhs = kinetics_rhs(KineticsParams(th[0], th[1], 0.0, th[2], th[3], 1.0))
             Y, _ = pair.eval_alternative_jac(FULL_LATTICE, th)
@@ -424,7 +443,7 @@ class TestRegistry:
             registry_lookup("mm_vs_modmm", {"Q": 1.0})
 
     def test_parameter_space_is_its_own_argument(self):
-        box = ParameterSpace([0.5, 0.5], [2.0, 2.0])
+        box = Box([0.5, 0.5], [2.0, 2.0])
         assert registry_lookup("mm_vs_modmm", parameter_space=box).parameter_space == box
         assert registry_lookup("mm_vs_modmm").parameter_space == MM_PARAMETER_SPACE
         with pytest.raises(KeyError, match="parameter_space"):
@@ -433,7 +452,7 @@ class TestRegistry:
             registry_lookup("kinetics_rev_vs_irrev", {"tol": 1e-3})
 
     def test_parameter_space_of_another_dimension_rejected(self):
-        box = ParameterSpace([0.5, 0.5, 0.5], [2.0, 2.0, 2.0])
+        box = Box([0.5, 0.5, 0.5], [2.0, 2.0, 2.0])
         with pytest.raises(DesignError, match="dimension 3.*has 2 parameters"):
             registry_lookup("mm_vs_modmm", parameter_space=box)
 

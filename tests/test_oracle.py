@@ -9,10 +9,13 @@ inside, and T* = beta_n**2 * 4**(1 - n) (Atkinson & Fedorov, Biometrika 62,
 linear least squares, so T* is exact and owes nothing to the package's
 multistart, search or certificate code.
 """
+import logging
+
 import numpy as np
 import pytest
 
-from discrimopt import Box, Design, ModelPair, ParameterSpace, check_optimality, two_adapt_md
+import discrimopt.algorithms as algorithms
+from discrimopt import AlgoParams, Box, Design, ModelPair, check_optimality, two_adapt_md
 from discrimopt.lsq import fit_parameters
 
 SPACE = Box([-1.0], [1.0])
@@ -28,7 +31,7 @@ def polynomial_pair(n: int) -> ModelPair:
     return ModelPair(
         reference=lambda X: np.polynomial.polynomial.polyval(X[:, :1], beta),
         alternative=lambda X, theta: alternative_jac(X, theta)[0],
-        parameter_space=ParameterSpace(np.full(n, -10.0), np.full(n, 10.0)),
+        parameter_space=Box(np.full(n, -10.0), np.full(n, 10.0)),
         alternative_jac=alternative_jac,
     )
 
@@ -63,3 +66,28 @@ def test_two_adapt_reaches_the_closed_form_design(n):
     assert result.design.n_points == n + 1
     assert np.abs(result.design.points[order] - optimum.points).max() <= 1e-4
     assert np.abs(result.design.weights[order] - optimum.weights).max() <= 1e-4
+
+
+def test_two_adapt_stalls_at_n_2_and_eps_1e_6(monkeypatch, caplog):
+    """2ADAPT's stall stop: the worst point is a candidate already and the accuracy stops improving.
+
+    The design is eps-optimal by the LP-dual mixture gap, but not by the
+    single-fit certificate.  ROADMAP items 1 and 12 expect this case to
+    converge once the certificate can use that gap; this test then changes.
+    """
+    history, checks, fit = [], [], algorithms.fit_parameters
+
+    def recorded_fit(*args, incumbent=None, **kwargs):
+        if incumbent is not None:
+            checks.append(sum(r.phase == "outer" for r in history))
+        return fit(*args, incumbent=incumbent, **kwargs)
+
+    monkeypatch.setattr(algorithms, "fit_parameters", recorded_fit)
+    initial = Design(np.linspace(-0.9, 0.9, 4)[:, None], np.full(4, 0.25))
+    with caplog.at_level(logging.WARNING, logger="discrimopt"):
+        result = two_adapt_md(polynomial_pair(2), SPACE, initial, AlgoParams(eps=1e-6), history=history)
+    assert (result.converged, result.stalled, result.iterations) == (False, True, 18)
+    assert result.accuracy == pytest.approx(2.047560320384001e-05, rel=1e-12, abs=0)
+    assert "stalled after 18 outer iterations" in caplog.text
+    # The Sobol check ran once, on the refit of the 18th outer iteration, which the run stopped on.
+    assert checks == [17]

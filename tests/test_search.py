@@ -12,7 +12,6 @@ from discrimopt import (
     Lattice,
     ModelEvaluationError,
     ModelPair,
-    ParameterSpace,
     make_mm_pair,
     pointwise,
 )
@@ -48,7 +47,7 @@ class TestBoxSearch:
         pair = ModelPair(
             reference=pointwise(lambda x: np.array([np.exp(-50 * (x[0] - 0.341) ** 2)])),
             alternative=pointwise(lambda x, th: np.array([0.0])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         assert x[0] == pytest.approx(0.341, abs=1e-3)
@@ -62,7 +61,7 @@ class TestBoxSearch:
             reference=lambda X: np.sqrt(
                 1 - 0.5 * (X[:, :1] - 0.2) ** 2 + 0.3 * np.exp(-(((X[:, :1] - c) / 0.005) ** 2))),
             alternative=lambda X, th: np.zeros((len(X), 1)),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         assert x[0] == pytest.approx(c, abs=1e-3)
@@ -85,7 +84,7 @@ class TestLatticeSearch:
         pair = ModelPair(
             reference=pointwise(lambda x: np.array([1.0])),
             alternative=pointwise(lambda x, th: np.array([1.0])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         lat = Lattice(([0.5, 0.7], [0.1, 0.2]))
         x, v = maximize_distance(pair, [0.5], lat)
@@ -107,7 +106,7 @@ class TestLatticeSearch:
         pair = ModelPair(
             reference=pointwise(ref),
             alternative=pointwise(lambda x, th: np.array([0.0])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         lat = Lattice(([0.0, 1.0],))
         x, _ = maximize_distance(pair, [0.5], lat)
@@ -139,7 +138,7 @@ class TestFailureHandling:
         pair = ModelPair(
             reference=pointwise(flaky),
             alternative=pointwise(lambda x, th: np.array([0.0])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         lat = Lattice(([0.2, 0.6, 0.8],))
         x, v = maximize_distance(pair, [0.5], lat)
@@ -150,7 +149,7 @@ class TestFailureHandling:
         pair = ModelPair(
             reference=lambda X: X,
             alternative=lambda X, th: np.where(X < 0.5, np.nan, 0.0),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         x, v = maximize_distance(pair, [0.5], Lattice(([0.2, 0.6, 0.8],)))
         assert x[0] == 0.8 and v == 0.8**2
@@ -173,7 +172,7 @@ class TestFailureHandling:
         pair = ModelPair(
             reference=lambda X: np.exp(-50 * (X[:, :1] - 0.373) ** 2),
             alternative=alternative,
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         grid_max = evaluated[0].max()
@@ -195,7 +194,7 @@ class TestFailureHandling:
             "alternative": lambda x, th: np.array([0.0]),
         }
         models[failing] = failing_at_node(models[failing])
-        pair = ModelPair(**{k: pointwise(f) for k, f in models.items()}, parameter_space=ParameterSpace([0.0], [1.0]))
+        pair = ModelPair(**{k: pointwise(f) for k, f in models.items()}, parameter_space=Box([0.0], [1.0]))
         x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         assert x[0] == pytest.approx(0.341, abs=1e-3)
         assert v == pytest.approx(1.0, abs=1e-6)
@@ -207,7 +206,7 @@ class TestFailureHandling:
         pair = ModelPair(
             reference=pointwise(broken),
             alternative=pointwise(lambda x, th: np.array([0.0])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         with pytest.raises(ModelEvaluationError):
             maximize_distance(pair, [0.5], Lattice(([0.0, 1.0],)))
@@ -218,7 +217,7 @@ def _toy_2d():
     return ModelPair(
         reference=lambda X: np.sin(3 * X[:, :1] * X[:, 1:2]) + X[:, :1] * np.cos(X[:, 1:2]),
         alternative=lambda X, th: th[0] * X[:, :1] + th[1] * X[:, 1:2] ** 2,
-        parameter_space=ParameterSpace([-5.0, -5.0], [5.0, 5.0]),
+        parameter_space=Box([-5.0, -5.0], [5.0, 5.0]),
     )
 
 
@@ -227,7 +226,7 @@ def _far_2d():
     return ModelPair(
         reference=lambda X: np.sin(X[:, :1] * 3e-10) * np.cos(X[:, 1:2]),
         alternative=lambda X, th: th[0] * X[:, 1:2],
-        parameter_space=ParameterSpace([-5.0], [5.0]),
+        parameter_space=Box([-5.0], [5.0]),
     )
 
 
@@ -380,7 +379,7 @@ class TestScanGrid:
         pair = ModelPair(
             reference=pointwise(flaky),
             alternative=pointwise(lambda x, th: np.array([0.0])),
-            parameter_space=ParameterSpace([0.0], [1.0]),
+            parameter_space=Box([0.0], [1.0]),
         )
         X, refs = scan_grid(pair, Lattice(([0.2, 0.6, 0.8],)))
         assert np.array_equal(X, [[0.6], [0.8]]) and np.array_equal(refs, [[0.6], [0.8]])
