@@ -30,7 +30,7 @@ from .core import (
     t_value,
 )
 from .lp import WeightLpInstance, solve_weight_lp
-from .lsq import FitResult, fit_parameters
+from .lsq import FitError, FitResult, fit_parameters
 from .search import maximize_distance, scan_grid
 
 __all__ = [
@@ -240,17 +240,25 @@ class _Run:
         ``run_ends(report)`` holds for the warm fit's certificate (by default
         it does), the ``n_theta_starts`` Sobol starts run against that fit,
         which makes it the full multistart's result; a start that beats it is
-        logged and certified in turn.  Without a warm start the one fit is that
-        multistart.  Returns the fits made (the warm fit, then a winner), the
-        certificate of the last, and the ``ls_time`` and ``global_time`` spent
-        fitting and certifying.  ``refs`` is the reference rows at the design's
-        points, evaluated here once when not given; ``certify`` goes to
-        :func:`check_optimality`.
+        logged and certified in turn.  Without a warm start, or when the warm
+        fit fails (:class:`FitError`), the one fit is that multistart, which
+        raises when it fails too.  Returns the fits made (the warm fit, then a
+        winner), the certificate of the last, and the ``ls_time`` and
+        ``global_time`` spent fitting and certifying.  ``refs`` is the
+        reference rows at the design's points, evaluated here once when not
+        given; ``certify`` goes to :func:`check_optimality`.
         """
         pair, params = self.pair, self.params
         fit_args = {"lam": params.lam, "refs": pair.eval_reference(design.points) if refs is None else refs}
         n_starts = params.n_theta_starts if warm is None else 0
-        fit, ls_time = _timed(fit_parameters, pair, design, warm, n_starts=n_starts, **fit_args)
+        try:
+            fit, ls_time = _timed(fit_parameters, pair, design, warm, n_starts=n_starts, **fit_args)
+        except FitError as exc:
+            if warm is None:
+                raise
+            log.info("the warm fit failed (%s); fitting from the %d Sobol starts", exc, params.n_theta_starts)
+            warm = None
+            fit, ls_time = _timed(fit_parameters, pair, design, n_starts=params.n_theta_starts, **fit_args)
         report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, self.space, phi=fit.phi, **certify)
         fits = [fit]
         if warm is not None and run_ends(report):

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import OptimizeResult, least_squares
 
 from .core import Box, Design, DesignError, ModelEvaluationError, ModelPair, squared_distance, t_value
 
@@ -98,14 +98,15 @@ def sobol_points(n: int, box: Box) -> list[np.ndarray]:
 
 
 def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: float):
-    """Residual function sqrt(w_i + lam) * (refs - f2) stacked over support, and its Jacobian.
+    """Residual function sqrt(w_i + lam) * (refs - f2) stacked over support, its Jacobian, and both at once.
 
     The regularizer enters as a uniform extra weight per point, which gives
     the same objective as a separate penalty block with half the residuals.
-    The Jacobian is ``"2-point"`` (finite differences) unless the pair has
-    ``alternative_jac``.  Then one call over the support gives both residual
-    and Jacobian rows, and the Jacobian callable returns the rows stored for
-    the last theta, evaluating afresh only for a theta it has not seen last.
+    The Jacobian is ``"2-point"`` (finite differences), and the third value
+    None, unless the pair has ``alternative_jac``.  Then one call over the
+    support gives both residual and Jacobian rows, ``rows(theta)`` returns the
+    two, and the rows of the last residual call and of the last Jacobian call
+    are kept: a theta equal to either bit for bit is not evaluated again.
     """
     points = design.points
     sqrt_w = np.sqrt(design.weights + lam)[:, None]
@@ -115,25 +116,62 @@ def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: f
         def residuals(theta):
             return (sqrt_w * (refs - pair.eval_alternative(points, theta))).ravel()
 
-        return residuals, "2-point"
+        return residuals, "2-point", None
 
-    last_theta, last = None, None
+    kept = {}  # "r" and "jac": (theta's bytes, its rows) of the last residual call and of the last Jacobian call
 
-    def evaluate(theta):
-        nonlocal last_theta, last
-        if last_theta is None or not np.array_equal(last_theta, theta):
+    def rows(theta, call="r"):
+        key = theta.tobytes()
+        for seen, value in kept.values():
+            if seen == key:
+                break
+        else:
             y, jac = pair.eval_alternative_jac(points, theta)
             r = (sqrt_w * (refs - y)).ravel()
-            last_theta, last = theta.copy(), (r, (-sqrt_w[:, :, None] * jac).reshape(r.size, -1))
-        return last
+            value = (r, (-sqrt_w[:, :, None] * jac).reshape(r.size, -1))
+        kept[call] = (key, value)
+        return value
 
-    def residuals(theta):
-        return evaluate(theta)[0]
+    return (lambda theta: rows(theta)[0]), (lambda theta: rows(theta, "jac")[1]), rows
 
-    def jacobian(theta):
-        return evaluate(theta)[1]
 
-    return residuals, jacobian
+def _local_fit(residuals, jac, rows, x0: np.ndarray, space: Box):
+    """One dogbox start from x0 that holds the coordinates its gradient pushes out of the box.
+
+    With ``rows`` (an exact Jacobian), a coordinate on a bound where g = J^T r
+    points out of the box (lower bound with g > 0, upper with g < 0) stays
+    there and the rest are fitted; when a held g points into the box at that
+    result (KKT), the fit goes on in full from it.  Every g comes from rows
+    already evaluated, and a start with every coordinate held is its own
+    result.  Without ``rows`` this is the plain dogbox call.
+    """
+    lower, upper = space.lower, space.upper
+
+    def run(fun, x, jac, free=slice(None)):
+        return least_squares(fun, x[free], jac=jac, bounds=(lower[free], upper[free]), method="dogbox",
+                             xtol=_LOCAL_TOL, ftol=_LOCAL_TOL, gtol=_LOCAL_TOL, diff_step=1e-7,
+                             max_nfev=_MAX_LOCAL_ITERS * (space.dimension + 1))
+
+    def on_bound_pushed(x, out=1):
+        r, J = rows(x)
+        g = out * (J.T @ r)
+        return ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
+
+    if rows is None or not (held := on_bound_pushed(x0)).any():
+        return run(residuals, x0, jac)
+    if held.all():
+        r = rows(x0)[0]
+        return OptimizeResult(x=x0, cost=0.5 * np.dot(r, r))
+    free = ~held
+
+    def full(z):
+        x = x0.copy()
+        x[free] = z
+        return x
+
+    res = run(lambda z: residuals(full(z)), x0, lambda z: jac(full(z))[:, free], free)
+    res.x = full(res.x)
+    return run(residuals, res.x, jac) if on_bound_pushed(res.x, -1)[held].any() else res
 
 
 def fit_parameters(
@@ -153,7 +191,11 @@ def fit_parameters(
     started from the warm start plus ``n_starts`` Sobol points; a negative
     ``n_starts`` or ``lam`` raises ValueError.  The
     Jacobian is exact when the pair has ``alternative_jac`` and a forward
-    difference (relative step 1e-7) otherwise.  ``objective`` is the
+    difference (relative step 1e-7) otherwise.  With the exact Jacobian, a
+    start holds each parameter that sits on a bound with the cost's gradient
+    pointing out of the box, and fits the others; when a held gradient points
+    into the box at that result, the fit goes on from it in full.  A pair
+    without ``alternative_jac`` fits every parameter.  ``objective`` is the
     unregularized value, the weighted sum of ``phi``.  ``refs`` is the
     reference rows at the design's points when the caller holds them;
     only without it is the reference evaluated, once.
@@ -180,7 +222,7 @@ def fit_parameters(
         raise FitError("no starting points: supply a warm start or n_starts > 0")
 
     refs = pair.eval_reference(design.points) if refs is None else refs
-    residuals, jac = _stacked_residuals(pair, design, refs, lam)
+    residuals, jac, rows = _stacked_residuals(pair, design, refs, lam)
     best = None
     best_index = -1
     # The incumbent is start 0; its regularized objective is twice its cost, exactly.
@@ -188,18 +230,7 @@ def fit_parameters(
     skipped = []
     for i, x0 in enumerate(starts, start=0 if incumbent is None else 1):
         try:
-            res = least_squares(
-                residuals,
-                x0,
-                jac=jac,
-                bounds=(space.lower, space.upper),
-                method="dogbox",
-                xtol=_LOCAL_TOL,
-                ftol=_LOCAL_TOL,
-                gtol=_LOCAL_TOL,
-                diff_step=1e-7,
-                max_nfev=_MAX_LOCAL_ITERS * (space.dimension + 1),
-            )
+            res = _local_fit(residuals, jac, rows, x0, space)
         except ModelEvaluationError as exc:
             skipped.append((i, exc))
             continue

@@ -35,6 +35,7 @@ from conftest import linear_vs_constant, two_basins
 
 TOY_BOX = Box([0.0], [1.0])
 MM_CONFIG = importlib.resources.files("discrimopt") / "configs" / "mm.config"
+KINETICS_BENCH = Path(__file__).parent.parent / "benchmarks" / "kinetics.config"
 GOLDEN = Path(__file__).parent / "golden"
 TIGHT = AlgoParams(eps=1e-8, eps_sip=1e-12, max_iter_sip=60)
 
@@ -488,6 +489,31 @@ class TestWhereTheMultistartRuns:
         assert np.array_equal(result.theta_hat, full.theta_hat)
         assert result.t_value == full.objective == result.history[-1].t_value
         assert np.array_equal(result.design.points, design.points)
+
+
+@pytest.mark.parametrize(
+    "config, nfev, outer, inner",
+    [(MM_CONFIG, range(374, 375), 10, 33), (KINETICS_BENCH, range(261), 10, 21)],
+    ids=["mm", "kinetics"],
+)
+def test_two_adapt_least_squares_work(config, nfev, outer, inner, monkeypatch):
+    # Residual evaluations of every least-squares call in a 2ADAPT solve: mm holds no parameter and
+    # keeps its count; every kinetics fit ends with k1 on its bound, and holding it there keeps the
+    # count at or below 260 (392 over all four parameters).
+    counts = []
+    least_squares = lsq.least_squares
+
+    def counted(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        counts.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(lsq, "least_squares", counted)
+    cfg = load_config(config)
+    result = two_adapt_md(cfg.pair, cfg.space, cfg.initial, cfg.params)
+    assert result.converged and result.iterations == outer
+    assert sum(r.phase == "disc" for r in result.history) == inner
+    assert sum(counts) in nfev
 
 
 class TestSolve:

@@ -22,7 +22,7 @@ from discrimopt.lsq import FitError
 from discrimopt.models import register_model
 from discrimopt.cli import main
 
-from conftest import two_basins
+from conftest import linear_vs_constant, two_basins
 
 CONFIG_DIR = importlib.resources.files("discrimopt") / "configs"
 MM_CONFIG = str(CONFIG_DIR / "mm.config")
@@ -82,6 +82,21 @@ def _mm_nan_above(params):
 
 register_model("mm_nan_above", _mm_nan_above)
 register_model("two_basins", lambda params: two_basins())
+
+
+def _constant_failing_above(params):
+    """f1(x) = x vs f2(x, theta) = theta on theta in [0, 1], whose alternative raises above ``theta_max``."""
+    theta_max = float(params.pop("theta_max"))
+
+    def alternative(X, theta):
+        if theta[0] > theta_max:
+            raise RuntimeError("injected failure")
+        return np.full_like(X, theta[0])
+
+    return dataclasses.replace(linear_vs_constant(), alternative=alternative)
+
+
+register_model("constant_failing_above", _constant_failing_above)
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +464,31 @@ class TestVerify:
             assert main(["verify", "--design", str(design), "--config", str(config)]) == 1
         assert "beat the warm fit" in caplog.text
         assert "max_psi=1.000000e+00" in capsys.readouterr().out.splitlines()
+
+    def test_model_failing_at_theta_hat_falls_back_to_the_sobol_starts(self, tmp_path, capsys, caplog):
+        # The warm fit from theta_hat 0.95 fails at its first evaluation; the Sobol starts fit
+        # theta = 1/2 and certify {0: 1/2, 1: 1/2}.
+        config = tmp_path / "failing.config"
+        config.write_text(textwrap.dedent(
+            """
+            model:
+              name: constant_failing_above
+              reference_params: {theta_max: 0.9}
+            design_space:
+              type: box
+              lower: [0.0]
+              upper: [1.0]
+            initial_design:
+              points: [[0.0], [1.0]]
+              weights: [0.5, 0.5]
+            """
+        ))
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"support": [[0.0], [1.0]], "weights": [0.5, 0.5], "theta_hat": [0.95]}))
+        with caplog.at_level(logging.INFO, logger="discrimopt"):
+            assert main(["verify", "--design", str(design), "--config", str(config)]) == 0
+        assert "the warm fit failed" in caplog.text
+        assert "eps-T-optimal at eps=1e-05: yes" in capsys.readouterr().out.splitlines()
 
 
 class TestCompare:

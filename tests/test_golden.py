@@ -8,8 +8,13 @@ disc runs stop unconverged, with exit code 2.  A change that moves an
 answer, a speed-up included, fails here.  Numbers are compared
 within 1e-12 relative; on one machine they repeat exactly.
 
-``mm-disc``, ``kinetics-2adapt`` and ``kinetics-disc`` were written by
-commit a51d231, which makes DISC's cut fits start from the warm start alone.
+``mm-disc`` was written by commit a51d231, which makes DISC's cut fits
+start from the warm start alone.  ``kinetics-2adapt`` and ``kinetics-disc``
+were written again by the child of 4790e81, which holds the parameters a
+least-squares start's gradient pushes out of the box (k1 on its upper
+bound): T moved 2.3e-12 relative on 2adapt (2.23888983787006e-3 to
+2.23888983786492e-3) and 1.7e-9 on disc (2.238608652426e-3 to
+2.238608656249e-3), with the same supports and iteration counts.
 ``mm-2adapt`` was written again by the commit that starts the box search's
 refinements only from grid points that are local maxima (fe2e3bb).
 ``mm-vdm`` was written again by its child, which fits each VDM iteration

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 import discrimopt
+import discrimopt.lsq as lsq
 
 from discrimopt import Box, Design, ModelPair, make_mm_pair, pointwise
 from discrimopt.core import DesignError, squared_distance, t_value
@@ -70,6 +72,119 @@ class TestSobolPoints:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "False"
+
+
+def decay_and_line(with_jac=True) -> ModelPair:
+    """f2(x, theta) = theta0 exp(-theta1 x) + theta2 x on theta in [0, 1] x [0, 4] x [-1, 1].
+
+    f1 is f2 at (1.015, 2.84, 0.09), so the unconstrained fit lies above the
+    box in theta0, and the constrained one holds theta0 = 1.
+    """
+
+    def alternative(X, theta):
+        return theta[0] * np.exp(-theta[1] * X) + theta[2] * X
+
+    def alternative_jac(X, theta):
+        e = np.exp(-theta[1] * X)
+        return alternative(X, theta), np.stack([e, -theta[0] * X * e, X], axis=2)
+
+    return ModelPair(
+        reference=lambda X: alternative(X, [1.015, 2.84, 0.09]),
+        alternative=alternative,
+        alternative_jac=alternative_jac if with_jac else None,
+        parameter_space=Box([0.0, 0.0, -1.0], [1.0, 4.0, 1.0]),
+    )
+
+
+def line(X, theta):
+    """f2(x, theta) = theta0 + theta1 x, and its Jacobian."""
+    return theta[0] + theta[1] * X, np.stack([np.ones_like(X), X], axis=2)
+
+
+DECAY_DESIGN = Design(np.array([[0.25], [0.5], [1.0], [2.0], [4.0]]), np.full(5, 0.2))
+
+
+def plain_dogbox(pair, design, x0, lam=1e-8):
+    """The fit's dogbox call over every parameter, on the same residuals and Jacobian."""
+    sqrt_w = np.sqrt(design.weights + lam)[:, None]
+    refs = pair.eval_reference(design.points)
+
+    def residuals(theta):
+        return (sqrt_w * (refs - pair.eval_alternative(design.points, theta))).ravel()
+
+    def jacobian(theta):
+        jac = pair.eval_alternative_jac(design.points, theta)[1]
+        return (-sqrt_w[:, :, None] * jac).reshape(design.n_points * pair.d_y, -1)
+
+    box = pair.parameter_space
+    return least_squares(
+        residuals, np.asarray(x0, dtype=float), jac="2-point" if pair.alternative_jac is None else jacobian,
+        bounds=(box.lower, box.upper), method="dogbox", xtol=1e-10, ftol=1e-10, gtol=1e-10, diff_step=1e-7,
+        max_nfev=200 * (box.dimension + 1),
+    )
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The residual evaluations of each least-squares call a fit makes."""
+    nfev = []
+    plain = lsq.least_squares
+
+    def counted(*args, **kwargs):
+        res = plain(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(lsq, "least_squares", counted)
+    return nfev
+
+
+class TestHeldBounds:
+    """A start holds the parameters on a bound whose gradient points out of the box, and fits the rest."""
+
+    def test_start_on_a_bound_converges_in_fewer_evaluations(self, calls):
+        # Over all three parameters the plain dogbox call takes 66 evaluations; with theta0 held, 6.
+        x0 = [1.0, 3.8, 0.1]
+        full = plain_dogbox(decay_and_line(), DECAY_DESIGN, x0)
+        fit = fit_parameters(decay_and_line(), DECAY_DESIGN, x0, n_starts=0)
+        assert fit.theta_hat[0] == full.x[0] == 1.0
+        assert np.abs(fit.theta_hat - full.x).max() <= 1e-10
+        assert len(calls) == 1 and calls[0] < full.nfev
+
+    def test_gradient_turning_inward_refits_in_full(self, calls):
+        # f1 = 0.5 + x.  At (0, 3) the cost pushes theta0 below 0, so it is held; the
+        # slope alone then fits 1.5, where the cost pulls theta0 up to its optimum 0.5.
+        pair = ModelPair(
+            reference=lambda X: 0.5 + X,
+            alternative=lambda X, theta: line(X, theta)[0],
+            alternative_jac=line,
+            parameter_space=Box([0.0, -5.0], [1.0, 5.0]),
+        )
+        design = Design(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        fit = fit_parameters(pair, design, [0.0, 3.0], n_starts=0)
+        assert len(calls) == 2
+        assert np.abs(fit.theta_hat - plain_dogbox(pair, design, [0.0, 3.0]).x).max() <= 1e-10
+        assert fit.theta_hat == pytest.approx([0.5, 1.0], abs=1e-10)
+
+    def test_every_parameter_held_calls_no_solver(self, calls):
+        # f1(1) = 2 lies above the box [0, 1/2]: from 1/2 the start is its own result.
+        pair = ModelPair(
+            reference=lambda X: 2.0 * X,
+            alternative=lambda X, theta: np.full_like(X, theta[0]),
+            alternative_jac=lambda X, theta: (np.full_like(X, theta[0]), np.ones(X.shape + (1,))),
+            parameter_space=Box([0.0], [0.5]),
+        )
+        fit = fit_parameters(pair, Design(np.array([[1.0]]), np.array([1.0])), [0.5], n_starts=0, lam=0.0)
+        assert calls == []
+        assert fit.theta_hat.tolist() == [0.5] and fit.objective == fit.regularized_objective == 1.5**2
+
+    def test_pair_without_jacobian_fits_every_parameter(self, calls):
+        pair = decay_and_line(with_jac=False)
+        x0 = [1.0, 3.8, 0.1]
+        full = plain_dogbox(pair, DECAY_DESIGN, x0)
+        fit = fit_parameters(pair, DECAY_DESIGN, x0, n_starts=0)
+        assert calls == [full.nfev]
+        assert np.array_equal(fit.theta_hat, full.x) and fit.regularized_objective == 2.0 * full.cost
 
 
 class TestFitParameters:
