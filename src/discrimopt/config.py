@@ -7,6 +7,7 @@ two bundled example files under ``discrimopt/configs/``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -133,8 +134,12 @@ def _parse_initial(node, space: DesignSpace, path="initial_design") -> Design:
         raise ConfigError(f"{path}.points: expected a nonempty list of points")
     points = []
     for i, p in enumerate(raw_points):
-        coords = p if isinstance(p, list) else [p]
-        points.append(_float_list(coords, f"{path}.points[{i}]"))
+        coords = _float_list(p if isinstance(p, list) else [p], f"{path}.points[{i}]")
+        if len(coords) != space.dimension:
+            raise ConfigError(f"{path}.points[{i}]: expected {space.dimension} coordinates, got {len(coords)}")
+        if not all(map(math.isfinite, coords)):
+            raise ConfigError(f"{path}.points[{i}]: design point coordinates must be finite")
+        points.append(coords)
     weights = _float_list(_get(node, "weights", path), f"{path}.weights")
     try:
         design = Design(np.array(points), np.array(weights))

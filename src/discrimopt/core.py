@@ -121,8 +121,9 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        # Copies, so that freezing them leaves the caller's arrays writeable.
+        lo = np.atleast_1d(np.array(self.lower, dtype=float))
+        hi = np.atleast_1d(np.array(self.upper, dtype=float))
         if lo.shape != hi.shape:
             raise DesignError("box bounds must have equal dimension")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -159,7 +160,7 @@ class Lattice:
     def __post_init__(self):
         clean = []
         for lv in self.levels:
-            arr = np.atleast_1d(np.asarray(lv, dtype=float))
+            arr = np.atleast_1d(np.array(lv, dtype=float))  # a copy, as in Box
             if arr.size == 0:
                 raise DesignError("lattice level lists must be nonempty")
             if np.any(np.diff(arr) <= 0):

@@ -201,6 +201,28 @@ class TestSolve:
         assert code == 1
         assert "initial_design.weights" in capsys.readouterr().err
 
+    def test_nonfinite_initial_point_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.config"
+        cfg.write_text(
+            textwrap.dedent(
+                """
+                model:
+                  name: mm_vs_modmm
+                design_space:
+                  type: box
+                  lower: [0.001]
+                  upper: [5.0]
+                initial_design:
+                  points: [[1.0], [.nan], [3.0], [4.0]]
+                  weights: [0.25, 0.25, 0.25, 0.25]
+                """
+            )
+        )
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == 1
+        assert errors == ["error: initial_design.points[1]: design point coordinates must be finite"]
+
     @pytest.mark.parametrize(
         "config, old, new",
         [

@@ -113,6 +113,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"initial_design.points\[1\]"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ("[[1.0], [.nan], [3.0], [4.0]]", r"initial_design.points\[1\]: design point coordinates must be finite"),
+            ("[[1.0], [2.0], [3.0], [.inf]]", r"initial_design.points\[3\]: design point coordinates must be finite"),
+            ("[[1.0], [2.0, 3.0], [3.0], [4.0]]", r"initial_design.points\[1\]: expected 1 coordinates, got 2"),
+        ],
+        ids=["nan", "inf", "ragged"],
+    )
+    def test_bad_point_names_its_index(self, tmp_path, points, message):
+        bad = MINIMAL.replace("[[1.0], [2.0]]", points).replace("[0.5, 0.5]", "[0.25, 0.25, 0.25, 0.25]")
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, bad))
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.config"
         path.write_text("model:\n  name: [unclosed\n")

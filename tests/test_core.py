@@ -110,6 +110,14 @@ class TestSpaces:
         assert np.allclose(ps.clip([2.0, -1.0]), [1.0, 0.0])
         assert ps.contains([0.5, 0.5]) and not ps.contains([2.0, 0.5])
 
+    def test_spaces_copy_the_callers_arrays(self):
+        lo, hi, level = np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.5, 0.7])
+        box, lat = Box(lo, hi), Lattice((level,))
+        assert lo.flags.writeable and hi.flags.writeable and level.flags.writeable
+        assert not (box.lower.flags.writeable or box.upper.flags.writeable or lat.levels[0].flags.writeable)
+        lo[0] = hi[0] = level[0] = -9.0
+        assert box.lower[0] == 0.0 and box.upper[0] == 1.0 and lat.levels[0][0] == 0.5
+
     def test_parameter_space_must_be_bounded(self):
         with pytest.raises(DesignError, match="bounded"):
             Box([0.0], [np.inf])

@@ -10,11 +10,19 @@ within 1e-12 relative; on one machine they repeat exactly.
 
 ``mm-disc`` was written by commit a51d231, which makes DISC's cut fits
 start from the warm start alone.  ``kinetics-2adapt`` and ``kinetics-disc``
-were written again by the child of 4790e81, which holds the parameters a
-least-squares start's gradient pushes out of the box (k1 on its upper
-bound): T moved 2.3e-12 relative on 2adapt (2.23888983787006e-3 to
-2.23888983786492e-3) and 1.7e-9 on disc (2.238608652426e-3 to
-2.238608656249e-3), with the same supports and iteration counts.
+were written again by the child of 9657464, which computes the irreversible
+alternative's a in closed form and integrates b alone, with the step control
+on b's error estimate: T moved 8.1e-9 relative on 2adapt
+(2.23888983786492e-3 to 2.2388898559082054e-3) and 1.5e-9 on disc
+(2.238608656249e-3 to 2.238608659658e-3), with the same iteration and
+history-row counts.  The 2adapt support did not move.  The disc support
+moved only between lattice points that differ in c0 alone, with the same
+weights, to the published support: neither model's a and b depend on c0,
+so such points differ in the distance only by rounding, and the
+alternative's a and b are now bit-identical across c0.  Before that, the
+child of 4790e81, which holds the parameters a least-squares start's
+gradient pushes out of the box, moved T 2.3e-12 on 2adapt and 1.7e-9 on
+disc.
 ``mm-2adapt`` was written again by the commit that starts the box search's
 refinements only from grid points that are local maxima (fe2e3bb).
 ``mm-vdm`` was written again by its child, which fits each VDM iteration

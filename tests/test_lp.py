@@ -2,6 +2,7 @@ import itertools
 import logging
 import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +14,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 from scipy.optimize._linprog_util import _check_result
 
-from discrimopt import Lattice
-from discrimopt.core import squared_distance
 from discrimopt.lp import WeightLpInstance, WeightLpSolution, _accepted, solve_weight_lp
-from discrimopt.models import make_kinetics_pair
 
 
 def linprog_weight_lp(instance):
@@ -52,19 +50,18 @@ def bits(sol):
 
 def kinetics_phi():
     """The fourth weight LP of DISC on the kinetics lattice: 135 x 4, on which
-    the HiGHS dual simplex reports failure at tolerances 1e-10."""
-    pair = make_kinetics_pair()
-    lattice = Lattice(
-        ([0.5, 0.7, 0.9], [0.1, 0.2, 0.3], [0.0, 0.15, 0.3], [2.0, 4.0, 6.0, 8.0, 10.0])
-    )
-    thetas = [
-        (1.0, 0.29439922473408364, 3.122180356107001, 2.546299219882528),
-        (1.0, 0.1881401142639104, 2.6289625901264166, 1.9503132658916882),
-        (1.0, 0.5, 2.9900491110863094, 2.594042988364661),
-        (1.0, 0.16929162367934245, 2.9259695407758515, 1.811329844399902),
-    ]
-    points = np.array(list(lattice.enumerate()))
-    return np.column_stack([squared_distance(pair, points, th) for th in thetas])
+    the HiGHS dual simplex reports failure at tolerances 1e-10.
+
+    Stored as the 9-state sensitivity kernel computed it (commit 9657464),
+    for the cut parameters (1.0, 0.29439922473408364, 3.122180356107001,
+    2.546299219882528), (1.0, 0.1881401142639104, 2.6289625901264166,
+    1.9503132658916882), (1.0, 0.5, 2.9900491110863094, 2.594042988364661)
+    and (1.0, 0.16929162367934245, 2.9259695407758515, 1.811329844399902).
+    The closed-form-a kernel moves these values by ~1e-9, and on its matrix
+    the dual simplex succeeds.
+    """
+    with open(Path(__file__).parent / "data" / "kinetics-disc-lp4.txt") as fh:
+        return np.array([[float.fromhex(v) for v in line.split()] for line in fh])
 
 
 def degenerate_phi():

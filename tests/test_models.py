@@ -15,10 +15,10 @@ from discrimopt.models import (
     IntegratorTol,
     KineticsInput,
     KineticsParams,
+    _closed_form_a,
     _dopri5,
-    _dopri5_sens,
+    _dopri5_alt,
     _initial_step,
-    _kinetics_sens_rhs,
     integrate_kinetics,
     make_kinetics_pair,
     mm_eval,
@@ -252,18 +252,19 @@ class TestGroupedSolves:
                 assert out == [_dopri5(rhs, t, y0, tol.rel, tol.abs)[0] for t in SAMPLING_TIMES]
 
     def test_sensitivity_kernel_on_lattice(self):
+        # The closed-form-a kernel, plain and with b's sensitivities, grouped by (a0, b0).
         tol = IntegratorTol()
         thetas = box_thetas()
         assert len(thetas) >= 20
         for theta in thetas:
-            rhs = _kinetics_sens_rhs(alternative_params(theta))
-            for y0 in INITIAL_STATES:
-                out = []
-                _dopri5_sens(rhs, SAMPLING_TIMES, y0, tol.rel, tol.abs, out)
-                singles = []
-                for t in SAMPLING_TIMES:
-                    _dopri5_sens(rhs, (t,), y0, tol.rel, tol.abs, singles)
-                assert out == singles
+            p = alternative_params(theta)
+            for a0, b0 in itertools.product([0.5, 0.7, 0.9], [0.1, 0.2, 0.3]):
+                for jac in (False, True):
+                    out, singles = [], []
+                    _dopri5_alt(p, SAMPLING_TIMES, a0, b0, tol.rel, tol.abs, out, jac)
+                    for t in SAMPLING_TIMES:
+                        _dopri5_alt(p, (t,), a0, b0, tol.rel, tol.abs, singles, jac)
+                    assert out == singles
 
     def test_time_with_clipped_initial_step_solved_alone(self):
         tol = IntegratorTol()
@@ -271,7 +272,7 @@ class TestGroupedSolves:
         y0 = (0.5, 0.1, 0.0)
         times = (1e-10, 1e-3, 2.0, 10.0)
         # The first time clips the initial step, so the pass must not start from it.
-        _, bound = _initial_step(rhs, times[0], *y0, *rhs(*y0), tol.rel, tol.abs)
+        _, bound = _initial_step(lambda _, y: rhs(*y), times[0], y0, rhs(*y0), tol.rel, tol.abs)
         assert bound
         out = []
         _dopri5(rhs, times, y0, tol.rel, tol.abs, out)
@@ -279,20 +280,22 @@ class TestGroupedSolves:
 
     def test_sensitivity_time_with_clipped_initial_step_solved_alone(self):
         tol = IntegratorTol()
-        rhs = _kinetics_sens_rhs(alternative_params([1.0, 0.2568, 3.0591, 2.4137]))
-        y0 = (0.5, 0.1, 0.0)
+        p = alternative_params([1.0, 0.2568, 3.0591, 2.4137])
+        a0, b0 = 0.5, 0.1
         times = (1e-10, 1e-3, 2.0, 10.0)
+        rate = _closed_form_a(p, a0, False)
 
-        def states(a, b, c):
-            return rhs(a, b, c, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[:3]
+        def fun(t, y):
+            return (rate(t)[0] - p.k2 * max(y[0], 0.0) ** p.n2,)
 
-        _, bound = _initial_step(states, times[0], *y0, *states(*y0), tol.rel, tol.abs)
+        _, bound = _initial_step(fun, times[0], (b0,), fun(0.0, (b0,)), tol.rel, tol.abs)
         assert bound
-        out, singles = [], []
-        _dopri5_sens(rhs, times, y0, tol.rel, tol.abs, out)
-        for t in times:
-            _dopri5_sens(rhs, (t,), y0, tol.rel, tol.abs, singles)
-        assert out == singles
+        for jac in (False, True):
+            out, singles = [], []
+            _dopri5_alt(p, times, a0, b0, tol.rel, tol.abs, out, jac)
+            for t in times:
+                _dopri5_alt(p, (t,), a0, b0, tol.rel, tol.abs, singles, jac)
+            assert out == singles
 
     def test_pair_batch_equals_one_row_calls(self):
         # Shuffled lattice rows with repeats, so groups interleave.
@@ -327,15 +330,12 @@ class TestSensitivities:
     """Exact Jacobians of the alternative models."""
 
     def test_kinetics_states_equal_plain_kernel_on_lattice(self):
+        # The Jacobian pass gives the plain pass's a, b and c, bit for bit.
         lo, hi = KINETICS_PARAMETER_SPACE.lower, KINETICS_PARAMETER_SPACE.upper
-        tol = IntegratorTol()  # the pair's
         pair = make_kinetics_pair()
         for th in (lo, hi, (lo + hi) / 2, [1.0, 0.2568, 3.0591, 2.4137]):
-            rhs = kinetics_rhs(KineticsParams(th[0], th[1], 0.0, th[2], th[3], 1.0))
             Y, _ = pair.eval_alternative_jac(FULL_LATTICE, th)
-            for x, y in zip(FULL_LATTICE, Y):
-                plain, _ = _dopri5(rhs, x[3], x[:3], tol.rel, tol.abs)
-                assert np.array_equal(y, plain)
+            assert np.array_equal(Y, pair.eval_alternative(FULL_LATTICE, th))
 
     def test_kinetics_jacobian_matches_central_differences(self):
         # Differences of solves at a tight tolerance; the exact Jacobian runs
@@ -381,13 +381,76 @@ class TestSensitivities:
         assert np.all(jac[:, [0, 2]] == 0.0)
 
     def test_reversible_system_rejected(self):
-        with pytest.raises(ValueError, match="irreversible"):
-            _kinetics_sens_rhs(KineticsParams(**KINETICS_DEFAULTS))
+        reversible = KineticsParams(**KINETICS_DEFAULTS)
+        for p in (reversible, KineticsParams(0.7, 0.2, 0.0, 2.0, 2.0, 1.5)):
+            for jac in (False, True):
+                with pytest.raises(ValueError, match="irreversible"):
+                    _dopri5_alt(p, (2.0,), 0.5, 0.1, 1e-8, 1e-10, [], jac)
 
     def test_failure_raises_model_evaluation_error(self):
         with pytest.raises(ModelEvaluationError) as err:
             make_kinetics_pair().eval_alternative_jac([1e-20, 0.0, 0.0, 1.0], [1e300, 0.2, 1.0, 2.0])
         assert isinstance(err.value.__cause__, OverflowError)
+
+
+class TestClosedFormA:
+    """The alternative's a in closed form, and b integrated alone."""
+
+    def test_alternative_agrees_with_three_state_kernel(self):
+        # Within the linear-chain test's tolerance: the steps differ, so do the last digits.
+        pair = make_kinetics_pair()
+        for theta in box_thetas():
+            p = alternative_params(theta)
+            direct = [integrate_kinetics(p, KineticsInput(*x)) for x in FULL_LATTICE]
+            np.testing.assert_allclose(pair.eval_alternative(FULL_LATTICE, theta), direct, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("n1", [0.5, 1.0, 1 - 1e-9, 1 + 1e-9, 1.5, 3.5])
+    @pytest.mark.parametrize("a0", [0.0, 0.7])
+    def test_a_and_derivatives_match_central_differences(self, n1, a0):
+        tight = IntegratorTol(rel=1e-12, abs=1e-14)
+        k1 = 0.8
+        for t in (0.5, 2.0, 6.0):
+
+            def a_of(th, t=t):
+                p = KineticsParams(th[0], 0.2, 0.0, th[1], 2.0, 1.0)
+                return integrate_kinetics(p, KineticsInput(a0, 0.1, 0.0, t), tight)[:1]
+
+            r1, r1_k1, r1_n1, a, a_k1, a_n1 = _closed_form_a(alternative_params([k1, 0.2, n1, 2.0]), a0, True)(t)
+            assert a == pytest.approx(a_of([k1, n1])[0], rel=0, abs=1e-10)
+            assert r1 == pytest.approx(k1 * a**n1, rel=1e-14, abs=0)
+            expected = central_difference_jacobian(a_of, [k1, n1])[0]
+            np.testing.assert_allclose([a_k1, a_n1], expected, rtol=0, atol=1e-8 + 1e-6 * np.abs(expected).max())
+
+            def r1_of(th, t=t):
+                return np.array([_closed_form_a(alternative_params([th[0], 0.2, th[1], 2.0]), a0, False)(t)[0]])
+
+            expected = central_difference_jacobian(r1_of, [k1, n1])[0]
+            np.testing.assert_allclose([r1_k1, r1_n1], expected, rtol=0, atol=1e-8 + 1e-6 * np.abs(expected).max())
+            if a0 == 0.0:
+                assert (r1, r1_k1, r1_n1, a, a_k1, a_n1) == (0.0,) * 6
+
+    def test_extinction_below_first_order(self):
+        # n1 < 1: a reaches 0 in finite time (u = -1 at t = 2.09 here) and stays there.
+        p = alternative_params([0.8, 0.2, 0.5, 2.0])
+        at = _closed_form_a(p, 0.7, True)
+        assert at(2.0)[3] > 0.0
+        assert at(2.1) == at(10.0) == (0.0,) * 6
+        tight = IntegratorTol(rel=1e-12, abs=1e-14)
+        assert integrate_kinetics(p, KineticsInput(0.7, 0.1, 0.0, 10.0), tight)[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_a_and_b_do_not_depend_on_c0(self):
+        # So lattice points that differ only in c0 tie exactly in a and b; DISC
+        # breaks such ties by the order of its candidates.
+        pair = make_kinetics_pair()
+        X = np.array(FULL_LATTICE)
+        for theta in ([1.0, 0.2568, 3.0591, 2.4137], KINETICS_PARAMETER_SPACE.lower):
+            Y, J = pair.eval_alternative_jac(X, theta)
+            for a0, b0, t in itertools.product([0.5, 0.7, 0.9], [0.1, 0.2, 0.3], SAMPLING_TIMES):
+                rows = np.flatnonzero((X[:, 0] == a0) & (X[:, 1] == b0) & (X[:, 3] == t))
+                assert len(rows) == 3
+                assert all(np.array_equal(Y[i, :2], Y[rows[0], :2]) for i in rows)
+                assert all(np.array_equal(J[i], J[rows[0]]) for i in rows)
+                assert all(Y[i, 2] == a0 + b0 + X[i, 2] - Y[i, 0] - Y[i, 1] for i in rows)
 
 
 class TestFailurePaths:
@@ -422,13 +485,13 @@ class TestRegistry:
         pair = registry_lookup("kinetics_rev_vs_irrev")
         assert pair.d_y == 3
         # The alternative must not depend on the reference's back reaction:
-        # compare against a fresh irreversible model evaluated directly.
+        # compare against the irreversible system's kernel called directly.
         theta = [0.7, 0.2, 2.0, 2.0]
-        x = [0.5, 0.1, 0.0, 4.0]
-        direct = integrate_kinetics(
-            KineticsParams(0.7, 0.2, 0.0, 2.0, 2.0, 1.0), KineticsInput(*x)
-        )
-        assert pair.eval_alternative(x, theta)[0] == pytest.approx(direct, abs=1e-12)
+        a0, b0, c0, t = x = [0.5, 0.1, 0.15, 4.0]
+        out = []
+        _dopri5_alt(KineticsParams(0.7, 0.2, 0.0, 2.0, 2.0, 1.0), (t,), a0, b0, 1e-8, 1e-10, out)
+        (a, b), = out
+        assert np.array_equal(pair.eval_alternative(x, theta)[0], [a, b, a0 + b0 + c0 - a - b])
 
     def test_reference_params_override(self):
         pair = registry_lookup("mm_vs_modmm", {"F": 0.0})
