@@ -257,6 +257,18 @@ class ModelPair:
         return out
 
 
+def forward_steps(x: np.ndarray, h, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The forward-difference steps from x in [lower, upper] that scipy's ``approx_derivative`` takes for ``h``:
+    2**-26 max(1, |x|), signed like x (+ at 0), where x + h rounds to x; a step leaving the box is flipped
+    if the flip fits in it, else cut to the farther bound."""
+    sign = np.where(x >= 0, 1.0, -1.0)
+    h = np.where((x + h) - x == 0, 2.0**-26 * sign * np.maximum(1.0, np.abs(x)), h)
+    below, above = x - lower, upper - x
+    flip = (x + h < lower) | (x + h > upper)
+    return np.where(np.abs(h) <= np.maximum(below, above), np.where(flip, -h, h),
+                    np.where(above >= below, above, -below))
+
+
 def squared_distance(pair: ModelPair, X, theta2, refs=None) -> np.ndarray:
     """Squared distances (n,) between reference (or the given ``refs``) and alternative at the rows of X."""
     refs = pair.eval_reference(X) if refs is None else refs

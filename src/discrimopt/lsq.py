@@ -8,9 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeResult, least_squares
+from numpy.linalg import lstsq
+from scipy.optimize import OptimizeResult
 
-from .core import Box, Design, DesignError, ModelEvaluationError, ModelPair, squared_distance, t_value
+from .core import Box, Design, DesignError, ModelEvaluationError, ModelPair, forward_steps, squared_distance, t_value
 
 __all__ = ["FitResult", "FitError", "sobol_points", "fit_parameters"]
 
@@ -102,21 +103,37 @@ def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: f
 
     The regularizer enters as a uniform extra weight per point, which gives
     the same objective as a separate penalty block with half the residuals.
-    The Jacobian is ``"2-point"`` (finite differences), and the third value
-    None, unless the pair has ``alternative_jac``.  Then one call over the
-    support gives both residual and Jacobian rows, ``rows(theta)`` returns the
-    two, and the rows of the last residual call and of the last Jacobian call
-    are kept: a theta equal to either bit for bit is not evaluated again.
+    With ``alternative_jac``, one call over the support gives both residual
+    and Jacobian rows, ``rows(theta)`` returns the two, and the rows of the
+    last residual call and of the last Jacobian call are kept: a theta equal
+    to either bit for bit is not evaluated again.  Without it, ``rows`` is
+    None and the Jacobian is scipy's ``approx_derivative(method="2-point",
+    rel_step=1e-7)`` in the box, from the last residuals at an equal theta.
     """
     points = design.points
     sqrt_w = np.sqrt(design.weights + lam)[:, None]
 
     if pair.alternative_jac is None:
+        lower, upper = pair.parameter_space.lower, pair.parameter_space.upper
+        last = [None, None]  # theta's bytes and the residuals of the last residual call
 
-        def residuals(theta):
+        def plain(theta):
             return (sqrt_w * (refs - pair.eval_alternative(points, theta))).ravel()
 
-        return residuals, "2-point", None
+        def residuals(theta):
+            last[:] = theta.tobytes(), plain(theta)
+            return last[1]
+
+        def jac(theta):  # the columns of zero-width coordinates, held at their one value, stay 0
+            r0 = last[1] if last[0] == theta.tobytes() else plain(theta)
+            h = forward_steps(theta, 1e-7 * theta, lower, upper)
+            columns = np.zeros((theta.size, r0.size))
+            for i in np.flatnonzero(lower < upper):
+                step = theta + np.diag(h)[i]
+                columns[i] = (plain(step) - r0) / (step[i] - theta[i])
+            return columns.T
+
+        return residuals, jac, None
 
     kept = {}  # "r" and "jac": (theta's bytes, its rows) of the last residual call and of the last Jacobian call
 
@@ -135,43 +152,120 @@ def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: f
     return (lambda theta: rows(theta)[0]), (lambda theta: rows(theta, "jac")[1]), rows
 
 
-def _local_fit(residuals, jac, rows, x0: np.ndarray, space: Box):
-    """One dogbox start from x0 that holds the coordinates its gradient pushes out of the box.
+def _step_to_bound(x, s, lower, upper):
+    """The least t >= 0 that puts x + t s on the box's boundary, and -1/+1 where it meets a lower/upper bound."""
+    moves, steps = np.nonzero(s), np.full_like(x, np.inf)
+    with np.errstate(over="ignore"):
+        steps[moves] = np.maximum((lower - x)[moves] / s[moves], (upper - x)[moves] / s[moves])
+    return steps.min(), np.equal(steps, steps.min()) * np.sign(s).astype(int)
 
-    With ``rows`` (an exact Jacobian), a coordinate on a bound where g = J^T r
-    points out of the box (lower bound with g > 0, upper with g < 0) stays
-    there and the rest are fitted; when a held g points into the box at that
-    result (KKT), the fit goes on in full from it.  Every g comes from rows
-    already evaluated, and a start with every coordinate held is its own
-    result.  Without ``rows`` this is the plain dogbox call.
+
+def _dogleg_step(newton, g, a, b, radius, lower, upper):
+    """The dogleg step in the box [lower, upper] around 0 cut by |step|_inf <= radius, -1/+1 where it reaches
+    a lower/upper bound of the box, and whether it stopped on the region's boundary: the Gauss-Newton step
+    when it fits, else the Cauchy step (least a t^2 + b t along -g) continued towards it up to the boundary."""
+    low, high = np.maximum(lower, -radius), np.minimum(upper, radius)
+    if ((newton >= low) & (newton <= high)).all():
+        return newton, np.zeros_like(g, dtype=int), False
+    t = [0, _step_to_bound(np.zeros_like(g), -g, low, high)[0]]
+    if a != 0 and t[0] < -0.5 * b / a < t[1]:
+        t.append(-0.5 * b / a)
+    t = np.asarray(t)
+    cauchy = -t[np.argmin(t * (a * t + b))] * g
+    size, hits = _step_to_bound(cauchy, newton - cauchy, low, high)
+    hits_bound = ((hits > 0) & np.equal(high, upper)).astype(int) - ((hits < 0) & np.equal(low, lower))
+    on_region = ((hits < 0) & np.equal(low, -radius) | (hits > 0) & np.equal(high, radius)).any()
+    return cauchy + size * (newton - cauchy), hits_bound, on_region
+
+
+def least_squares(fun, x0, jac, lower, upper, max_nfev):
+    """Minimize 0.5 |fun(x)|^2 over lower < upper from x0 by dogbox (Voglis & Lagaris 2004).
+
+    The floating-point operations of scipy's ``least_squares(method="dogbox")`` with a dense callable
+    ``jac`` and xtol = ftol = gtol = _LOCAL_TOL: ``x``, ``cost``, ``nfev``, ``njev``, ``status`` and
+    ``active_mask`` equal scipy's bit for bit.  ``fun`` raises on a non-finite residual.
     """
-    lower, upper = space.lower, space.upper
+    f, J = fun(x0), jac(x0)
+    cost, g = 0.5 * np.dot(f, f), J.T.dot(f)
+    radius = np.abs(x0).max() or 1.0
+    on_bound = np.equal(x0, upper).astype(int) - np.equal(x0, lower)
+    x, status, nfev, njev = x0, None, 1, 1
+    while True:
+        # A coordinate on a bound that the gradient pushes out of the box stays there this iteration.
+        free = ~(on_bound * g < 0)
+        g_free = g[free]
+        g[~free] = 0
+        status = 1 if np.abs(g).max() < _LOCAL_TOL else status
+        if status is not None or nfev == max_nfev:
+            return OptimizeResult(x=x, cost=cost, nfev=nfev, njev=njev, status=status or 0, active_mask=on_bound)
+        J_free, lower_free, upper_free = J[:, free], lower[free] - x[free], upper[free] - x[free]
+        newton = lstsq(J_free, -f, rcond=-1)[0]
+        v = J_free.dot(-g_free)
+        a, b = 0.5 * np.dot(v, v), np.dot(g_free, -g_free)
+        reduction = -1.0
+        while status is None and reduction <= 0 and nfev < max_nfev:
+            step_free, on_bound_free, region_hit = _dogleg_step(newton, g_free, a, b, radius, lower_free, upper_free)
+            step = np.zeros_like(x)
+            step[free] = step_free
+            Js = J_free.dot(step_free)
+            predicted = -(0.5 * np.dot(Js, Js) + np.dot(step_free, g_free))
+            x_new = np.clip(x + step, lower, upper)
+            f_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            ratio = reduction / predicted if predicted > 0 else float(predicted == reduction == 0)
+            if ratio < 0.25:
+                radius = 0.25 * np.abs(step).max()
+            elif ratio > 0.75 and region_hit:
+                radius *= 2.0
+            ftol_met = reduction < _LOCAL_TOL * cost and ratio > 0.25
+            xtol_met = np.sqrt(step.dot(step)) < _LOCAL_TOL * (_LOCAL_TOL + np.sqrt(x.dot(x)))
+            status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3 if xtol_met else None
+        if reduction > 0:  # accepted: the coordinates that reached a bound are set on it
+            on_bound[free] = on_bound_free
+            x = np.where(on_bound == -1, lower, np.where(on_bound == 1, upper, x_new))
+            f, cost, J = f_new, cost_new, jac(x)
+            njev += 1
+            g = J.T.dot(f)
 
-    def run(fun, x, jac, free=slice(None)):
-        return least_squares(fun, x[free], jac=jac, bounds=(lower[free], upper[free]), method="dogbox",
-                             xtol=_LOCAL_TOL, ftol=_LOCAL_TOL, gtol=_LOCAL_TOL, diff_step=1e-7,
-                             max_nfev=_MAX_LOCAL_ITERS * (space.dimension + 1))
+
+def _local_fit(residuals, jac, rows, x0: np.ndarray, space: Box):
+    """One dogbox start from x0 that holds the zero-width coordinates (lower == upper) and, with ``rows``
+    (an exact Jacobian), each coordinate on a bound where g = J^T r points out of the box (lower bound with
+    g > 0, upper with g < 0).  When such a held g points into the box at the result (KKT), the fit goes on
+    from it over every coordinate of nonzero width.  Every g comes from rows already evaluated, and a start
+    with every coordinate held is its own result."""
+    lower, upper = space.lower, space.upper
+    fixed = lower == upper
+    max_nfev = _MAX_LOCAL_ITERS * (space.dimension + 1)
+
+    def run(x, free):
+        if free.all():
+            return least_squares(residuals, x, jac, lower, upper, max_nfev)
+
+        def full(z):
+            theta = x.copy()
+            theta[free] = z
+            return theta
+
+        res = least_squares(lambda z: residuals(full(z)), x[free], lambda z: jac(full(z))[:, free], lower[free],
+                            upper[free], max_nfev)
+        res.x = full(res.x)
+        return res
 
     def on_bound_pushed(x, out=1):
         r, J = rows(x)
         g = out * (J.T @ r)
         return ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
 
-    if rows is None or not (held := on_bound_pushed(x0)).any():
-        return run(residuals, x0, jac)
+    held = fixed if rows is None else fixed | on_bound_pushed(x0)
     if held.all():
-        r = rows(x0)[0]
+        r = residuals(x0)
         return OptimizeResult(x=x0, cost=0.5 * np.dot(r, r))
-    free = ~held
-
-    def full(z):
-        x = x0.copy()
-        x[free] = z
-        return x
-
-    res = run(lambda z: residuals(full(z)), x0, lambda z: jac(full(z))[:, free], free)
-    res.x = full(res.x)
-    return run(residuals, res.x, jac) if on_bound_pushed(res.x, -1)[held].any() else res
+    res = run(x0, ~held)
+    pushed = held & ~fixed
+    return run(res.x, ~fixed) if pushed.any() and on_bound_pushed(res.x, -1)[pushed].any() else res
 
 
 def fit_parameters(
@@ -187,15 +281,15 @@ def fit_parameters(
     """Fit the alternative model's parameters to the reference on a design.
 
     Minimizes sum_i (w_i + lam) * ||f1(x_i) - f2(x_i, theta)||^2 over the
-    parameter box with a bound-constrained trust-region least-squares solver,
-    started from the warm start plus ``n_starts`` Sobol points; a negative
-    ``n_starts`` or ``lam`` raises ValueError.  The
-    Jacobian is exact when the pair has ``alternative_jac`` and a forward
-    difference (relative step 1e-7) otherwise.  With the exact Jacobian, a
-    start holds each parameter that sits on a bound with the cost's gradient
-    pointing out of the box, and fits the others; when a held gradient points
-    into the box at that result, the fit goes on from it in full.  A pair
-    without ``alternative_jac`` fits every parameter.  ``objective`` is the
+    parameter box by the dogbox loop ``least_squares`` (scipy's dogbox bit
+    for bit), started from the warm start plus ``n_starts`` Sobol points; a
+    negative ``n_starts`` or ``lam`` raises ValueError.  The Jacobian is exact
+    when the pair has ``alternative_jac`` and a forward difference (relative
+    step 1e-7) otherwise.  Every start holds the parameters of zero width
+    (lower == upper).  With the exact Jacobian, a start also holds each
+    parameter on a bound with the cost's gradient pointing out of the box;
+    when a held gradient points into the box at that result, the fit goes on
+    from it over every parameter of nonzero width.  ``objective`` is the
     unregularized value, the weighted sum of ``phi``.  ``refs`` is the
     reference rows at the design's points when the caller holds them;
     only without it is the reference evaluated, once.
@@ -223,8 +317,7 @@ def fit_parameters(
 
     refs = pair.eval_reference(design.points) if refs is None else refs
     residuals, jac, rows = _stacked_residuals(pair, design, refs, lam)
-    best = None
-    best_index = -1
+    best, best_index = None, -1
     # The incumbent is start 0; its regularized objective is twice its cost, exactly.
     best_cost = None if incumbent is None else incumbent.regularized_objective / 2.0
     skipped = []
@@ -239,9 +332,7 @@ def fit_parameters(
     if best is None:
         if incumbent is not None:
             return incumbent
-        raise FitError(
-            f"all {len(starts)} least-squares starts failed", skipped=skipped
-        )
+        raise FitError(f"all {len(starts)} least-squares starts failed", skipped=skipped)
 
     theta = space.clip(best.x)
     phi = squared_distance(pair, design.points, theta, refs)

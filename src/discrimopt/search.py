@@ -19,6 +19,7 @@ from .core import (
     ModelEvaluationError,
     ModelPair,
     canonical_key,
+    forward_steps,
     squared_distance,
 )
 
@@ -53,18 +54,13 @@ def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarr
 
     One model call evaluates x and its steps; the largest phi among them and its point replace
     ``best``, a list [phi, point], when they exceed it.  The gradient is L-BFGS-B's default, scipy's
-    ``approx_derivative(method="2-point", abs_step=_FD_STEP)`` in the box: the same fallback for a
-    step lost to rounding, flip or shrink of a step that leaves the box, and quotient by (z + h) - z.
+    ``approx_derivative(method="2-point", abs_step=_FD_STEP)`` in the box: its steps
+    (``forward_steps``) and its quotient by (z + h) - z.
     """
     lower, upper = space.lower[free], space.upper[free]
 
     def neg_phi_and_gradient(z):
-        sign = np.where(z >= 0, 1.0, -1.0)
-        h = np.where((z + _FD_STEP) - z == 0, 2.0**-26 * sign * np.maximum(1.0, np.abs(z)), _FD_STEP)
-        below, above = z - lower, upper - z
-        flip = (z + h < lower) | (z + h > upper)
-        h = np.where(np.abs(h) <= np.maximum(below, above), np.where(flip, -h, h),
-                     np.where(above >= below, above, -below))
+        h = forward_steps(z, _FD_STEP, lower, upper)
         X = np.tile(space.lower, (free.size + 1, 1))
         X[:, free] = z
         X[np.arange(1, free.size + 1), free] += h

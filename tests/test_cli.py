@@ -295,6 +295,31 @@ class TestSolve:
         assert len(rows) == payload["iterations"]
         assert {p[0] for p in payload["support"]} <= {1.0, 2.0, 3.0, 4.0}
 
+    @pytest.mark.parametrize("algorithm, solve_code, verify_code", [("2adapt", 0, 0), ("vdm", 0, 0), ("disc", 2, 1)])
+    def test_zero_width_parameter_axis_held(self, algorithm, solve_code, verify_code, tmp_path, monkeypatch):
+        # With K fixed at 1.0 every fit of the solve and of the verify holds it.  DISC stops unconverged
+        # on its four candidates, as on the full box, and its design fails the certificate.
+        text = Path(MM_CONFIG).read_text()
+        old = "    lower: [1.0e-3, 1.0e-3]\n    upper: [5.0, 5.0]\n"
+        assert old in text
+        cfg = tmp_path / "fixed-k.config"
+        cfg.write_text(text.replace(old, "    lower: [1.0e-3, 1.0]\n    upper: [5.0, 1.0]\n"))
+        fits = []
+        fit_parameters = algorithms.fit_parameters
+
+        def recorded(*args, **kwargs):
+            fits.append(fit_parameters(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(algorithms, "fit_parameters", recorded)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--algorithm", algorithm, "--out", str(out)]) == solve_code
+        assert read_design(out)["theta_hat"][1] == 1.0
+        n_solve = len(fits)
+        assert main(["verify", "--design", str(out / "design.json"), "--config", str(cfg)]) == verify_code
+        assert n_solve > 0 and len(fits) > n_solve
+        assert all(fit.theta_hat[1] == 1.0 for fit in fits)
+
 
 class TestFailurePaths:
     """Every sub-solver failure exits 1 and flushes the history gathered so far."""

@@ -8,16 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
+from scipy.optimize._numdiff import approx_derivative
 
 import discrimopt
 import discrimopt.lsq as lsq
 
 from discrimopt import Box, Design, ModelPair, make_mm_pair, pointwise
+from discrimopt.config import load_config
 from discrimopt.core import DesignError, squared_distance, t_value
 from discrimopt.lsq import FitError, fit_parameters, sobol_points
 from discrimopt.models import make_kinetics_pair
 
 from conftest import linear_vs_constant, two_basins
+
+KINETICS_BENCH = Path(__file__).parent.parent / "benchmarks" / "kinetics.config"
 
 
 class TestSobolPoints:
@@ -178,6 +182,31 @@ class TestHeldBounds:
         assert calls == []
         assert fit.theta_hat.tolist() == [0.5] and fit.objective == fit.regularized_objective == 1.5**2
 
+    @pytest.mark.parametrize("with_jac", [True, False], ids=["exact", "finite-difference"])
+    def test_zero_width_axis_held(self, with_jac, against_scipy):
+        # theta2 fixed at 0.09: every start holds it, so the dogbox loop (checked against scipy's, which
+        # rejects a zero-width axis) sees two parameters, and the fit is the one of the two-parameter
+        # pair with 0.09 substituted.
+        fixed = dataclasses.replace(decay_and_line(with_jac), parameter_space=Box([0.0, 0.0, 0.09], [1.0, 4.0, 0.09]))
+        full = decay_and_line(with_jac)
+
+        def alternative_jac(X, theta):
+            y, jac = full.alternative_jac(X, [theta[0], theta[1], 0.09])
+            return y, jac[:, :, :2]
+
+        reduced = ModelPair(
+            reference=full.reference,
+            alternative=lambda X, theta: full.alternative(X, [theta[0], theta[1], 0.09]),
+            alternative_jac=alternative_jac if with_jac else None,
+            parameter_space=Box([0.0, 0.0], [1.0, 4.0]),
+        )
+        fit = fit_parameters(fixed, DECAY_DESIGN, n_starts=4)
+        expected = fit_parameters(reduced, DECAY_DESIGN, n_starts=4)
+        assert fit.theta_hat[2] == 0.09
+        assert np.array_equal(fit.theta_hat[:2], expected.theta_hat)
+        assert fit.regularized_objective == expected.regularized_objective
+        assert {x0.size for x0 in against_scipy} == {2}
+
     def test_pair_without_jacobian_fits_every_parameter(self, calls):
         pair = decay_and_line(with_jac=False)
         x0 = [1.0, 3.8, 0.1]
@@ -185,6 +214,154 @@ class TestHeldBounds:
         fit = fit_parameters(pair, DECAY_DESIGN, x0, n_starts=0)
         assert calls == [full.nfev]
         assert np.array_equal(fit.theta_hat, full.x) and fit.regularized_objective == 2.0 * full.cost
+
+
+def scipy_dogbox(fun, x0, jac, lower, upper, max_nfev):
+    """scipy's dogbox with the arguments of a fit's start: the reference the fit's own loop must equal."""
+    return least_squares(fun, x0, jac=jac, bounds=(lower, upper), method="dogbox", xtol=1e-10, ftol=1e-10,
+                         gtol=1e-10, diff_step=1e-7, max_nfev=max_nfev)
+
+
+def assert_same_as_scipy(res, ref):
+    for key in ("x", "active_mask"):
+        ours, theirs = getattr(res, key), getattr(ref, key)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), key
+    assert (res.cost, res.nfev, res.njev, res.status) == (ref.cost, ref.nfev, ref.njev, ref.status)
+
+
+@pytest.fixture
+def against_scipy(monkeypatch):
+    """Every start of a fit, checked against scipy's dogbox on the same residuals and Jacobian; lists their x0."""
+    starts = []
+    loop = lsq.least_squares
+
+    def checked(fun, x0, jac, lower, upper, max_nfev):
+        res = loop(fun, x0, jac, lower, upper, max_nfev)
+        assert_same_as_scipy(res, scipy_dogbox(fun, x0, jac, lower, upper, max_nfev))
+        starts.append(x0)
+        return res
+
+    monkeypatch.setattr(lsq, "least_squares", checked)
+    return starts
+
+
+class TestDogboxLoop:
+    """The fit's dogbox loop does scipy's floating-point operations: x, cost, nfev, njev, status and
+    active_mask equal scipy's bit for bit."""
+
+    def test_mm_fit(self, against_scipy):
+        design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
+        fit_parameters(make_mm_pair(), design, [1.0, 1.0], n_starts=9)
+        assert len(against_scipy) == 10
+
+    def test_kinetics_fit(self, against_scipy):
+        cfg = load_config(KINETICS_BENCH)
+        fit_parameters(cfg.pair, cfg.initial, n_starts=cfg.params.n_theta_starts)
+        assert len(against_scipy) == cfg.params.n_theta_starts
+
+    def test_held_subset(self, against_scipy):
+        # From (1, 3.8, 0.1) theta0 is held on its upper bound and the other two are fitted.
+        fit_parameters(decay_and_line(), DECAY_DESIGN, [1.0, 3.8, 0.1], n_starts=0)
+        assert [x0.size for x0 in against_scipy] == [2]
+
+    def test_start_on_a_bound_with_inward_gradient(self, against_scipy):
+        # At (1, 0.5) the cost pulls theta0 below its upper bound: the start holds nothing.
+        pair = ModelPair(
+            reference=lambda X: 0.5 + X,
+            alternative=lambda X, theta: line(X, theta)[0],
+            alternative_jac=line,
+            parameter_space=Box([0.0, -5.0], [1.0, 5.0]),
+        )
+        design = Design(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        fit = fit_parameters(pair, design, [1.0, 0.5], n_starts=0)
+        assert [x0.tolist() for x0 in against_scipy] == [[1.0, 0.5]]
+        assert fit.theta_hat == pytest.approx([0.5, 1.0], abs=1e-10)
+
+    def test_trust_region_limited_steps(self, against_scipy, monkeypatch):
+        # From (0.01, 0.01) the first radius is 0.01 and the Gauss-Newton step to (0.5, 1) leaves the
+        # region: dogleg steps from the Cauchy point stop on its boundary, and the radius doubles.
+        steps = []
+        dogleg = lsq._dogleg_step
+
+        def recorded(newton, *args):
+            step, hits, region_hit = dogleg(newton, *args)
+            steps.append((args[3], region_hit, step is newton))
+            return step, hits, region_hit
+
+        monkeypatch.setattr(lsq, "_dogleg_step", recorded)
+        pair = ModelPair(
+            reference=lambda X: 0.5 + X,
+            alternative=lambda X, theta: line(X, theta)[0],
+            alternative_jac=line,
+            parameter_space=Box([-5.0, -5.0], [5.0, 5.0]),
+        )
+        design = Design(np.array([[0.0], [1.0], [2.0]]), np.full(3, 1 / 3))
+        fit = fit_parameters(pair, design, [0.01, 0.01], n_starts=0)
+        radii = [radius for radius, _, _ in steps]
+        assert steps[0] == (0.01, True, False)
+        assert any(b == 2.0 * a for a, b in zip(radii, radii[1:]))
+        assert steps[-1][2]  # the last step is Gauss-Newton's
+        assert fit.theta_hat == pytest.approx([0.5, 1.0], abs=1e-8)
+
+    @pytest.mark.parametrize("reference, x0", [
+        # From the origin the first radius is 1, and the Gauss-Newton step to (3, 3) leaves it.
+        (lambda X: 3.0 + 3.0 * X, [0.0, 0.0]),
+        # Decay starts that take rarer turns: a snap onto a bound that moves x, a step whose ratio is in
+        # [0.25, 0.3), and a least-squares step whose rank cut-off at machine precision matters.
+        (None, [0.07966734812390908, 3.248508527126511, -0.5204009552229902]),
+        (None, [0.6712712576705236, 0.1960095233224819, -0.6407024446209904]),
+        (None, [0.33544757398350356, 3.931620740166196, -0.719660015133393]),
+    ])
+    def test_starts(self, reference, x0):
+        pair, design = decay_and_line(), DECAY_DESIGN
+        if reference is not None:
+            pair = ModelPair(reference=reference, alternative=lambda X, theta: line(X, theta)[0], alternative_jac=line,
+                             parameter_space=Box([-5.0, -5.0], [5.0, 5.0]))
+            design = Design(np.array([[0.0], [1.0], [2.0]]), np.full(3, 1 / 3))
+        residuals, jac, _ = lsq._stacked_residuals(pair, design, pair.eval_reference(design.points), 1e-8)
+        box, x0 = pair.parameter_space, np.array(x0)
+        assert_same_as_scipy(lsq.least_squares(residuals, x0, jac, box.lower, box.upper, 800),
+                             scipy_dogbox(residuals, x0, jac, box.lower, box.upper, 800))
+
+    def test_evaluation_limit_ends_with_status_0(self):
+        pair = make_mm_pair()
+        design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
+        residuals, jac, _ = lsq._stacked_residuals(pair, design, pair.eval_reference(design.points), 1e-8)
+        box = pair.parameter_space
+        for max_nfev in (1, 2, 3):
+            res = lsq.least_squares(residuals, np.array([4.0, 0.5]), jac, box.lower, box.upper, max_nfev)
+            assert res.status == 0 and res.nfev == max_nfev
+            assert_same_as_scipy(res, scipy_dogbox(residuals, np.array([4.0, 0.5]), jac, box.lower, box.upper,
+                                                   max_nfev))
+
+    @pytest.mark.parametrize("theta", [[1.0, 3.8, 0.1], [0.0, 0.0, -1.0], [0.3, 2.0, 0.0]])
+    def test_finite_difference_jacobian(self, theta):
+        # scipy's 2-point difference at relative step 1e-7 in the box, steps flipped on a bound and
+        # 2**-26 at 0: from the kept residuals when they are theta's, one model call per parameter;
+        # else from a fresh evaluation at theta, one call more.
+        evals = []
+        pair = decay_and_line(with_jac=False)
+        counted = dataclasses.replace(pair, alternative=lambda X, t: evals.append(1) or pair.alternative(X, t))
+        residuals, jac, _ = lsq._stacked_residuals(counted, DECAY_DESIGN, pair.eval_reference(DECAY_DESIGN.points),
+                                                   1e-8)
+        box, theta = pair.parameter_space, np.array(theta)
+        expected = approx_derivative(residuals, theta, method="2-point", rel_step=1e-7, bounds=(box.lower, box.upper))
+        for kept, extra in ((theta, 0), (np.array([0.5, 1.0, 0.5]), 1)):
+            residuals(kept)
+            evals.clear()
+            assert jac(theta).tobytes() == expected.tobytes()
+            assert len(evals) == 3 + extra
+
+    @pytest.mark.parametrize("x0", [[1.0, 3.8, 0.1], [0.5, 0.5, 0.5], [0.0, 4.0, -1.0]])
+    def test_pair_without_jacobian(self, x0):
+        # The forward differences are scipy's "2-point" ones at relative step 1e-7 in the box.
+        pair = decay_and_line(with_jac=False)
+        residuals, jac, rows = lsq._stacked_residuals(pair, DECAY_DESIGN, pair.eval_reference(DECAY_DESIGN.points),
+                                                      1e-8)
+        box, x0 = pair.parameter_space, np.array(x0)
+        assert rows is None
+        res = lsq.least_squares(residuals, x0, jac, box.lower, box.upper, 800)
+        assert_same_as_scipy(res, scipy_dogbox(residuals, x0, "2-point", box.lower, box.upper, 800))
 
 
 class TestFitParameters:
