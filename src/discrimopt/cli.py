@@ -10,6 +10,8 @@ iteration limit), 1 error.  The ``DISCRIM_OPT_LOG`` environment variable
 (error | info | debug) controls log verbosity.  Each command runs every
 OpenBLAS loaded in the process on one thread, and restores its thread count
 on return; library callers of :func:`~discrimopt.algorithms.solve` keep their own.
+Importing this module stops OpenBLAS's idle worker threads, which it starts
+again on its next threaded call.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import contextlib
 import csv
 import ctypes
 import json
+import locale  # noqa: F401  (argparse's gettext imports it on the first parse, inside a command)
 import logging
 import os
 import sys
@@ -47,14 +50,6 @@ _PSI_GRID = 400
 
 # dlinfo's request for an object's entry in the loader's list of loaded objects.
 _RTLD_DI_LINKMAP = 2
-# OpenBLAS's thread-count setter, by build: the prefixed builds in the numpy
-# (64-bit integers) and scipy wheels, then a plain one.  Each has a getter of
-# the same name with "get" for "set".
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads",
-)
 
 
 class _LinkMap(ctypes.Structure):
@@ -268,30 +263,38 @@ def _one_blas_thread():
     """Run every loaded OpenBLAS on one thread, then restore each one's count.
 
     The arrays here are small, so a second BLAS thread does no work, yet it
-    spins after the search's L-BFGS-B calls.  A library that cannot be
-    opened, or that has no known setter, is left as it is.
+    spins after the search's L-BFGS-B calls.  The count is OpenBLAS's
+    ``blas_cpu_number``, which its threaded calls read, written directly: the
+    setter (``openblas_set_num_threads``) would also restart the workers that
+    importing this module stopped, and they would spin into the command.  A
+    library that cannot be opened, or that does not export the count, is left
+    as it is.
     """
     restore = []
     for path in _loaded_openblas():
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
+            count = ctypes.c_int.in_dll(ctypes.CDLL(path, mode=os.RTLD_NOLOAD), "blas_cpu_number")
+        except (OSError, ValueError):
             continue
-        for name in _OPENBLAS_SETTERS:
-            try:
-                set_threads, get_threads = lib[name], lib[name.replace("_set_", "_get_")]
-            except AttributeError:
-                continue
-            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-            restore.append((set_threads, get_threads()))
-            set_threads(1)
-            break
+        restore.append((count, count.value))
+        count.value = 1
     try:
         yield
     finally:
-        for set_threads, count in reversed(restore):
-            set_threads(count)
+        for count, value in reversed(restore):
+            count.value = value
+
+
+def _stop_idle_blas_workers():
+    """Stop the worker threads of every loaded OpenBLAS: started when it loads, they busy-wait for
+    ~0.2 s, into the first command.  Its next threaded call starts them again; no thread count changes."""
+    for path in _loaded_openblas():
+        try:
+            shutdown = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)["blas_thread_shutdown_"]
+        except (OSError, AttributeError):
+            continue
+        shutdown.argtypes, shutdown.restype = (), ctypes.c_int
+        shutdown()
 
 
 def _configure_logging():
@@ -315,6 +318,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+_stop_idle_blas_workers()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,7 +6,11 @@ squared model distance phi and the weighted criterion value T.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -267,6 +271,27 @@ def forward_steps(x: np.ndarray, h, lower: np.ndarray, upper: np.ndarray) -> np.
     flip = (x + h < lower) | (x + h > upper)
     return np.where(np.abs(h) <= np.maximum(below, above), np.where(flip, -h, h),
                     np.where(above >= below, above, -below))
+
+
+def scipy_extension(name: str):
+    """The compiled module ``scipy.<name>`` (e.g. ``optimize._lbfgsb``), loaded from its file alone.
+
+    No package ``__init__`` runs: ``scipy.optimize``'s takes ~0.35 s.  The module is registered in
+    ``sys.modules`` under its own name, so a later ``import scipy.optimize`` uses it, and one already
+    there is returned as it is.
+    """
+    full = f"scipy.{name}"
+    if full not in sys.modules:
+        package, _, _ = name.rpartition(".")
+        directory = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], *package.split("."))
+        loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        spec = importlib.machinery.FileFinder(directory, loader).find_spec(full)
+        if spec is None:
+            raise ImportError(f"no compiled module {full} in {directory}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    return sys.modules[full]
 
 
 def squared_distance(pair: ModelPair, X, theta2, refs=None) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Maximize t subject to w . phi[:, j] >= t for every discretized parameter j,
 with w on the probability simplex: a small dense linear program, solved by
-the HiGHS bindings that scipy ships (``scipy.optimize._highspy._core``).
-HiGHS gets the model and options that ``scipy.optimize.linprog`` would give
-it, and a solution is accepted by ``linprog``'s own test, so the answers are
+the HiGHS bindings that scipy ships (``scipy.optimize._highspy._core``),
+loaded from their file alone, without importing ``scipy.optimize``.  HiGHS
+gets the model and options that ``scipy.optimize.linprog`` would give it,
+and a solution is accepted by ``linprog``'s own test, so the answers are
 ``linprog``'s bit for bit without its per-call set-up.
 """
 from __future__ import annotations
@@ -14,11 +15,15 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
+import numpy.ma  # noqa: F401  (np.unique(..., axis=1) imports it on its first call, inside a command)
+
+from .core import scipy_extension
 
 __all__ = ["WeightLpInstance", "WeightLpSolution", "solve_weight_lp"]
 
 log = logging.getLogger("discrimopt")
+
+_highs = scipy_extension("optimize._highspy._core")
 
 # Defaults (1e-7) are looser than the cutting-plane gaps the caller drives
 # toward; tighten so fresh cuts actually bind.

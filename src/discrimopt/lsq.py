@@ -6,10 +6,10 @@ with deterministic Sobol multistart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import lstsq
-from scipy.optimize import OptimizeResult
 
 from .core import Box, Design, DesignError, ModelEvaluationError, ModelPair, forward_steps, squared_distance, t_value
 
@@ -197,7 +197,7 @@ def least_squares(fun, x0, jac, lower, upper, max_nfev):
         g[~free] = 0
         status = 1 if np.abs(g).max() < _LOCAL_TOL else status
         if status is not None or nfev == max_nfev:
-            return OptimizeResult(x=x, cost=cost, nfev=nfev, njev=njev, status=status or 0, active_mask=on_bound)
+            return SimpleNamespace(x=x, cost=cost, nfev=nfev, njev=njev, status=status or 0, active_mask=on_bound)
         J_free, lower_free, upper_free = J[:, free], lower[free] - x[free], upper[free] - x[free]
         newton = lstsq(J_free, -f, rcond=-1)[0]
         v = J_free.dot(-g_free)
@@ -262,7 +262,7 @@ def _local_fit(residuals, jac, rows, x0: np.ndarray, space: Box):
     held = fixed if rows is None else fixed | on_bound_pushed(x0)
     if held.all():
         r = residuals(x0)
-        return OptimizeResult(x=x0, cost=0.5 * np.dot(r, r))
+        return SimpleNamespace(x=x0, cost=0.5 * np.dot(r, r))
     res = run(x0, ~held)
     pushed = held & ~fixed
     return run(res.x, ~fixed) if pushed.any() and on_bound_pushed(res.x, -1)[pushed].any() else res

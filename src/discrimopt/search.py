@@ -3,14 +3,16 @@
 Finds the design point maximizing phi(x, theta_hat) for fixed fitted
 parameters: exact enumeration on lattices; on boxes, a dense grid scan and
 local refinement from the grid's best local maxima, so that each peak is
-refined once.
+refined once.  The refinement is L-BFGS-B through discrimopt's own driver
+around scipy's compiled ``setulb`` (``scipy.optimize._lbfgsb``, loaded
+without importing ``scipy.optimize``), with ``minimize``'s iterates.
 """
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     Box,
@@ -20,6 +22,7 @@ from .core import (
     ModelPair,
     canonical_key,
     forward_steps,
+    scipy_extension,
     squared_distance,
 )
 
@@ -39,6 +42,8 @@ _LOCAL_TOL = 1e-10
 # (relative error in the squared distance is ~10x the integration
 # tolerance through the squaring).
 _TIE_REL = 1e-6
+
+_lbfgsb = scipy_extension("optimize._lbfgsb")
 
 
 def _first_or_none(fn, *args):
@@ -71,6 +76,43 @@ def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarr
         return f[0], (f[1:] - f[0]) / ((z + h) - z)
 
     return neg_phi_and_gradient
+
+
+def lbfgsb(fun, x0, lower, upper, tol, maxiter=15000, maxfun=15000):
+    """Minimize ``fun`` (x -> f, gradient) over the finite box [lower, upper] from x0 by L-BFGS-B (Byrd et al. 1995).
+
+    The calls of scipy's ``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=..., options={"ftol": tol,
+    "gtol": tol, "maxiter": maxiter, "maxfun": maxfun})`` to its ``setulb``: x0 clipped into the box, 10
+    corrections, 20 line-search steps, ``fun`` called again only at a point unequal to the last one, and the
+    same stops, so ``x``, ``fun``, ``jac``, ``nfev`` and ``nit`` equal scipy's bit for bit.
+    """
+    x0, lower, upper = np.ravel(x0), np.array(lower, dtype=float), np.array(upper, dtype=float)
+    if not x0.shape == lower.shape == upper.shape:
+        raise ValueError(f"x0, lower and upper must have one length, got {x0.shape}, {lower.shape}, {upper.shape}")
+    x = np.clip(x0, lower, upper).astype(float)
+    n, m = x.size, 10
+    # The last point evaluated and f, g there; setulb's first call (task START) reads no f or g.
+    seen, (f_seen, g_seen), nfev, nit = x.copy(), fun(x.copy()), 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    nbd = np.full(n, 2, np.int32)  # both bounds finite
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    while True:
+        g = g.astype(np.float64)
+        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, tol / np.finfo(float).eps, tol, wa, iwa, task, lsave, isave,
+                       dsave, 20, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, seen):
+                seen, (f_seen, g_seen) = x.copy(), fun(x.copy())
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= maxiter or nfev > maxfun:
+                task[:] = 5, 504 if nit >= maxiter else 502
+        else:
+            return SimpleNamespace(x=x, fun=f, jac=g, nfev=nfev, nit=nit)
 
 
 def _axes(space: DesignSpace) -> list:
@@ -167,23 +209,15 @@ def maximize_distance(
         return min(preferred or tied, key=tuple).copy(), best_val
 
     # Box: refine the best local maxima of the grid with a local bound-constrained
-    # maximizer in the coordinates of nonzero width, as minimize does without a gradient.
+    # maximizer in the coordinates of nonzero width, as scipy's minimize does without a gradient.
     starts = _local_maxima(space, X, np.array([-np.inf if v is None else v for v in values]))
     free = np.flatnonzero(space.lower < space.upper)
     best = [-np.inf, None]  # a refinement's largest evaluated phi and its point
     neg_phi_and_gradient = _neg_phi_and_gradient(pair, theta_hat, space, free, best)
-    bounds = list(zip(space.lower[free], space.upper[free]))
     for x0 in X[starts[:_REFINE_TOP]] if free.size else ():
         best[:] = -np.inf, None
         try:
-            res = minimize(
-                neg_phi_and_gradient,
-                x0[free],
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"ftol": _LOCAL_TOL, "gtol": _LOCAL_TOL},
-            )
+            res = lbfgsb(neg_phi_and_gradient, x0[free], space.lower[free], space.upper[free], _LOCAL_TOL)
             x = space.lower.copy()
             x[free] = res.x
             x, v = np.clip(x, space.lower, space.upper), -float(res.fun)

@@ -7,6 +7,8 @@ import itertools
 import json
 import logging
 import os
+import subprocess
+import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -663,3 +665,61 @@ class TestBlasThreads:
         assert main(["verify", "--design", str(out / "design.json"), "--config", MM_CONFIG]) == 0
         assert [set(counts.values()) for counts in seen] == [{1}]
         assert set(openblas().values()) == {2}
+
+
+def _run_python(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that imports this discrimopt."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
+class TestStartUp:
+    """What importing the CLI leaves running, and what a command imports."""
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_idle_blas_workers_stopped_on_import(self, tmp_path):
+        # OpenBLAS starts its workers when it loads; left alone they busy-wait into the first command.
+        # Nor does a command start them again: setting a count through OpenBLAS's setter would.
+        out = _run_python(textwrap.dedent(f"""
+            import contextlib, io
+            import discrimopt.cli as cli
+
+            def threads():
+                return [line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')][0]
+
+            print(len(cli._loaded_openblas()), threads())
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["solve", "--config", {MM_CONFIG!r}, "--out", {str(tmp_path)!r}])
+            print(threads())
+        """))
+        libraries, on_import, after_solve = out.split()
+        if libraries == "0":
+            pytest.skip("no OpenBLAS library is loaded with discrimopt")
+        assert (on_import, after_solve) == ("1", "1")
+
+    def test_idle_worker_stop_skips_unloadable_and_symbolless_libraries(self, monkeypatch, tmp_path):
+        loaded = cli._loaded_openblas()
+        extra = [str(tmp_path / "libopenblas_missing.so"), _ctypes.__file__]
+        monkeypatch.setattr(cli, "_loaded_openblas", lambda: extra + loaded + extra)
+        cli._stop_idle_blas_workers()
+        # A BLAS call afterwards restarts what it needs and gives the same product.
+        a = np.arange(400.0).reshape(20, 20) / 400
+        assert np.allclose(a @ a, np.einsum("ij,jk->ik", a, a))
+
+    @pytest.mark.parametrize("config", [MM_CONFIG, KINETICS_BENCH], ids=["mm", "kinetics"])
+    def test_commands_import_nothing(self, config, tmp_path):
+        # Set-up is the CLI import and one load_config; a first import inside a command would be timed with it.
+        design = tmp_path / "design.json"
+        for argv in (["solve", "--config", config, "--out", str(tmp_path)],
+                     ["verify", "--design", str(design), "--config", config]):
+            out = _run_python(textwrap.dedent(f"""
+                import contextlib, io, sys
+                import discrimopt.cli as cli
+                cli.load_config({config!r})
+                before = set(sys.modules)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main({argv!r})
+                print(code, sorted(set(sys.modules) - before))
+            """))
+            assert out.split(None, 1) == ["0", "[]\n"], argv[0]

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import discrimopt
 from discrimopt import (
     Box,
     Design,
@@ -17,6 +23,7 @@ from discrimopt.core import (
     canonical_key,
     mix_designs,
     prune_design,
+    scipy_extension,
     squared_distance,
     t_value,
 )
@@ -370,3 +377,36 @@ class TestPruneDesign:
     def test_invalid_threshold(self, toy_optimum):
         with pytest.raises(DesignError):
             prune_design(toy_optimum, 1.0)
+
+
+class TestScipyExtension:
+    def test_returns_the_registered_module(self):
+        module = scipy_extension("optimize._lbfgsb")
+        assert module is sys.modules["scipy.optimize._lbfgsb"] is scipy_extension("optimize._lbfgsb")
+        assert callable(module.setulb)
+
+    def test_missing_module_raises(self):
+        with pytest.raises(ImportError, match="scipy.optimize._no_such_module"):
+            scipy_extension("optimize._no_such_module")
+        assert "scipy.optimize._no_such_module" not in sys.modules
+
+    @pytest.mark.parametrize("first", ["discrimopt", "scipy.optimize"])
+    def test_both_import_orders_share_one_module(self, first):
+        # scipy.optimize's own imports find the modules discrimopt loaded, and discrimopt finds scipy's.
+        imports = ["import discrimopt.lp, discrimopt.search", "import scipy.optimize"]
+        code = "\n".join(imports if first == "discrimopt" else imports[::-1]) + "\n" + (
+            "import sys\n"
+            "from scipy.optimize import _lbfgsb, linprog, minimize\n"
+            "from scipy.optimize._highspy import _core\n"
+            "assert _core is discrimopt.lp._highs is sys.modules['scipy.optimize._highspy._core']\n"
+            "assert _lbfgsb is discrimopt.search._lbfgsb\n"
+            "res = linprog([-1, -1], A_ub=[[1, 2]], b_ub=[4], bounds=[(0, 3)] * 2)\n"
+            "assert res.success and list(res.x) == [3.0, 0.5]\n"
+            "res = minimize(lambda x: (x ** 2).sum(), [1.0, 2.0], method='L-BFGS-B', bounds=[(0.5, 3)] * 2)\n"
+            "assert res.success and list(res.x) == [0.5, 0.5]\n"
+            "print('ok')\n"
+        )
+        src = str(Path(discrimopt.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.stdout == "ok\n", out.stderr

@@ -16,7 +16,7 @@ from discrimopt import (
     pointwise,
 )
 from discrimopt.core import squared_distance
-from discrimopt.search import _neg_phi_and_gradient, maximize_distance, scan_grid
+from discrimopt.search import _neg_phi_and_gradient, lbfgsb, maximize_distance, scan_grid
 
 
 class TestBoxSearch:
@@ -298,6 +298,41 @@ class TestRefinementGradient:
         # One model call per L-BFGS-B function evaluation, on the point and its steps.
         assert calls == [free.size + 1] * res.nfev
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("stops", [{}, {"maxiter": 2}, {"maxfun": 3}], ids=["default", "maxiter", "maxfun"])
+    def test_driver_matches_scipy_minimize(self, case, stops):
+        make, theta, lower, upper, x0 = self.CASES[case]
+        pair, theta, space, x0 = make(), np.array(theta), Box(lower, upper), np.array(x0, dtype=float)
+        free = np.flatnonzero(space.lower < space.upper)
+        lower, upper, tol = space.lower[free], space.upper[free], search._LOCAL_TOL
+        counted, our_calls = _counting(pair)
+        ours = lbfgsb(_neg_phi_and_gradient(counted, theta, space, free), x0[free], lower, upper, tol, **stops)
+        counted, their_calls = _counting(pair)
+        theirs = minimize(_neg_phi_and_gradient(counted, theta, space, free), x0[free], jac=True, method="L-BFGS-B",
+                          bounds=list(zip(lower, upper)), options={"ftol": tol, "gtol": tol, **stops})
+        assert ours.x.tobytes() == theirs.x.tobytes() and ours.jac.tobytes() == theirs.jac.tobytes()
+        assert (ours.fun, ours.nfev, ours.nit) == (theirs.fun, theirs.nfev, theirs.nit)
+        assert our_calls == their_calls
+        assert ours.nit <= stops.get("maxiter", ours.nit)
+
+    def test_driver_clips_the_start_into_the_box(self):
+        # minimize clips x0 into the bounds before its first call; so does the driver.
+        points = []
+
+        def fun(x):
+            points.append(x.copy())
+            return float(np.sum((x - 0.25) ** 2)), 2.0 * (x - 0.25)
+
+        res = lbfgsb(fun, np.array([-1.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.0]), search._LOCAL_TOL)
+        assert np.array_equal(points[0], [0.0, 1.0])
+        expected = minimize(fun, [-1.0, 3.0], jac=True, method="L-BFGS-B", bounds=[(0.0, 1.0)] * 2,
+                            options={"ftol": search._LOCAL_TOL, "gtol": search._LOCAL_TOL})
+        assert np.array_equal(res.x, expected.x) and res.nfev == expected.nfev and res.nit == expected.nit
+
+    def test_driver_rejects_bounds_of_another_length(self):
+        with pytest.raises(ValueError, match="one length"):
+            lbfgsb(lambda x: (0.0, np.zeros(2)), np.zeros(2), np.zeros(3), np.ones(3), search._LOCAL_TOL)
+
     @pytest.mark.parametrize("make, theta, lower, upper", [
         (make_mm_pair, MM_THETA, [0.001], [5.0]),
         (_toy_2d, TOY_THETA, [0.0, 0.0], [1.0, 2.0]),
@@ -308,11 +343,11 @@ class TestRefinementGradient:
         pair, theta, space = make(), np.array(theta), Box(lower, upper)
         runs = []
 
-        def recording_minimize(*args, **kwargs):
-            runs.append(minimize(*args, **kwargs))
+        def recording_lbfgsb(*args, **kwargs):
+            runs.append(lbfgsb(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(search, "minimize", recording_minimize)
+        monkeypatch.setattr(search, "lbfgsb", recording_lbfgsb)
         counted, calls = _counting(pair)
         x, v = maximize_distance(counted, theta, space, grid=scan_grid(pair, space))
         expected_x, expected_v, n_starts = _reference_box_search(pair, theta, space)
@@ -366,7 +401,7 @@ class TestScanGrid:
         levels = np.linspace(0.0, 1.0, search._GRID_PER_DIM)
         assert np.array_equal(X, np.column_stack([levels, np.full_like(levels, 0.3)]))
         runs = []
-        monkeypatch.setattr(search, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)) or runs[-1])
+        monkeypatch.setattr(search, "lbfgsb", lambda *a, **k: runs.append(lbfgsb(*a, **k)) or runs[-1])
         maximize_distance(_toy_2d(), [0.3, -0.2], space)
         assert len(runs) == 1
 
