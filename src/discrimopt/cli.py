@@ -24,6 +24,7 @@ import locale  # noqa: F401  (argparse's gettext imports it on the first parse, 
 import logging
 import os
 import sys
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -287,7 +288,10 @@ def _one_blas_thread():
 
 def _stop_idle_blas_workers():
     """Stop the worker threads of every loaded OpenBLAS: started when it loads, they busy-wait for
-    ~0.2 s, into the first command.  Its next threaded call starts them again; no thread count changes."""
+    ~0.2 s, into the first command.  Its next threaded call starts them again; no thread count changes.
+    Skipped while another Python thread runs: the stop is not safe against a BLAS call in progress."""
+    if threading.active_count() > 1:
+        return
     for path in _loaded_openblas():
         try:
             shutdown = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)["blas_thread_shutdown_"]

@@ -278,16 +278,18 @@ def scipy_extension(name: str):
 
     No package ``__init__`` runs: ``scipy.optimize``'s takes ~0.35 s.  The module is registered in
     ``sys.modules`` under its own name, so a later ``import scipy.optimize`` uses it, and one already
-    there is returned as it is.
+    there is returned as it is.  A scipy that keeps its compiled modules elsewhere than beside its
+    package source (an editable install, say) is imported the usual way, ``__init__`` and all.
     """
     full = f"scipy.{name}"
     if full not in sys.modules:
         package, _, _ = name.rpartition(".")
-        directory = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], *package.split("."))
         loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-        spec = importlib.machinery.FileFinder(directory, loader).find_spec(full)
+        locations = importlib.util.find_spec("scipy").submodule_search_locations or []
+        finders = (importlib.machinery.FileFinder(os.path.join(top, *package.split(".")), loader) for top in locations)
+        spec = next(filter(None, (finder.find_spec(full) for finder in finders)), None)
         if spec is None:
-            raise ImportError(f"no compiled module {full} in {directory}", name=full)
+            return importlib.import_module(full)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[full] = module

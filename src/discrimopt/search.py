@@ -35,8 +35,10 @@ _GRID_PER_DIM = 64
 _REFINE_TOP = 5
 # The absolute finite-difference step of the box refinement's gradient.
 _FD_STEP = 1e-7
-# L-BFGS-B's ftol and gtol in the box refinement.
+# L-BFGS-B's ftol and gtol in the box refinement, and its iteration and
+# function-evaluation limits (scipy's defaults).
 _LOCAL_TOL = 1e-10
+_MAXITER = _MAXFUN = 15000
 # Relative slack below the maximum within which lattice values count as
 # tied; absorbs integrator round-off between analytically equal points
 # (relative error in the squared distance is ~10x the integration
@@ -78,11 +80,11 @@ def _neg_phi_and_gradient(pair: ModelPair, theta_hat, space: Box, free: np.ndarr
     return neg_phi_and_gradient
 
 
-def lbfgsb(fun, x0, lower, upper, tol, maxiter=15000, maxfun=15000):
+def lbfgsb(fun, x0, lower, upper, tol):
     """Minimize ``fun`` (x -> f, gradient) over the finite box [lower, upper] from x0 by L-BFGS-B (Byrd et al. 1995).
 
     The calls of scipy's ``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=..., options={"ftol": tol,
-    "gtol": tol, "maxiter": maxiter, "maxfun": maxfun})`` to its ``setulb``: x0 clipped into the box, 10
+    "gtol": tol, "maxiter": _MAXITER, "maxfun": _MAXFUN})`` to its ``setulb``: x0 clipped into the box, 10
     corrections, 20 line-search steps, ``fun`` called again only at a point unequal to the last one, and the
     same stops, so ``x``, ``fun``, ``jac``, ``nfev`` and ``nit`` equal scipy's bit for bit.
     """
@@ -109,8 +111,8 @@ def lbfgsb(fun, x0, lower, upper, tol, maxiter=15000, maxfun=15000):
             f, g = f_seen, g_seen
         elif task[0] == 1:  # a new iterate
             nit += 1
-            if nit >= maxiter or nfev > maxfun:
-                task[:] = 5, 504 if nit >= maxiter else 502
+            if nit >= _MAXITER or nfev > _MAXFUN:
+                task[:] = 5, 504 if nit >= _MAXITER else 502
         else:
             return SimpleNamespace(x=x, fun=f, jac=g, nfev=nfev, nit=nit)
 

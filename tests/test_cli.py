@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -706,6 +707,20 @@ class TestStartUp:
         # A BLAS call afterwards restarts what it needs and gives the same product.
         a = np.arange(400.0).reshape(20, 20) / 400
         assert np.allclose(a @ a, np.einsum("ij,jk->ik", a, a))
+
+    def test_idle_worker_stop_skipped_while_another_thread_runs(self, monkeypatch):
+        # That thread may be inside a BLAS call, which the stop would pull the workers from under.
+        looked = []
+        monkeypatch.setattr(cli, "_loaded_openblas", lambda: looked.append(1) or [])
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            cli._stop_idle_blas_workers()
+        finally:
+            done.set()
+            other.join()
+        assert looked == []
 
     @pytest.mark.parametrize("config", [MM_CONFIG, KINETICS_BENCH], ids=["mm", "kinetics"])
     def test_commands_import_nothing(self, config, tmp_path):

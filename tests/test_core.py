@@ -390,6 +390,34 @@ class TestScipyExtension:
             scipy_extension("optimize._no_such_module")
         assert "scipy.optimize._no_such_module" not in sys.modules
 
+    def test_scipy_without_its_compiled_modules_beside_it_is_imported(self, tmp_path):
+        # E.g. an editable install, whose package directory is the source tree and whose compiled modules
+        # are in its build directory: the lookup misses, the import finds them.
+        code = (
+            "import copy, importlib.util, sys\n"
+            "find_spec = importlib.util.find_spec\n"
+            "def source_tree_only(name, package=None):\n"
+            "    spec = find_spec(name, package)\n"
+            "    if name == 'scipy':\n"
+            "        spec = copy.copy(spec)\n"
+            f"        spec.submodule_search_locations = [{str(tmp_path)!r}]\n"
+            "    return spec\n"
+            "importlib.util.find_spec = source_tree_only\n"
+            "import numpy as np\n"
+            "import discrimopt.lp, discrimopt.search\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+            "assert discrimopt.lp._highs is sys.modules['scipy.optimize._highspy._core']\n"
+            "assert discrimopt.search._lbfgsb is sys.modules['scipy.optimize._lbfgsb']\n"
+            "fun = lambda x: (float(x @ x), 2 * x)\n"
+            "res = discrimopt.search.lbfgsb(fun, np.array([1.0, 2.0]), np.full(2, 0.5), np.full(2, 3.0), 1e-10)\n"
+            "assert list(res.x) == [0.5, 0.5]\n"
+            "print('ok')\n"
+        )
+        src = str(Path(discrimopt.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.stdout == "ok\n", out.stderr
+
     @pytest.mark.parametrize("first", ["discrimopt", "scipy.optimize"])
     def test_both_import_orders_share_one_module(self, first):
         # scipy.optimize's own imports find the modules discrimopt loaded, and discrimopt finds scipy's.

@@ -300,13 +300,15 @@ class TestRefinementGradient:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("stops", [{}, {"maxiter": 2}, {"maxfun": 3}], ids=["default", "maxiter", "maxfun"])
-    def test_driver_matches_scipy_minimize(self, case, stops):
+    def test_driver_matches_scipy_minimize(self, case, stops, monkeypatch):
+        for key, limit in stops.items():
+            monkeypatch.setattr(search, f"_{key.upper()}", limit)
         make, theta, lower, upper, x0 = self.CASES[case]
         pair, theta, space, x0 = make(), np.array(theta), Box(lower, upper), np.array(x0, dtype=float)
         free = np.flatnonzero(space.lower < space.upper)
         lower, upper, tol = space.lower[free], space.upper[free], search._LOCAL_TOL
         counted, our_calls = _counting(pair)
-        ours = lbfgsb(_neg_phi_and_gradient(counted, theta, space, free), x0[free], lower, upper, tol, **stops)
+        ours = lbfgsb(_neg_phi_and_gradient(counted, theta, space, free), x0[free], lower, upper, tol)
         counted, their_calls = _counting(pair)
         theirs = minimize(_neg_phi_and_gradient(counted, theta, space, free), x0[free], jac=True, method="L-BFGS-B",
                           bounds=list(zip(lower, upper)), options={"ftol": tol, "gtol": tol, **stops})
