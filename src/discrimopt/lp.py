@@ -15,7 +15,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.unique(..., axis=1) imports it on its first call, inside a command)
 
 from .core import scipy_extension
 
@@ -130,6 +129,14 @@ def _model(phi: np.ndarray) -> _highs.HighsLp:
     return lp
 
 
+def _distinct_columns(phi: np.ndarray) -> np.ndarray:
+    """The distinct columns of phi, sorted by the first row, then the second, ...: ``np.unique(phi, axis=1)``
+    without the structured sort that imports ``numpy.ma``.  Of columns equal up to the sign of a zero, one
+    is kept; the LP's matrix drops its zeros, so either gives the same model."""
+    phi = phi[:, np.lexsort(phi[::-1])]
+    return phi[:, np.concatenate([[True], (phi[:, 1:] != phi[:, :-1]).any(axis=0)])]
+
+
 def _accepted(highs) -> np.ndarray | None:
     """The solution when ``linprog`` would call it a success, else None.
 
@@ -167,7 +174,7 @@ def solve_weight_lp(instance: WeightLpInstance) -> WeightLpSolution | None:
     phi = instance.phi
     n = instance.n_points
     # Drop duplicate columns (repeated discretization parameters).
-    phi = np.unique(phi, axis=1)
+    phi = _distinct_columns(phi)
 
     # The solver's feasibility tolerances are absolute (floor 1e-10); typical
     # squared-distance magnitudes are far smaller, so rescale the matrix to a

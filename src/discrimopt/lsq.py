@@ -99,57 +99,63 @@ def sobol_points(n: int, box: Box) -> list[np.ndarray]:
 
 
 def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: float):
-    """Residual function sqrt(w_i + lam) * (refs - f2) stacked over support, its Jacobian, and both at once.
+    """Residual function sqrt(w_i + lam) * (refs - f2) stacked over support, its Jacobian, both at once, and f2.
 
     The regularizer enters as a uniform extra weight per point, which gives
     the same objective as a separate penalty block with half the residuals.
-    With ``alternative_jac``, one call over the support gives both residual
-    and Jacobian rows, ``rows(theta)`` returns the two, and the rows of the
-    last residual call and of the last Jacobian call are kept: a theta equal
-    to either bit for bit is not evaluated again.  Without it, ``rows`` is
-    None and the Jacobian is scipy's ``approx_derivative(method="2-point",
-    rel_step=1e-7)`` in the box, from the last residuals at an equal theta.
+    The model's responses and residual rows of the last residual call and of
+    the last Jacobian call are kept, each with its theta's bytes: a theta
+    equal to either bit for bit is not evaluated again, and
+    ``responses(theta)`` returns its responses (None for any other theta),
+    from which a fit's phi at its result needs no model call.  With
+    ``alternative_jac``, one call over the support gives both residual and
+    Jacobian rows and ``rows(theta)`` returns the two.  Without it, ``rows``
+    is None and the Jacobian is scipy's ``approx_derivative(method="2-point",
+    rel_step=1e-7)`` in the box, from the kept residuals at theta.
     """
     points = design.points
     sqrt_w = np.sqrt(design.weights + lam)[:, None]
-
-    if pair.alternative_jac is None:
-        lower, upper = pair.parameter_space.lower, pair.parameter_space.upper
-        last = [None, None]  # theta's bytes and the residuals of the last residual call
-
-        def plain(theta):
-            return (sqrt_w * (refs - pair.eval_alternative(points, theta))).ravel()
-
-        def residuals(theta):
-            last[:] = theta.tobytes(), plain(theta)
-            return last[1]
-
-        def jac(theta):  # the columns of zero-width coordinates, held at their one value, stay 0
-            r0 = last[1] if last[0] == theta.tobytes() else plain(theta)
-            h = forward_steps(theta, 1e-7 * theta, lower, upper)
-            columns = np.zeros((theta.size, r0.size))
-            for i in np.flatnonzero(lower < upper):
-                step = theta + np.diag(h)[i]
-                columns[i] = (plain(step) - r0) / (step[i] - theta[i])
-            return columns.T
-
-        return residuals, jac, None
-
-    kept = {}  # "r" and "jac": (theta's bytes, its rows) of the last residual call and of the last Jacobian call
+    exact = pair.alternative_jac is not None
+    kept = {}  # "r" and "jac": (theta's bytes, responses, rows) of the last residual and the last Jacobian call
 
     def rows(theta, call="r"):
         key = theta.tobytes()
-        for seen, value in kept.values():
+        for seen, y, value in kept.values():
             if seen == key:
                 break
         else:
-            y, jac = pair.eval_alternative_jac(points, theta)
-            r = (sqrt_w * (refs - y)).ravel()
-            value = (r, (-sqrt_w[:, :, None] * jac).reshape(r.size, -1))
-        kept[call] = (key, value)
+            if exact:
+                y, jac = pair.eval_alternative_jac(points, theta)
+                r = (sqrt_w * (refs - y)).ravel()
+                value = (r, (-sqrt_w[:, :, None] * jac).reshape(r.size, -1))
+            else:
+                y = pair.eval_alternative(points, theta)
+                value = ((sqrt_w * (refs - y)).ravel(), None)
+        kept[call] = (key, y, value)
         return value
 
-    return (lambda theta: rows(theta)[0]), (lambda theta: rows(theta, "jac")[1]), rows
+    def responses(theta):
+        key = theta.tobytes()
+        return next((y for seen, y, _ in kept.values() if seen == key), None)
+
+    def residuals(theta):
+        return rows(theta)[0]
+
+    if exact:
+        return residuals, (lambda theta: rows(theta, "jac")[1]), rows, responses
+
+    lower, upper = pair.parameter_space.lower, pair.parameter_space.upper
+
+    def jac(theta):  # the columns of zero-width coordinates, held at their one value, stay 0
+        r0 = rows(theta, "jac")[0]
+        h = forward_steps(theta, 1e-7 * theta, lower, upper)
+        columns = np.zeros((theta.size, r0.size))
+        for i in np.flatnonzero(lower < upper):
+            step = theta + np.diag(h)[i]
+            columns[i] = ((sqrt_w * (refs - pair.eval_alternative(points, step))).ravel() - r0) / (step[i] - theta[i])
+        return columns.T
+
+    return residuals, jac, None, responses
 
 
 def _step_to_bound(x, s, lower, upper):
@@ -290,7 +296,10 @@ def fit_parameters(
     parameter on a bound with the cost's gradient pointing out of the box;
     when a held gradient points into the box at that result, the fit goes on
     from it over every parameter of nonzero width.  ``objective`` is the
-    unregularized value, the weighted sum of ``phi``.  ``refs`` is the
+    unregularized value, the weighted sum of ``phi``.  ``phi`` comes from
+    the responses the last evaluation at theta_hat gave, with no model call
+    of its own, when the winning start is the last one run; after a later
+    start it is evaluated afresh, in one call.  ``refs`` is the
     reference rows at the design's points when the caller holds them;
     only without it is the reference evaluated, once.
 
@@ -316,7 +325,7 @@ def fit_parameters(
         raise FitError("no starting points: supply a warm start or n_starts > 0")
 
     refs = pair.eval_reference(design.points) if refs is None else refs
-    residuals, jac, rows = _stacked_residuals(pair, design, refs, lam)
+    residuals, jac, rows, responses = _stacked_residuals(pair, design, refs, lam)
     best, best_index = None, -1
     # The incumbent is start 0; its regularized objective is twice its cost, exactly.
     best_cost = None if incumbent is None else incumbent.regularized_objective / 2.0
@@ -335,7 +344,8 @@ def fit_parameters(
         raise FitError(f"all {len(starts)} least-squares starts failed", skipped=skipped)
 
     theta = space.clip(best.x)
-    phi = squared_distance(pair, design.points, theta, refs)
+    y = responses(theta)  # squared_distance's sum on rows already evaluated, when the last start's are theta's
+    phi = squared_distance(pair, design.points, theta, refs) if y is None else np.array([r @ r for r in refs - y])
     return FitResult(
         theta_hat=theta,
         objective=t_value(pair, design, theta, phi),

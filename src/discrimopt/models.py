@@ -276,21 +276,23 @@ def _closed_form_a(params: KineticsParams, a0: float, jac: bool):
     With d = n1 - 1 and u = d k1 a0**d t, log(a0 / a) = log1p(u) / d, which
     keeps its digits for n1 near 1 and is k1 t at n1 = 1; for n1 < 1, a
     vanishes once u reaches -1, and a0 = 0 keeps a at 0.  The function
-    returns (r1, dr1/dk1, dr1/dn1, a, da/dk1, da/dn1), r1 = k1 a**n1, with
-    total derivatives; without ``jac`` the derivatives are 0.
+    ``at(t)`` returns the rate r1 = k1 a**n1, or with ``jac`` (r1, dr1/dk1,
+    dr1/dn1); ``at(t, full=True)`` returns (r1, dr1/dk1, dr1/dn1, a, da/dk1,
+    da/dn1), whose derivatives are 0 without ``jac``.  Derivatives are total.
     """
     k1, n1, d = params.k1, params.n1, params.n1 - 1.0
+    zeros = (0.0, 0.0, 0.0) if jac else 0.0  # the rates where a = 0
     if a0 == 0.0:
-        return lambda t: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return lambda t, full=False: (0.0,) * 6 if full else zeros
     a0d = a0**d
     w = d * k1 * a0d
     log_a0 = math.log(a0)
     log1p, exp = math.log1p, math.exp
 
-    def at(t):
+    def at(t, full=False):
         u = w * t
         if u <= -1.0:
-            return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+            return (0.0,) * 6 if full else zeros
         lp = log1p(u)
         lg = lp / d if d else k1 * t  # log(a0 / a)
         a = a0 * exp(-lg)
@@ -298,7 +300,7 @@ def _closed_form_a(params: KineticsParams, a0: float, jac: bool):
         pa = a * q
         r1 = k1 * pa
         if not jac:
-            return r1, 0.0, 0.0, a, 0.0, 0.0
+            return (r1, 0.0, 0.0, a, 0.0, 0.0) if full else r1
         # sigma = d log(a) / d n1 = (log1p(u) - u / (1 + u)) / d**2 - z log(a0) / (1 + u)
         # with z = u / d; near u = 0 the first term is z**2 (1/2 - 2u/3 + 3u**2/4 - ...).
         z = k1 * a0d * t
@@ -307,31 +309,10 @@ def _closed_form_a(params: KineticsParams, a0: float, jac: bool):
         else:
             g = (lp - u / (1.0 + u)) / (d * d)
         sigma = g - z * log_a0 / (1.0 + u)
-        return r1, pa - n1 * t * r1 * q, r1 * (log_a0 - lg + n1 * sigma), a, -t * pa, a * sigma
+        rates = r1, pa - n1 * t * r1 * q, r1 * (log_a0 - lg + n1 * sigma)
+        return (*rates, a, -t * pa, a * sigma) if full else rates
 
     return at
-
-
-def _linear_step_weights(h, J1, J2, J3, J4, J5, J6):
-    """(phi, w1, ..., w6) such that one Dormand-Prince step of s' = J_i s + g_i,
-    with J_i and g_i given per stage, maps s to phi s + w1 g1 + ... + w6 g6.
-
-    w_i is the derivative of the step's result in the stage derivative k_i,
-    from one sweep back over the stages; phi = 1 + sum w_i J_i.
-    """
-    w6 = h * (11 / 84)
-    m6 = w6 * J6 * h
-    w5 = h * (-2187 / 6784) + m6 * (-5103 / 18656)
-    m5 = w5 * J5 * h
-    w4 = h * (125 / 192) + m5 * (-212 / 729) + m6 * (49 / 176)
-    m4 = w4 * J4 * h
-    w3 = h * (500 / 1113) + m4 * (32 / 9) + m5 * (64448 / 6561) + m6 * (46732 / 5247)
-    m3 = w3 * J3 * h
-    w2 = m3 * (9 / 40) + m4 * (-56 / 15) + m5 * (-25360 / 2187) + m6 * (-355 / 33)
-    m2 = w2 * J2 * h
-    w1 = (h * (35 / 384) + m2 * (1 / 5) + m3 * (3 / 40) + m4 * (44 / 45) + m5 * (19372 / 6561)
-          + m6 * (9017 / 3168))
-    return 1.0 + w1 * J1 + w2 * J2 + w3 * J3 + w4 * J4 + w5 * J5 + w6 * J6, w1, w2, w3, w4, w5, w6
 
 
 def _dopri5_alt(params, times, a0, b0, rtol, atol, out, jac=False):
@@ -342,10 +323,12 @@ def _dopri5_alt(params, times, a0, b0, rtol, atol, out, jac=False):
     estimate alone controlling the steps, so every value equals that of a
     solve to its time alone, bit for bit.  With ``jac``, b's sensitivities
     s = (db/dk1, db/dk2, db/dn1, db/dn2) follow each accepted step: each
-    obeys s' = J s + g with J = -d(k2 b**n2)/db, so the step's stages give
-    it by ``_linear_step_weights``.  They take no part in the step control
-    (CVODES with ``errconS`` off; Hindmarsh et al., *SUNDIALS*, ACM TOMS
-    2005), so b is that of the plain pass, bit for bit.
+    obeys s' = J s + g with J = -d(k2 b**n2)/db, so the step maps s to
+    phi s + w1 g1 + ... + w6 g6, with g_i and J_i those of stage i, w_i the
+    derivative of the step's result in the stage derivative k_i (one sweep
+    back over the stages) and phi = 1 + sum w_i J_i.  They take no part in
+    the step control (CVODES with ``errconS`` off; Hindmarsh et al.,
+    *SUNDIALS*, ACM TOMS 2005), so b is that of the plain pass, bit for bit.
 
     Appends (a, b) per time to ``out``, or with ``jac`` ((a, b), (da/dk1,
     da/dn1, *s)).  Raises as ``_dopri5``, and ValueError for k3 != 0 or n3 != 1.
@@ -353,15 +336,16 @@ def _dopri5_alt(params, times, a0, b0, rtol, atol, out, jac=False):
     if params.k3 != 0.0 or params.n3 != 1.0:
         raise ValueError("a in closed form needs the irreversible system: k3 = 0 and n3 = 1")
     k2, n2 = params.k2, params.n2
+    nk = -n2 * k2
     log = math.log
     at = _closed_form_a(params, a0, jac)
 
     b = b0
     p1 = b**n2
-    r, g1, e1, _, _, _ = at(0.0)
+    r, g1, e1 = at(0.0) if jac else (at(0.0), 0.0, 0.0)
     fb = r - k2 * p1
     h_abs, bound = _initial_step(
-        lambda t, y: (at(t)[0] - k2 * (0.0 if y[0] < 0.0 else y[0]) ** n2,),
+        lambda t, y: (at(t, True)[0] - k2 * (0.0 if y[0] < 0.0 else y[0]) ** n2,),
         times[0], (b,), (fb,), rtol, atol,
     )
     if bound and len(times) > 1:
@@ -370,7 +354,7 @@ def _dopri5_alt(params, times, a0, b0, rtol, atol, out, jac=False):
         return
     # Per stage, J = -n2 k2 b**(n2 - 1), and the n2 forcing is -k2 L with
     # L = b**n2 log(b); both are 0 at b = 0, where `b or 1.0` keeps them finite.
-    J1, L1 = -n2 * k2 * p1 / (b or 1.0), p1 * log(b or 1.0)
+    J1, L1 = nk * p1 / (b or 1.0), p1 * log(b or 1.0)
     s1 = s2 = s3 = s4 = 0.0
     t = 0.0
     saved = None
@@ -393,28 +377,38 @@ def _dopri5_alt(params, times, a0, b0, rtol, atol, out, jac=False):
                 h = t_new - t
                 h_abs = h
 
-                r, g2, e2, _, _, _ = at(t + h * (1 / 5))
+                r = at(t + h * (1 / 5))
+                if jac:
+                    r, g2, e2 = r
                 b2 = b + fb * (1 / 5) * h
                 b2 = 0.0 if b2 < 0.0 else b2
                 p2 = b2**n2
                 f2 = r - k2 * p2
-                r, g3, e3, _, _, _ = at(t + h * (3 / 10))
+                r = at(t + h * (3 / 10))
+                if jac:
+                    r, g3, e3 = r
                 b3 = b + (fb * (3 / 40) + f2 * (9 / 40)) * h
                 b3 = 0.0 if b3 < 0.0 else b3
                 p3 = b3**n2
                 f3 = r - k2 * p3
-                r, g4, e4, _, _, _ = at(t + h * (4 / 5))
+                r = at(t + h * (4 / 5))
+                if jac:
+                    r, g4, e4 = r
                 b4 = b + (fb * (44 / 45) + f2 * (-56 / 15) + f3 * (32 / 9)) * h
                 b4 = 0.0 if b4 < 0.0 else b4
                 p4 = b4**n2
                 f4 = r - k2 * p4
-                r, g5, e5, _, _, _ = at(t + h * (8 / 9))
+                r = at(t + h * (8 / 9))
+                if jac:
+                    r, g5, e5 = r
                 b5 = b + (fb * (19372 / 6561) + f2 * (-25360 / 2187) + f3 * (64448 / 6561)
                           + f4 * (-212 / 729)) * h
                 b5 = 0.0 if b5 < 0.0 else b5
                 p5 = b5**n2
                 f5 = r - k2 * p5
-                r, g6, e6, _, _, _ = at(t + h)
+                r = at(t + h)
+                if jac:
+                    r, g6, e6 = r
                 b6 = b + (fb * (9017 / 3168) + f2 * (-355 / 33) + f3 * (46732 / 5247)
                           + f4 * (49 / 176) + f5 * (-5103 / 18656)) * h
                 b6 = 0.0 if b6 < 0.0 else b6
@@ -447,19 +441,31 @@ def _dopri5_alt(params, times, a0, b0, rtol, atol, out, jac=False):
                 rejected = True
 
             if jac:
-                phi, w1, w2, w3, w4, w5, w6 = _linear_step_weights(
-                    h, J1, -n2 * k2 * p2 / (b2 or 1.0), -n2 * k2 * p3 / (b3 or 1.0),
-                    -n2 * k2 * p4 / (b4 or 1.0), -n2 * k2 * p5 / (b5 or 1.0), -n2 * k2 * p6 / (b6 or 1.0))
+                J2, J3, J4 = nk * p2 / (b2 or 1.0), nk * p3 / (b3 or 1.0), nk * p4 / (b4 or 1.0)
+                J5, J6 = nk * p5 / (b5 or 1.0), nk * p6 / (b6 or 1.0)
+                w6 = h * (11 / 84)
+                m6 = w6 * J6 * h
+                w5 = h * (-2187 / 6784) + m6 * (-5103 / 18656)
+                m5 = w5 * J5 * h
+                w4 = h * (125 / 192) + m5 * (-212 / 729) + m6 * (49 / 176)
+                m4 = w4 * J4 * h
+                w3 = h * (500 / 1113) + m4 * (32 / 9) + m5 * (64448 / 6561) + m6 * (46732 / 5247)
+                m3 = w3 * J3 * h
+                w2 = m3 * (9 / 40) + m4 * (-56 / 15) + m5 * (-25360 / 2187) + m6 * (-355 / 33)
+                m2 = w2 * J2 * h
+                w1 = (h * (35 / 384) + m2 * (1 / 5) + m3 * (3 / 40) + m4 * (44 / 45) + m5 * (19372 / 6561)
+                      + m6 * (9017 / 3168))
+                phi = 1.0 + w1 * J1 + w2 * J2 + w3 * J3 + w4 * J4 + w5 * J5 + w6 * J6
                 s1 = phi * s1 + (w1 * g1 + w2 * g2 + w3 * g3 + w4 * g4 + w5 * g5 + w6 * g6)
                 s2 = phi * s2 - (w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6)
                 s3 = phi * s3 + (w1 * e1 + w2 * e2 + w3 * e3 + w4 * e4 + w5 * e5 + w6 * e6)
                 s4 = phi * s4 - k2 * (w1 * L1 + w2 * p2 * log(b2 or 1.0) + w3 * p3 * log(b3 or 1.0)
                                       + w4 * p4 * log(b4 or 1.0) + w5 * p5 * log(b5 or 1.0)
                                       + w6 * p6 * log(b6 or 1.0))
-                J1, L1 = -n2 * k2 * p7 / (b7 or 1.0), p7 * log(b7 or 1.0)
+                J1, L1, g1, e1 = nk * p7 / (b7 or 1.0), p7 * log(b7 or 1.0), g6, e6
             t = t_new
-            b, fb, p1, g1, e1 = yb, f7, p7, g6, e6
-        _, _, _, a, a_k1, a_n1 = at(t)
+            b, fb, p1 = yb, f7, p7
+        _, _, _, a, a_k1, a_n1 = at(t, True)
         out.append(((a, b), (a_k1, a_n1, s1, s2, s3, s4)) if jac else (a, b))
         if saved is not None:
             t, b, fb, s1, s2, s3, s4, J1, L1, p1, g1, e1, h_abs = saved
@@ -495,21 +501,27 @@ def _integrate_rows(params: KineticsParams, X, tol: IntegratorTol, alt: bool = F
     with ``jac`` as well, Jacobians (n, 3, 4) in (k1, k2, n1, n2) come too,
     and the power-law derivative terms of a clipped concentration are 0.
 
-    Each row is validated as a KineticsInput.  Rows that share an initial
-    state exactly, (a0, b0) with ``alt`` and (a0, b0, c0) otherwise, are
-    integrated in one kernel pass over their sorted distinct times, which
-    gives every row the value of a solve to its own time, bit for bit.  A
-    failure raises ModelEvaluationError carrying a failing row.
+    The rows are checked as KineticsInput checks one, all at once; when a
+    check fails, the first failing row raises KineticsInput's error.  Rows
+    that share an initial state exactly, (a0, b0) with ``alt`` and
+    (a0, b0, c0) otherwise, are integrated in one kernel pass over their
+    sorted distinct times, which gives every row the value of a solve to its
+    own time, bit for bit.  A failure raises ModelEvaluationError carrying a
+    failing row.
     """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 4 or not (
+            np.isfinite(X).all() and (X[:, :3] >= 0).all() and (X[:, 3] > 0).all()):
+        for row in X:
+            KineticsInput(*(float(v) for v in row))
     groups: dict[tuple, list] = {}
-    for i, row in enumerate(X):
-        inp = KineticsInput(*(float(v) for v in row))
-        groups.setdefault((inp.a0, inp.b0) if alt else (inp.a0, inp.b0, inp.c0), []).append((inp, i))
+    for i, x in enumerate(X.tolist()):
+        groups.setdefault(tuple(x[:2 if alt else 3]), []).append((x, i))
     rhs = _kinetics_rhs(params)
     Y = np.empty((len(X), 3))
     S = np.empty((len(X), 2, 4))  # the rows of a and b in the Jacobian
     for y0, rows in groups.items():
-        times = tuple(sorted({inp.t for inp, _ in rows}))
+        times = tuple(sorted({x[3] for x, _ in rows}))
         out: list = []
         try:
             if alt:
@@ -517,15 +529,15 @@ def _integrate_rows(params: KineticsParams, X, tol: IntegratorTol, alt: bool = F
             else:
                 solve_ivp(rhs, times, y0, tol.rel, tol.abs, out)
         except ArithmeticError as exc:
-            x = next(np.array([inp.a0, inp.b0, inp.c0, inp.t]) for inp, _ in rows if inp.t == times[len(out)])
+            x = next(np.array(x) for x, _ in rows if x[3] == times[len(out)])
             raise ModelEvaluationError(f"kinetics integration failed at x={x}: {exc}", x=x) from exc
         at = dict(zip(times, out))
-        for inp, i in rows:
-            y = at[inp.t]
+        for (a0, b0, c0, t), i in rows:
+            y = at[t]
             if jac:
                 y, (a_k1, a_n1, *b_row) = y
                 S[i] = (a_k1, 0.0, a_n1, 0.0), b_row
-            Y[i] = (*y, inp.a0 + inp.b0 + inp.c0 - y[0] - y[1]) if alt else y
+            Y[i] = (*y, a0 + b0 + c0 - y[0] - y[1]) if alt else y
     # d c = -(d a + d b), by conservation of a + b + c.
     return (Y, np.concatenate([S, -(S[:, :1] + S[:, 1:])], axis=1)) if jac else Y
 

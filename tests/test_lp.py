@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 from scipy.optimize._linprog_util import _check_result
 
-from discrimopt.lp import WeightLpInstance, WeightLpSolution, _accepted, solve_weight_lp
+from discrimopt.lp import WeightLpInstance, WeightLpSolution, _accepted, _distinct_columns, solve_weight_lp
 
 
 def linprog_weight_lp(instance):
@@ -267,6 +267,16 @@ class TestSameAsLinprog:
     def test_generated_instances(self, phi):
         inst = WeightLpInstance(phi)
         assert bits(solve_weight_lp(inst)) == bits(linprog_weight_lp(inst))
+
+
+class TestDistinctColumns:
+    @given(weight_lps(), st.sampled_from(["C", "F"]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_numpy_unique(self, phi, order):
+        # The same columns in the same order, bit for bit, from either memory layout.
+        phi = np.asarray(phi, order=order)
+        assert _distinct_columns(phi).tobytes() == np.unique(phi, axis=1).tobytes()
+        assert _distinct_columns(phi).shape == np.unique(phi, axis=1).shape
 
 
 class TestPerThreadSolvers:

@@ -337,7 +337,7 @@ class TestDogboxLoop:
             pair = ModelPair(reference=reference, alternative=lambda X, theta: line(X, theta)[0], alternative_jac=line,
                              parameter_space=Box([-5.0, -5.0], [5.0, 5.0]))
             design = Design(np.array([[0.0], [1.0], [2.0]]), np.full(3, 1 / 3))
-        residuals, jac, _ = lsq._stacked_residuals(pair, design, pair.eval_reference(design.points), 1e-8)
+        residuals, jac, *_ = lsq._stacked_residuals(pair, design, pair.eval_reference(design.points), 1e-8)
         box, x0 = pair.parameter_space, np.array(x0)
         assert_same_as_scipy(lsq.least_squares(residuals, x0, jac, box.lower, box.upper, 800),
                              scipy_dogbox(residuals, x0, jac, box.lower, box.upper, 800))
@@ -345,7 +345,7 @@ class TestDogboxLoop:
     def test_evaluation_limit_ends_with_status_0(self):
         pair = make_mm_pair()
         design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
-        residuals, jac, _ = lsq._stacked_residuals(pair, design, pair.eval_reference(design.points), 1e-8)
+        residuals, jac, *_ = lsq._stacked_residuals(pair, design, pair.eval_reference(design.points), 1e-8)
         box = pair.parameter_space
         for max_nfev in (1, 2, 3):
             res = lsq.least_squares(residuals, np.array([4.0, 0.5]), jac, box.lower, box.upper, max_nfev)
@@ -361,22 +361,30 @@ class TestDogboxLoop:
         evals = []
         pair = decay_and_line(with_jac=False)
         counted = dataclasses.replace(pair, alternative=lambda X, t: evals.append(1) or pair.alternative(X, t))
-        residuals, jac, _ = lsq._stacked_residuals(counted, DECAY_DESIGN, pair.eval_reference(DECAY_DESIGN.points),
-                                                   1e-8)
         box, theta = pair.parameter_space, np.array(theta)
-        expected = approx_derivative(residuals, theta, method="2-point", rel_step=1e-7, bounds=(box.lower, box.upper))
         for kept, extra in ((theta, 0), (np.array([0.5, 1.0, 0.5]), 1)):
+            residuals, jac, *_ = lsq._stacked_residuals(counted, DECAY_DESIGN,
+                                                        pair.eval_reference(DECAY_DESIGN.points), 1e-8)
+            expected = approx_derivative(residuals, theta, method="2-point", rel_step=1e-7,
+                                         bounds=(box.lower, box.upper))
             residuals(kept)
             evals.clear()
             assert jac(theta).tobytes() == expected.tobytes()
             assert len(evals) == 3 + extra
+            # The Jacobian call's residuals at theta are kept too: neither a residual call there nor
+            # another Jacobian call evaluates theta again.
+            residuals(np.array([0.2, 2.0, 0.3]))
+            evals.clear()
+            residuals(theta)
+            assert not evals
+            assert jac(theta).tobytes() == expected.tobytes() and len(evals) == 3
 
     @pytest.mark.parametrize("x0", [[1.0, 3.8, 0.1], [0.5, 0.5, 0.5], [0.0, 4.0, -1.0]])
     def test_pair_without_jacobian(self, x0):
         # The forward differences are scipy's "2-point" ones at relative step 1e-7 in the box.
         pair = decay_and_line(with_jac=False)
-        residuals, jac, rows = lsq._stacked_residuals(pair, DECAY_DESIGN, pair.eval_reference(DECAY_DESIGN.points),
-                                                      1e-8)
+        residuals, jac, rows, _ = lsq._stacked_residuals(pair, DECAY_DESIGN, pair.eval_reference(DECAY_DESIGN.points),
+                                                         1e-8)
         box, x0 = pair.parameter_space, np.array(x0)
         assert rows is None
         res = lsq.least_squares(residuals, x0, jac, box.lower, box.upper, 800)
@@ -544,6 +552,43 @@ class TestFitParameters:
         fit = fit_parameters(pair, design, n_starts=1)
         assert np.array_equal(fit.phi, squared_distance(pair, design.points, fit.theta_hat))
         assert fit.objective == t_value(pair, design, fit.theta_hat)
+
+    @pytest.mark.parametrize("case, n_starts, winner_is_last", [
+        ("mm", 1, True),
+        ("mm", 3, False),
+        ("kinetics", 1, True),
+        ("kinetics", 3, False),
+        ("mm without a Jacobian", 1, True),
+        ("mm without a Jacobian", 3, False),
+        ("two basins from 0.2", 3, False),
+    ])
+    def test_phi_comes_from_the_winning_start_rows(self, monkeypatch, case, n_starts, winner_is_last):
+        # phi is squared_distance's at theta_hat bit for bit.  When the last start wins, it comes from the
+        # responses that start evaluated there, and no model call follows it; when an earlier start wins,
+        # those rows are gone, and one call evaluates phi.
+        mm_design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
+        if case == "kinetics":
+            cfg = load_config(KINETICS_BENCH)
+            pair, design, warm = cfg.pair, cfg.initial, None
+        elif case == "two basins from 0.2":
+            pair, design, warm = two_basins(), Design(np.array([[1.0]]), np.array([1.0])), [0.2]
+        else:
+            jac = {} if case == "mm" else {"alternative_jac": None}
+            pair, design, warm = dataclasses.replace(make_mm_pair(), **jac), mm_design, None
+        calls, returned = [], []
+
+        def counted(fn):
+            return None if fn is None else lambda X, theta: calls.append(1) or fn(X, theta)
+
+        counted_pair = dataclasses.replace(pair, alternative=counted(pair.alternative),
+                                           alternative_jac=counted(pair.alternative_jac))
+        local_fit = lsq._local_fit
+        monkeypatch.setattr(lsq, "_local_fit", lambda *args: (local_fit(*args), returned.append(len(calls)))[0])
+        fit = fit_parameters(counted_pair, design, warm, n_starts=n_starts)
+        assert len(returned) == (warm is not None) + n_starts
+        assert (fit.start_index == len(returned) - 1) == winner_is_last
+        assert len(calls) == returned[-1] + (not winner_is_last)
+        assert fit.phi.tobytes() == squared_distance(pair, design.points, fit.theta_hat).tobytes()
 
     def test_config_validation(self, toy_pair, toy_optimum):
         with pytest.raises(ValueError, match="n_starts"):

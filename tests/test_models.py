@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ class TestGroupedSolves:
         rate = _closed_form_a(p, a0, False)
 
         def fun(t, y):
-            return (rate(t)[0] - p.k2 * max(y[0], 0.0) ** p.n2,)
+            return (rate(t) - p.k2 * max(y[0], 0.0) ** p.n2,)
 
         _, bound = _initial_step(fun, times[0], (b0,), fun(0.0, (b0,)), tol.rel, tol.abs)
         assert bound
@@ -324,6 +325,26 @@ class TestGroupedSolves:
     def test_invalid_row_rejected(self):
         with pytest.raises(ModelEvaluationError, match="nonnegative"):
             make_kinetics_pair().eval_reference([[0.5, 0.1, 0.0, 2.0], [-0.5, 0.1, 0.0, 2.0]])
+
+    @pytest.mark.parametrize("bad, reason", [
+        ([np.nan, 0.1, 0.0, 2.0], "initial concentrations and measurement time must be finite"),
+        ([0.5, 0.1, np.inf, 2.0], "initial concentrations and measurement time must be finite"),
+        ([-0.5, 0.1, 0.0, 2.0], "initial concentrations must be nonnegative"),
+        ([0.5, 0.1, 0.0, 0.0], "measurement time must be positive"),
+    ])
+    def test_invalid_row_message(self, bad, reason):
+        # The rows are checked in one array pass; the first failing row still gives KineticsInput's message,
+        # alone and before a later row that fails another check.
+        pair, theta = make_kinetics_pair(), np.array([0.7, 0.2, 2.0, 2.0])
+        calls = (("reference", pair.eval_reference, ()), ("alternative", pair.eval_alternative, (theta,)),
+                 ("alternative_jac", pair.eval_alternative_jac, (theta,)))
+        for X in (np.array([[0.5, 0.1, 0.0, 2.0], bad]), np.array([[0.5, 0.1, 0.0, 2.0], bad, [0.5, -0.1, 0.0, -1.0]])):
+            for name, evaluate, args in calls:
+                with pytest.raises(ModelEvaluationError) as err:
+                    evaluate(X, *args)
+                theta_text = "None" if not args else str(theta)
+                assert str(err.value) == f"{name} model failed at x={X}, theta={theta_text}: {reason}"
+                assert isinstance(err.value.__cause__, ValueError)
 
 
 class TestSensitivities:
@@ -396,6 +417,29 @@ class TestSensitivities:
 class TestClosedFormA:
     """The alternative's a in closed form, and b integrated alone."""
 
+    # (k1, k2, n1, n2, a0, b0): a point of the fitted kinetics design's theta, the box's lower corner with
+    # b0 = 0, first order (d = 0), extinction below first order, and a0 = 0.
+    PINNED = [
+        (1.0, 0.2568, 3.0591, 2.4137, 0.9, 0.3),
+        (0.5, 0.05, 1.5, 1.5, 0.5, 0.0),
+        (0.7, 0.5, 1.0, 1.0, 0.7, 0.1),
+        (0.9, 0.3, 0.6, 2.5, 0.3, 0.2),
+        (0.8, 0.4, 2.0, 3.0, 0.0, 0.2),
+    ]
+
+    def test_outputs_pinned_bit_for_bit(self):
+        # data/dopri5-alt-hex.txt holds, per case and then per jac flag (off, on), the float.hex of every
+        # value _dopri5_alt appends for times (0.5, 2, 6, 10); a rewrite of the kernel must keep each bit.
+        lines = (Path(__file__).parent / "data" / "dopri5-alt-hex.txt").read_text().splitlines()
+        tol = IntegratorTol()
+        for i, (k1, k2, n1, n2, a0, b0) in enumerate(self.PINNED):
+            for jac in (False, True):
+                out = []
+                _dopri5_alt(KineticsParams(k1, k2, 0.0, n1, n2, 1.0), (0.5, 2.0, 6.0, 10.0), a0, b0, tol.rel, tol.abs,
+                            out, jac)
+                values = np.concatenate([np.ravel(np.concatenate(row) if jac else row) for row in out])
+                assert " ".join(float(v).hex() for v in values) == lines[2 * i + jac], (i, jac)
+
     def test_alternative_agrees_with_three_state_kernel(self):
         # Within the linear-chain test's tolerance: the steps differ, so do the last digits.
         pair = make_kinetics_pair()
@@ -415,14 +459,16 @@ class TestClosedFormA:
                 p = KineticsParams(th[0], 0.2, 0.0, th[1], 2.0, 1.0)
                 return integrate_kinetics(p, KineticsInput(a0, 0.1, 0.0, t), tight)[:1]
 
-            r1, r1_k1, r1_n1, a, a_k1, a_n1 = _closed_form_a(alternative_params([k1, 0.2, n1, 2.0]), a0, True)(t)
+            at = _closed_form_a(alternative_params([k1, 0.2, n1, 2.0]), a0, True)
+            r1, r1_k1, r1_n1, a, a_k1, a_n1 = at(t, full=True)
+            assert at(t) == (r1, r1_k1, r1_n1)
             assert a == pytest.approx(a_of([k1, n1])[0], rel=0, abs=1e-10)
             assert r1 == pytest.approx(k1 * a**n1, rel=1e-14, abs=0)
             expected = central_difference_jacobian(a_of, [k1, n1])[0]
             np.testing.assert_allclose([a_k1, a_n1], expected, rtol=0, atol=1e-8 + 1e-6 * np.abs(expected).max())
 
             def r1_of(th, t=t):
-                return np.array([_closed_form_a(alternative_params([th[0], 0.2, th[1], 2.0]), a0, False)(t)[0]])
+                return np.array([_closed_form_a(alternative_params([th[0], 0.2, th[1], 2.0]), a0, False)(t)])
 
             expected = central_difference_jacobian(r1_of, [k1, n1])[0]
             np.testing.assert_allclose([r1_k1, r1_n1], expected, rtol=0, atol=1e-8 + 1e-6 * np.abs(expected).max())
@@ -433,8 +479,9 @@ class TestClosedFormA:
         # n1 < 1: a reaches 0 in finite time (u = -1 at t = 2.09 here) and stays there.
         p = alternative_params([0.8, 0.2, 0.5, 2.0])
         at = _closed_form_a(p, 0.7, True)
-        assert at(2.0)[3] > 0.0
-        assert at(2.1) == at(10.0) == (0.0,) * 6
+        assert at(2.0, full=True)[3] > 0.0
+        assert at(2.1, full=True) == at(10.0, full=True) == (0.0,) * 6
+        assert at(2.1) == at(10.0) == (0.0,) * 3
         tight = IntegratorTol(rel=1e-12, abs=1e-14)
         assert integrate_kinetics(p, KineticsInput(0.7, 0.1, 0.0, 10.0), tight)[0] == pytest.approx(0.0, abs=1e-9)
 
