@@ -142,6 +142,7 @@ class OptimalityReport:
     max_psi: float
     min_support_gap: float
     worst_point: np.ndarray
+    scan_phi: np.ndarray  # phi at the scan points, in scan_grid's order; NaN where it failed
 
     def is_eps_optimal(self, eps: float) -> bool:
         # The support criterion alone can fire early when the fitted
@@ -155,6 +156,7 @@ class Discretization:
     Candidates are distinct under :func:`canonical_key` (``index`` maps a key to its row), and each
     one's reference row is evaluated once, as it joins.  ``phi[i, j]`` is the squared distance at
     candidate i under ``thetas[j]``; NaN marks an entry not evaluated yet, which :meth:`matrix` fills.
+    ``warm`` is the last cut as it was added, a fit or its theta: the next DISC fit starts from it.
     """
 
     def __init__(self, pair: ModelPair, points, thetas=()):
@@ -166,6 +168,7 @@ class Discretization:
             raise ValueError("candidate points must be pairwise distinct")
         self.pair, self.points, self.refs = pair, points, pair.eval_reference(points)
         self.thetas: list[np.ndarray] = []
+        self.warm = None
         self.phi = np.empty((len(points), 0))
         for theta in thetas:
             self.add_cut(theta)
@@ -189,9 +192,12 @@ class Discretization:
         return np.array([i if self.points[i].tobytes() == p.tobytes() else -1 for i, p in zip(rows, points)])
 
     def add_cut(self, theta, phi=np.nan, rows=None):
-        """Append the cut ``theta``, its ``phi`` known at candidate ``rows`` (all by default); -1 is skipped."""
+        """Append the cut ``theta``, a parameter vector or a :class:`FitResult` at its ``theta_hat``, its ``phi``
+        known at candidate ``rows`` (all by default); -1 is skipped."""
         col = np.full(len(self.points) + 1, np.nan)  # the last entry takes the writes to row -1
         col[slice(-1) if rows is None else rows] = phi
+        self.warm = theta
+        theta = theta.theta_hat if isinstance(theta, FitResult) else theta
         self.thetas.append(np.atleast_1d(np.asarray(theta, dtype=float)))
         self.phi = np.column_stack([self.phi, col[:-1]])
 
@@ -233,7 +239,8 @@ class _Run:
         self.t0 = time.perf_counter()
 
     def refit(self, design: Design, warm, refs=None, run_ends=lambda report: True, **certify):
-        """Fit ``design`` from ``warm`` alone and certify the fit; run the Sobol check where the run ends.
+        """Fit ``design`` from ``warm`` (a theta or a fit) alone and certify the fit; run the Sobol check where the
+        run ends.
 
         A violated cut makes progress from any local fit, and only the fit a
         run ends on needs the global one (Blankenship & Falk, 1976).  When
@@ -243,7 +250,7 @@ class _Run:
         logged and certified in turn.  Without a warm start, or when the warm
         fit fails (:class:`FitError`), the one fit is that multistart, which
         raises when it fails too.  Returns the fits made (the warm fit, then a
-        winner), the certificate of the last, and the ``ls_time`` and
+        winner), the certificate of each, and the ``ls_time`` and
         ``global_time`` spent fitting and certifying.  ``refs`` is the
         reference rows at the design's points, evaluated here once when not
         given; ``certify`` goes to :func:`check_optimality`.
@@ -260,7 +267,7 @@ class _Run:
             warm = None
             fit, ls_time = _timed(fit_parameters, pair, design, n_starts=params.n_theta_starts, **fit_args)
         report, global_time = _timed(check_optimality, pair, design, fit.theta_hat, self.space, phi=fit.phi, **certify)
-        fits = [fit]
+        fits, reports = [fit], [report]
         if warm is not None and run_ends(report):
             best, seconds = _timed(fit_parameters, pair, design, n_starts=params.n_theta_starts, incumbent=fit,
                                    **fit_args)
@@ -272,8 +279,9 @@ class _Run:
                 fits.append(best)
                 report, seconds = _timed(check_optimality, pair, design, best.theta_hat, self.space, phi=best.phi,
                                          **certify)
+                reports.append(report)
                 global_time += seconds
-        return fits, report, {"ls_time": ls_time, "global_time": global_time}
+        return fits, reports, {"ls_time": ls_time, "global_time": global_time}
 
     def record(self, **fields):
         _record(self.history, self.t0, **fields)
@@ -299,7 +307,9 @@ def disc_md(
     program: solve the weight LP over the current parameter discretization,
     fit the parameters to the LP weights, and append the fit as a new cut,
     until the cut binds: w . phi[:, new] - t_LP >= -eps_sip.  Each fit starts
-    from the last cut alone, without the Sobol multistart.  The cuts are
+    from the last cut alone, without the Sobol multistart, and takes its
+    first rows from the last cut's fit (``warm``) when that fit covered the
+    candidates.  The cuts are
     appended to ``discretization``, which holds the problem's pair and
     candidates.  Returns the pruned design, its points' rows among the
     candidates, the last fit, and whether the cut bound within
@@ -317,9 +327,9 @@ def disc_md(
         sol, lp_time = _timed(solve_weight_lp, WeightLpInstance(d.matrix()))
         if sol is None:
             raise SolverError(f"weight LP failed at inner iteration {inner}")
-        fit, ls_time = _timed(fit_parameters, d.pair, Design(d.points, sol.weights), d.thetas[-1],
+        fit, ls_time = _timed(fit_parameters, d.pair, Design(d.points, sol.weights), d.warm,
                               n_starts=0, lam=params.lam, refs=d.refs)
-        d.add_cut(fit.theta_hat, fit.phi)  # the fit's design points are the candidates, in order
+        d.add_cut(fit, fit.phi)  # the fit's design points are the candidates, in order
         if history is not None:
             _record(history, clock_start, phase="disc", outer_iteration=outer_iteration, inner_iteration=inner,
                     t_lp=sol.t, t_value=fit.objective, n_theta=len(d.thetas), n_candidates=len(d.points),
@@ -356,15 +366,21 @@ def two_adapt_md(
     ``theta_disc0``, is the Sobol multistart.
     One :class:`Discretization` carries the candidates, their reference
     rows, the cuts and phi over all outer iterations; the scan points'
-    reference rows are evaluated once per solve.  Records are appended to
+    reference rows are evaluated once per solve.  A refit's cut takes phi
+    at the support from the refit and at every other candidate equal to a
+    scan point bit for bit from its certificate's scan, as does a worst
+    point that joins on the scan under the cut whose scan found it; the
+    refit starts from the last DISC fit's rows.  Records are appended to
     ``history`` when one is given, so they survive a sub-solver's exception.
     """
     run = _Run(pair, space, initial, params, history)
     d = Discretization(pair, initial.points, theta_disc0 or ())
     if not theta_disc0:
         fit = fit_parameters(pair, initial, n_starts=params.n_theta_starts, lam=params.lam, refs=d.refs)
-        d.add_cut(fit.theta_hat, fit.phi)  # its design points are the candidates
-    grid = scan_grid(pair, space)
+        d.add_cut(fit, fit.phi)  # its design points are the candidates
+    X, _ = grid = scan_grid(pair, space)
+    on_grid = d.rows(X)  # each scan point's candidate row, -1 for none
+    scan_row = {x.tobytes(): i for i, x in enumerate(X)}.get
 
     best_accuracy, stall, stalled = np.inf, 0, False
 
@@ -380,9 +396,9 @@ def two_adapt_md(
 
     for n in range(1, params.max_iter + 1):
         design, rows, fit, _ = disc_md(d, params, history=run.history, outer_iteration=n, clock_start=run.t0)
-        fits, report, times = run.refit(design, fit.theta_hat, d.refs[rows], run_ends, prefer=d.points, grid=grid)
-        for fit in fits:
-            d.add_cut(fit.theta_hat, fit.phi, rows)
+        fits, reports, times = run.refit(design, fit, d.refs[rows], run_ends, prefer=d.points, grid=grid)
+        for fit, report in zip(fits, reports):
+            d.add_cut(fit, np.concatenate([report.scan_phi, fit.phi]), np.concatenate([on_grid, rows]))
         if len(fits) > 1:
             stall = 0
         accuracy = report.max_psi
@@ -403,7 +419,12 @@ def two_adapt_md(
                 break
         else:
             stall = 0
-        d.add(report.worst_point)
+        if d.add(report.worst_point):
+            # A worst point on the scan joins with its phi under the last cut from that cut's scan.
+            i = scan_row(report.worst_point.tobytes())
+            if i is not None:
+                on_grid[i] = len(d.points) - 1
+                d.phi[-1, -1] = report.scan_phi[i]
         best_accuracy = min(best_accuracy, accuracy)
 
     return run.result(design, fit, report, n, report.is_eps_optimal(params.eps), stalled)
@@ -436,10 +457,11 @@ def disc(
     rows = d.rows(initial.points)
     fit0 = fit_parameters(pair, initial, n_starts=params.n_theta_starts, lam=params.lam,
                           refs=d.refs[rows] if min(rows) >= 0 else None)
-    d.add_cut(fit0.theta_hat, fit0.phi, rows)
+    d.add_cut(fit0, fit0.phi, rows)
     design, rows, fit, converged = disc_md(d, params, history=run.history, clock_start=run.t0)
     # Lattice.enumerate and scan_grid share the itertools.product order.
-    fits, report, _ = run.refit(design, fit.theta_hat, d.refs[rows], grid=(d.points, d.refs) if lattice else None)
+    fits, reports, _ = run.refit(design, fit, d.refs[rows], grid=(d.points, d.refs) if lattice else None)
+    report = reports[-1]
     return run.result(design, fits[-1], report, len(d.thetas) - 1, converged and report.max_psi <= params.eps)
 
 
@@ -477,9 +499,8 @@ def vdm(
         if fit is not None:
             d.add(report.worst_point)  # a new point, as mixing appends it
             design = mix_designs(design, Design(np.array([report.worst_point]), np.array([1.0])), 1.0 / (k + 1))
-        warm = fit.theta_hat if fit is not None else None
-        fits, report, times = run.refit(design, warm, d.refs, run_ends, grid=grid)
-        fit = fits[-1]
+        fits, reports, times = run.refit(design, fit, d.refs, run_ends, grid=grid)
+        fit, report = fits[-1], reports[-1]
         run.record(phase="vdm", outer_iteration=k, t_value=fit.objective, accuracy=report.max_psi,
                    n_candidates=design.n_points, **times)
 
@@ -527,6 +548,7 @@ def check_optimality(
     psi at the global search's maximizer ``worst_point`` and
     ``min_support_gap`` is the smallest psi over the support; a design
     certifies as eps-optimal via :meth:`OptimalityReport.is_eps_optimal`.
+    ``scan_phi`` is the search's phi at its scan points, as it evaluated them.
     ``phi`` is the squared distances at the design's points when the caller
     holds them (a fit's ``FitResult.phi``); only without it is the support
     evaluated, once.  ``prefer`` and ``grid`` go to :func:`maximize_distance`.
@@ -534,9 +556,10 @@ def check_optimality(
     """
     phi = squared_distance(pair, design.points, theta_hat) if phi is None else np.asarray(phi, dtype=float)
     tval = t_value(pair, design, theta_hat, phi)
-    worst, max_phi = maximize_distance(pair, theta_hat, space, prefer=prefer, grid=grid)
+    worst, max_phi, scan_phi = maximize_distance(pair, theta_hat, space, prefer=prefer, grid=grid)
     return OptimalityReport(
         max_psi=float(max_phi - tval),
         min_support_gap=float(min(phi - tval)),
         worst_point=worst,
+        scan_phi=scan_phi,
     )

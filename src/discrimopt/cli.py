@@ -171,7 +171,8 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     run, design, theta0 = _load_design_file(Path(args.design), cfg)
     # The criterion value needs the best-fit parameters for *this* design.
-    _, report, _ = run.refit(design, theta0)
+    _, reports, _ = run.refit(design, theta0)
+    report = reports[-1]
     eps = cfg.params.eps
     verdict = report.is_eps_optimal(eps)
     print(f"max_psi={report.max_psi:.6e}")

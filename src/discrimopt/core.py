@@ -296,10 +296,15 @@ def scipy_extension(name: str):
     return sys.modules[full]
 
 
+def row_distances(refs, responses) -> np.ndarray:
+    """Squared distances (n,) between the rows of ``refs`` and of ``responses``: the one formula of phi."""
+    return np.array([r @ r for r in refs - responses])
+
+
 def squared_distance(pair: ModelPair, X, theta2, refs=None) -> np.ndarray:
     """Squared distances (n,) between reference (or the given ``refs``) and alternative at the rows of X."""
     refs = pair.eval_reference(X) if refs is None else refs
-    return np.array([r @ r for r in refs - pair.eval_alternative(X, theta2)])
+    return row_distances(refs, pair.eval_alternative(X, theta2))
 
 
 def t_value(pair: ModelPair, design: Design, theta2, phi=None) -> float:

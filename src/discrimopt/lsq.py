@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.linalg import lstsq
 
-from .core import Box, Design, DesignError, ModelEvaluationError, ModelPair, forward_steps, squared_distance, t_value
+from .core import Box, Design, DesignError, ModelEvaluationError, ModelPair, forward_steps, row_distances, t_value
 
 __all__ = ["FitResult", "FitError", "sobol_points", "fit_parameters"]
 
@@ -36,6 +36,11 @@ class FitResult:
     regularized_objective: float
     start_index: int
     phi: np.ndarray  # squared distances at theta_hat on the design's points
+    # The design's points, and the alternative's responses and Jacobian rows (None without alternative_jac)
+    # at theta_hat on them: a fit of this pair started at theta_hat on these points takes its first rows here.
+    points: np.ndarray
+    responses: np.ndarray
+    jacobian: np.ndarray | None
 
 
 # Primitive polynomials and initial direction numbers of Sobol dimensions
@@ -98,51 +103,61 @@ def sobol_points(n: int, box: Box) -> list[np.ndarray]:
     return [box.lower + u * (box.upper - box.lower) for u in _sobol_unit(box.dimension, n)]
 
 
-def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: float):
+def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: float, seed=None):
     """Residual function sqrt(w_i + lam) * (refs - f2) stacked over support, its Jacobian, both at once, and f2.
 
     The regularizer enters as a uniform extra weight per point, which gives
     the same objective as a separate penalty block with half the residuals.
-    The model's responses and residual rows of the last residual call and of
-    the last Jacobian call are kept, each with its theta's bytes: a theta
-    equal to either bit for bit is not evaluated again, and
-    ``responses(theta)`` returns its responses (None for any other theta),
-    from which a fit's phi at its result needs no model call.  With
-    ``alternative_jac``, one call over the support gives both residual and
-    Jacobian rows and ``rows(theta)`` returns the two.  Without it, ``rows``
-    is None and the Jacobian is scipy's ``approx_derivative(method="2-point",
+    The model's responses and Jacobian rows, and the residual rows made from
+    them, of the last residual call and of the last Jacobian call are kept,
+    each with its theta's bytes: a theta equal to either bit for bit is not
+    evaluated again, and ``evaluated(theta)`` returns its responses and
+    Jacobian rows (None for any other theta), from which a fit's phi at its
+    result needs no model call.  ``seed``, a theta with the responses and
+    Jacobian rows at the design's points there, is kept as the last
+    Jacobian call's.  With ``alternative_jac``, one call over the support
+    gives both residual and Jacobian rows and ``rows(theta)`` returns the
+    two.  Without it, ``rows`` is None, the Jacobian rows are None, and the
+    Jacobian is scipy's ``approx_derivative(method="2-point",
     rel_step=1e-7)`` in the box, from the kept residuals at theta.
     """
     points = design.points
     sqrt_w = np.sqrt(design.weights + lam)[:, None]
     exact = pair.alternative_jac is not None
-    kept = {}  # "r" and "jac": (theta's bytes, responses, rows) of the last residual and the last Jacobian call
+
+    def weighed(y, jac):
+        r = (sqrt_w * (refs - y)).ravel()
+        return r, None if jac is None else (-sqrt_w[:, :, None] * jac).reshape(r.size, -1)
+
+    # "r" and "jac": (theta's bytes, (responses, Jacobian rows), residual rows) of the last residual and Jacobian call
+    kept = {}
+    if seed is not None:
+        theta, y, jac = seed
+        kept["jac"] = (theta.tobytes(), (y, jac), weighed(y, jac))
 
     def rows(theta, call="r"):
         key = theta.tobytes()
-        for seen, y, value in kept.values():
+        for seen, model_rows, value in kept.values():
             if seen == key:
                 break
         else:
             if exact:
-                y, jac = pair.eval_alternative_jac(points, theta)
-                r = (sqrt_w * (refs - y)).ravel()
-                value = (r, (-sqrt_w[:, :, None] * jac).reshape(r.size, -1))
+                model_rows = pair.eval_alternative_jac(points, theta)
             else:
-                y = pair.eval_alternative(points, theta)
-                value = ((sqrt_w * (refs - y)).ravel(), None)
-        kept[call] = (key, y, value)
+                model_rows = pair.eval_alternative(points, theta), None
+            value = weighed(*model_rows)
+        kept[call] = (key, model_rows, value)
         return value
 
-    def responses(theta):
+    def evaluated(theta):
         key = theta.tobytes()
-        return next((y for seen, y, _ in kept.values() if seen == key), None)
+        return next((model_rows for seen, model_rows, _ in kept.values() if seen == key), None)
 
     def residuals(theta):
         return rows(theta)[0]
 
     if exact:
-        return residuals, (lambda theta: rows(theta, "jac")[1]), rows, responses
+        return residuals, (lambda theta: rows(theta, "jac")[1]), rows, evaluated
 
     lower, upper = pair.parameter_space.lower, pair.parameter_space.upper
 
@@ -152,10 +167,10 @@ def _stacked_residuals(pair: ModelPair, design: Design, refs: np.ndarray, lam: f
         columns = np.zeros((theta.size, r0.size))
         for i in np.flatnonzero(lower < upper):
             step = theta + np.diag(h)[i]
-            columns[i] = ((sqrt_w * (refs - pair.eval_alternative(points, step))).ravel() - r0) / (step[i] - theta[i])
+            columns[i] = (weighed(pair.eval_alternative(points, step), None)[0] - r0) / (step[i] - theta[i])
         return columns.T
 
-    return residuals, jac, None, responses
+    return residuals, jac, None, evaluated
 
 
 def _step_to_bound(x, s, lower, upper):
@@ -274,6 +289,16 @@ def _local_fit(residuals, jac, rows, x0: np.ndarray, space: Box):
     return run(res.x, ~fixed) if pushed.any() and on_bound_pushed(res.x, -1)[pushed].any() else res
 
 
+def _seed(fit: FitResult, points: np.ndarray):
+    """``fit``'s theta_hat with its responses and Jacobian rows at ``points``, or None unless every point is one
+    of the fit's bit for bit."""
+    index = {p.tobytes(): i for i, p in enumerate(fit.points)}
+    at = [index.get(p.tobytes()) for p in points]
+    if None in at:
+        return None
+    return fit.theta_hat, fit.responses[at], None if fit.jacobian is None else fit.jacobian[at]
+
+
 def fit_parameters(
     pair: ModelPair,
     design: Design,
@@ -296,12 +321,18 @@ def fit_parameters(
     parameter on a bound with the cost's gradient pointing out of the box;
     when a held gradient points into the box at that result, the fit goes on
     from it over every parameter of nonzero width.  ``objective`` is the
-    unregularized value, the weighted sum of ``phi``.  ``phi`` comes from
-    the responses the last evaluation at theta_hat gave, with no model call
-    of its own, when the winning start is the last one run; after a later
-    start it is evaluated afresh, in one call.  ``refs`` is the
-    reference rows at the design's points when the caller holds them;
-    only without it is the reference evaluated, once.
+    unregularized value, the weighted sum of ``phi``.  ``phi``, and the
+    result's ``responses`` and ``jacobian``, are the rows the winning start
+    evaluated at theta_hat, kept when it became the best, so the result
+    costs no model call of its own.  ``refs`` is the reference rows at the
+    design's points when the caller holds them; only without it is the
+    reference evaluated, once.
+
+    ``warm_start`` may be a :class:`FitResult` of this pair: the fit starts at
+    its ``theta_hat``, and when the design's points are among the fit's, bit
+    for bit, takes its rows there instead of evaluating the model.  The rows
+    of a point depend on nothing else (the ``ModelPair`` contract), so the
+    result is the one from ``theta_hat`` alone, bit for bit.
 
     ``incumbent`` is a fit of this design, with these ``lam`` and ``refs``,
     from its warm start alone; it stands in for that start, which is not run
@@ -317,6 +348,9 @@ def fit_parameters(
     if incumbent is not None and warm_start is not None:
         raise ValueError("incumbent stands in for the warm start; pass one of them")
     space = pair.parameter_space
+    seed = None
+    if isinstance(warm_start, FitResult):
+        seed, warm_start = _seed(warm_start, design.points), warm_start.theta_hat
     starts: list[np.ndarray] = []
     if warm_start is not None:
         starts.append(space.clip(warm_start))
@@ -325,7 +359,7 @@ def fit_parameters(
         raise FitError("no starting points: supply a warm start or n_starts > 0")
 
     refs = pair.eval_reference(design.points) if refs is None else refs
-    residuals, jac, rows, responses = _stacked_residuals(pair, design, refs, lam)
+    residuals, jac, rows, evaluated = _stacked_residuals(pair, design, refs, lam, seed)
     best, best_index = None, -1
     # The incumbent is start 0; its regularized objective is twice its cost, exactly.
     best_cost = None if incumbent is None else incumbent.regularized_objective / 2.0
@@ -337,19 +371,24 @@ def fit_parameters(
             skipped.append((i, exc))
             continue
         if best_cost is None or res.cost < best_cost:
-            best, best_cost, best_index = res, res.cost, i
+            # The rows at the start's result are the last ones it evaluated there; a later start replaces them.
+            best, best_cost, best_index, best_rows = res, res.cost, i, evaluated(space.clip(res.x))
     if best is None:
         if incumbent is not None:
             return incumbent
         raise FitError(f"all {len(starts)} least-squares starts failed", skipped=skipped)
 
     theta = space.clip(best.x)
-    y = responses(theta)  # squared_distance's sum on rows already evaluated, when the last start's are theta's
-    phi = squared_distance(pair, design.points, theta, refs) if y is None else np.array([r @ r for r in refs - y])
+    y, jacobian = best_rows
+    phi = row_distances(refs, y)
     return FitResult(
         theta_hat=theta,
         objective=t_value(pair, design, theta, phi),
         regularized_objective=float(2.0 * best.cost),
         start_index=best_index,
         phi=phi,
+        points=design.points,
+        responses=y,
+        jacobian=jacobian,
     )
+

@@ -167,8 +167,8 @@ def maximize_distance(
     *,
     prefer=None,
     grid=None,
-) -> tuple[np.ndarray, float]:
-    """Return (argmax, max) of phi(., theta_hat) over the design space.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Return (argmax, max) of phi(., theta_hat) over the design space, and phi at the scan points.
 
     Lattice spaces are enumerated exactly; ties break to a point from
     `prefer` (an iterable of points, e.g. candidates a caller already
@@ -178,21 +178,25 @@ def maximize_distance(
     from the best grid points that are local maxima (at most
     ``_REFINE_TOP``), one model call per L-BFGS-B step.  ``grid`` is
     :func:`scan_grid`'s points and reference rows when the caller holds
-    them.  Model evaluation failures at individual candidates are skipped,
-    and one during a local refinement ends it at the best point it evaluated.
+    them.  Model evaluation failures at individual candidates are skipped
+    (their phi is NaN), and one during a local refinement ends it at the
+    best point it evaluated.  The scan's phi is :func:`squared_distance`'s
+    at the scan points.
     """
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     X, refs = scan_grid(pair, space) if grid is None else grid
     error = None
     try:
-        values = squared_distance(pair, X, theta_hat, refs)
+        scan_phi = squared_distance(pair, X, theta_hat, refs)
     except ModelEvaluationError as exc:
         # Row by row, so that a failing candidate is skipped alone.
         error = exc
-        values = [_first_or_none(squared_distance, pair, x, theta_hat, r[None]) for x, r in zip(X, refs)]
+        values = (_first_or_none(squared_distance, pair, x, theta_hat, r[None]) for x, r in zip(X, refs))
+        scan_phi = np.array([np.nan if v is None else v for v in values])
 
     # The maximum; among equal values the lexicographically smallest point.
-    scored = [(v, x) for v, x in zip(values, X) if v is not None]
+    evaluated = ~np.isnan(scan_phi)
+    scored = list(zip(scan_phi[evaluated], X[evaluated]))
     best_val, best_x = -np.inf, None
     for v, x in scored:
         if v > best_val or (v == best_val and tuple(x) < tuple(best_x)):
@@ -208,11 +212,11 @@ def maximize_distance(
         tied = [x for v, x in scored if not v < best_val - _TIE_REL * abs(best_val)]
         prefer_keys = {canonical_key(p) for p in prefer} if prefer is not None else set()
         preferred = [x for x in tied if canonical_key(x) in prefer_keys]
-        return min(preferred or tied, key=tuple).copy(), best_val
+        return min(preferred or tied, key=tuple).copy(), best_val, scan_phi
 
     # Box: refine the best local maxima of the grid with a local bound-constrained
     # maximizer in the coordinates of nonzero width, as scipy's minimize does without a gradient.
-    starts = _local_maxima(space, X, np.array([-np.inf if v is None else v for v in values]))
+    starts = _local_maxima(space, X, np.where(np.isnan(scan_phi), -np.inf, scan_phi))
     free = np.flatnonzero(space.lower < space.upper)
     best = [-np.inf, None]  # a refinement's largest evaluated phi and its point
     neg_phi_and_gradient = _neg_phi_and_gradient(pair, theta_hat, space, free, best)
@@ -230,4 +234,4 @@ def maximize_distance(
                 continue
         if v > best_val or (v == best_val and tuple(x) < tuple(best_x)):
             best_val, best_x = v, x
-    return best_x.copy(), best_val
+    return best_x.copy(), best_val, scan_phi

@@ -40,21 +40,26 @@ GOLDEN = Path(__file__).parent / "golden"
 TIGHT = AlgoParams(eps=1e-8, eps_sip=1e-12, max_iter_sip=60)
 
 
-def counting_pairs(pair, monkeypatch):
-    """``pair`` with an alternative that counts its (row, theta) pairs, and the counter.
+def counting_pairs(pair, monkeypatch, jac=False):
+    """``pair`` with an alternative (and with ``jac`` its ``alternative_jac``) that counts its (row, theta) pairs,
+    and the counter.
 
     The global search keeps the uncounted pair.
     """
     seen = Counter()
 
-    def counted(X, theta):
-        for x in X:
-            seen[x.tobytes(), theta.tobytes()] += 1
-        return pair.alternative(X, theta)
+    def counted(fn):
+        def call(X, theta):
+            for x in X:
+                seen[x.tobytes(), theta.tobytes()] += 1
+            return fn(X, theta)
+
+        return call
 
     search = algorithms.maximize_distance
     monkeypatch.setattr(algorithms, "maximize_distance", lambda _, *a, **k: search(pair, *a, **k))
-    return dataclasses.replace(pair, alternative=counted), seen
+    jacobian = {"alternative_jac": counted(pair.alternative_jac)} if jac else {}
+    return dataclasses.replace(pair, alternative=counted(pair.alternative), **jacobian), seen
 
 
 class TestDiscMd:
@@ -249,11 +254,18 @@ class TestDisc:
         assert {r.phase for r in result.history} == {"disc"}
 
     def test_each_candidate_theta_pair_evaluated_once(self, monkeypatch):
-        # The initial fit fills theta_0's column, and the certificate takes
-        # the last fit's phi.
+        # Each fitted theta is evaluated at each candidate once, by the fit that found it, whether by
+        # alternative or by alternative_jac: the initial fit fills theta_0's column, each later fit starts
+        # from the rows of the fit before it, and the certificate takes the last fit's phi.  The Sobol
+        # starts' thetas, which the initial fit and the final Sobol check share, are not counted.
         cfg = load_config(MM_CONFIG)
-        pair, seen = counting_pairs(cfg.pair, monkeypatch)
+        pair, seen = counting_pairs(cfg.pair, monkeypatch, jac=True)
+        fits, fit_parameters = [], algorithms.fit_parameters
+        monkeypatch.setattr(algorithms, "fit_parameters",
+                            lambda *a, **k: fits.append(fit_parameters(*a, **k)) or fits[-1])
         disc(pair, cfg.space, cfg.initial, cfg.params)
+        fitted = {fit.theta_hat.tobytes() for fit in fits}
+        seen = Counter({key: n for key, n in seen.items() if key[1] in fitted})
         assert seen and max(seen.values()) == 1
 
     def test_box_uses_initial_points(self, toy_pair):
@@ -306,13 +318,14 @@ class TestReferenceRows:
 
 
 class TestDiscretization:
-    @pytest.mark.parametrize("problem", ["toy", "mm"])
+    @pytest.mark.parametrize("problem", ["toy", "mm", "kinetics"])
     def test_lp_reads_phi_as_evaluated_from_scratch(self, problem, toy_pair, monkeypatch):
         # Every weight LP of a 2ADAPT solve reads one row per candidate and
         # one column per cut of its time, with no NaN left, equal bit for
-        # bit to squared distances evaluated afresh.
-        if problem == "mm":
-            cfg = load_config(MM_CONFIG)
+        # bit to squared distances evaluated afresh; on the kinetics lattice
+        # the refit cuts' entries come from the certificates' scans.
+        if problem in ("mm", "kinetics"):
+            cfg = load_config(MM_CONFIG if problem == "mm" else KINETICS_BENCH)
             pair, args = cfg.pair, (cfg.space, cfg.initial, cfg.params)
         else:
             pair, args = toy_pair, (TOY_BOX, Design(np.array([[0.5]]), np.array([1.0])), TIGHT)
@@ -366,6 +379,75 @@ class TestDiscretization:
         assert calls == [5, 2]
         assert result.t_value == pytest.approx(0.24999999999909034, rel=1e-12)
         assert not result.converged
+
+
+class TestEachRowOnce:
+    """A 2ADAPT solve evaluates each (point, theta) row of the alternative once.
+
+    A refit's cut takes phi from the refit at the support and from its
+    certificate's scan at the other candidates on the scan, and a fit that
+    starts from an earlier fit's theta_hat on points that fit covered takes
+    that fit's rows.
+    """
+
+    @staticmethod
+    def logged(pair, monkeypatch):
+        """``pair`` whose alternative and alternative_jac log (kind, caller, rows, theta) per call, and the log.
+
+        The caller is "scan" inside the certificate's search, "fill" inside
+        :meth:`Discretization.matrix`, else "fit"; rows are the points' bytes.
+        """
+        log, caller = [], ["fit"]
+
+        def during(name, fn):
+            def call(*args, **kwargs):
+                caller.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    caller.pop()
+
+            return call
+
+        monkeypatch.setattr(algorithms, "maximize_distance", during("scan", algorithms.maximize_distance))
+        monkeypatch.setattr(Discretization, "matrix", during("fill", Discretization.matrix))
+
+        def logs(kind, fn):
+            def call(X, theta):
+                log.append((kind, caller[-1], [x.tobytes() for x in X], theta.tobytes()))
+                return fn(X, theta)
+
+            return call
+
+        return dataclasses.replace(pair, alternative=logs("alternative", pair.alternative),
+                                   alternative_jac=logs("jac", pair.alternative_jac)), log
+
+    def test_kinetics_scan_and_fills_share_no_row(self, monkeypatch):
+        # Every alternative call, the search's included: no (x, theta) row is evaluated twice, and none by both
+        # the certificate's scan and a fill of the weight LP's matrix.
+        cfg = load_config(KINETICS_BENCH)
+        pair, log = self.logged(cfg.pair, monkeypatch)
+        assert two_adapt_md(pair, cfg.space, cfg.initial, cfg.params).converged
+        rows = {caller: Counter() for caller in ("scan", "fill", "fit")}
+        for kind, caller, points, theta in log:
+            if kind == "alternative":
+                rows[caller].update((x, theta) for x in points)
+        assert rows["scan"] and rows["fill"]
+        assert not rows["scan"].keys() & rows["fill"].keys()
+        assert max((rows["scan"] + rows["fill"] + rows["fit"]).values()) == 1
+
+    @pytest.mark.parametrize("config", [MM_CONFIG, KINETICS_BENCH], ids=["mm", "kinetics"])
+    def test_no_fit_evaluates_rows_an_earlier_fit_computed(self, config, monkeypatch):
+        # No alternative_jac call is at a theta and on points whose every row an earlier call computed.
+        cfg = load_config(config)
+        pair, log = self.logged(cfg.pair, monkeypatch)
+        assert two_adapt_md(pair, cfg.space, cfg.initial, cfg.params).converged
+        calls, seen = [(points, theta) for kind, _, points, theta in log if kind == "jac"], set()
+        repeats = 0
+        for points, theta in calls:
+            repeats += all((x, theta) in seen for x in points)
+            seen.update((x, theta) for x in points)
+        assert calls and repeats == 0
 
 
 class TestWhereTheMultistartRuns:

@@ -563,9 +563,8 @@ class TestFitParameters:
         ("two basins from 0.2", 3, False),
     ])
     def test_phi_comes_from_the_winning_start_rows(self, monkeypatch, case, n_starts, winner_is_last):
-        # phi is squared_distance's at theta_hat bit for bit.  When the last start wins, it comes from the
-        # responses that start evaluated there, and no model call follows it; when an earlier start wins,
-        # those rows are gone, and one call evaluates phi.
+        # phi is squared_distance's at theta_hat bit for bit.  It comes from the responses the winning start
+        # evaluated there, kept when it became the best, so no model call follows the last start, whichever wins.
         mm_design = Design(np.array([[0.386], [2.596], [5.0]]), np.array([0.3906, 0.3896, 0.2198]))
         if case == "kinetics":
             cfg = load_config(KINETICS_BENCH)
@@ -587,8 +586,39 @@ class TestFitParameters:
         fit = fit_parameters(counted_pair, design, warm, n_starts=n_starts)
         assert len(returned) == (warm is not None) + n_starts
         assert (fit.start_index == len(returned) - 1) == winner_is_last
-        assert len(calls) == returned[-1] + (not winner_is_last)
+        assert len(calls) == returned[-1]
         assert fit.phi.tobytes() == squared_distance(pair, design.points, fit.theta_hat).tobytes()
+
+    @pytest.mark.parametrize("case", ["mm", "kinetics", "mm without a Jacobian"])
+    def test_a_fit_started_from_a_fit_takes_its_rows(self, case):
+        # A fit passed as the warm start seeds the first rows when the design's points are among its own, bit
+        # for bit, in any order: the start makes no model call there, and the result is the one from its
+        # theta_hat alone, bit for bit.  With a point it did not fit, the start evaluates as before.
+        if case == "kinetics":
+            cfg = load_config(KINETICS_BENCH)
+            pair, design = cfg.pair, cfg.initial
+        else:
+            jac = {} if case == "mm" else {"alternative_jac": None}
+            pair = dataclasses.replace(make_mm_pair(), **jac)
+            design = Design(np.array([[0.386], [2.596], [5.0], [1.2]]), np.array([0.3, 0.3, 0.2, 0.2]))
+        first = fit_parameters(pair, design, n_starts=1)
+        subset = Design(design.points[[2, 0, 1]], np.array([0.5, 0.3, 0.2]))
+        joined = Design(np.vstack([design.points[:2], design.points[:1] + 0.25]), np.array([0.5, 0.3, 0.2]))
+        for target, seeded in ((subset, True), (joined, False)):
+            thetas = []
+
+            def counted(fn):
+                return None if fn is None else lambda X, theta: thetas.append(theta.tobytes()) or fn(X, theta)
+
+            counted_pair = dataclasses.replace(pair, alternative=counted(pair.alternative),
+                                               alternative_jac=counted(pair.alternative_jac))
+            fit = fit_parameters(counted_pair, target, first, n_starts=0)
+            plain = fit_parameters(pair, target, first.theta_hat, n_starts=0)
+            assert (first.theta_hat.tobytes() not in thetas) == seeded
+            for name in ("theta_hat", "phi", "responses", "jacobian"):
+                assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(getattr(plain, name)).tobytes()
+            assert fit.regularized_objective == plain.regularized_objective
+            assert fit.objective == plain.objective
 
     def test_config_validation(self, toy_pair, toy_optimum):
         with pytest.raises(ValueError, match="n_starts"):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ import discrimopt.search as search
 
 from discrimopt import (
     Box,
+    Design,
     Lattice,
     ModelEvaluationError,
     ModelPair,
+    check_optimality,
     make_mm_pair,
     pointwise,
 )
+from discrimopt.config import load_config
 from discrimopt.core import squared_distance
 from discrimopt.search import _neg_phi_and_gradient, lbfgsb, maximize_distance, scan_grid
 
@@ -22,19 +26,19 @@ from discrimopt.search import _neg_phi_and_gradient, lbfgsb, maximize_distance, 
 class TestBoxSearch:
     def test_toy_tie_breaks_to_smaller_endpoint(self, toy_pair):
         # phi(x) = (x - 1/2)^2 is maximal at both endpoints; 0 wins.
-        x, v = maximize_distance(toy_pair, [0.5], Box([0.0], [1.0]))
+        x, v, _ = maximize_distance(toy_pair, [0.5], Box([0.0], [1.0]))
         assert x[0] == pytest.approx(0.0, abs=1e-12)
         assert v == pytest.approx(0.25, abs=1e-10)
 
     def test_value_matches_point(self, toy_pair):
-        x, v = maximize_distance(toy_pair, [0.3], Box([0.0], [1.0]))
+        x, v, _ = maximize_distance(toy_pair, [0.3], Box([0.0], [1.0]))
         assert v == pytest.approx(squared_distance(toy_pair, x, [0.3]), abs=1e-14)
 
     def test_mm_agrees_with_fine_grid(self):
         pair = make_mm_pair()
         theta = [1.86, 2.15]
         space = Box([0.001], [5.0])
-        _, v = maximize_distance(pair, theta, space)
+        _, v, _ = maximize_distance(pair, theta, space)
         fine = max(
             squared_distance(pair, [x], theta) for x in np.linspace(0.001, 5.0, 641)
         )
@@ -49,7 +53,7 @@ class TestBoxSearch:
             alternative=pointwise(lambda x, th: np.array([0.0])),
             parameter_space=Box([0.0], [1.0]),
         )
-        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
+        x, v, _ = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         assert x[0] == pytest.approx(0.341, abs=1e-3)
         assert v == pytest.approx(1.0, abs=1e-6)
 
@@ -63,7 +67,7 @@ class TestBoxSearch:
             alternative=lambda X, th: np.zeros((len(X), 1)),
             parameter_space=Box([0.0], [1.0]),
         )
-        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
+        x, v, _ = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         assert x[0] == pytest.approx(c, abs=1e-3)
         assert v > 1.1
 
@@ -76,7 +80,7 @@ class TestBoxSearch:
 class TestLatticeSearch:
     def test_exact_enumeration(self, toy_pair):
         lat = Lattice(([0.0, 0.25, 0.5, 0.75, 1.0],))
-        x, v = maximize_distance(toy_pair, [0.5], lat)
+        x, v, _ = maximize_distance(toy_pair, [0.5], lat)
         assert x[0] == 0.0  # tie with 1.0 broken lexicographically
         assert v == pytest.approx(0.25, abs=1e-15)
 
@@ -87,13 +91,13 @@ class TestLatticeSearch:
             parameter_space=Box([0.0], [1.0]),
         )
         lat = Lattice(([0.5, 0.7], [0.1, 0.2]))
-        x, v = maximize_distance(pair, [0.5], lat)
+        x, v, _ = maximize_distance(pair, [0.5], lat)
         assert tuple(x) == (0.5, 0.1)
         assert v == 0.0
 
     def test_matches_brute_force(self, toy_pair):
         lat = Lattice(([0.0, 0.3, 0.6, 0.9],))
-        _, v = maximize_distance(toy_pair, [0.2], lat)
+        _, v, _ = maximize_distance(toy_pair, [0.2], lat)
         brute = max(squared_distance(toy_pair, p, [0.2]) for p in lat.enumerate())
         assert v == brute
 
@@ -109,14 +113,14 @@ class TestLatticeSearch:
             parameter_space=Box([0.0], [1.0]),
         )
         lat = Lattice(([0.0, 1.0],))
-        x, _ = maximize_distance(pair, [0.5], lat)
+        x, _, _ = maximize_distance(pair, [0.5], lat)
         assert x[0] == 0.0
 
     def test_tied_preferred_point_wins(self, toy_pair):
         # phi is symmetric around 1/2; preferring 1.0 overrides the
         # lexicographic default of 0.0.
         lat = Lattice(([0.0, 0.5, 1.0],))
-        x, v = maximize_distance(
+        x, v, _ = maximize_distance(
             toy_pair, [0.5], lat, prefer=[np.array([1.0]), np.array([0.5])]
         )
         assert x[0] == 1.0
@@ -124,7 +128,7 @@ class TestLatticeSearch:
 
     def test_prefer_ignored_when_not_tied(self, toy_pair):
         lat = Lattice(([0.0, 0.5, 1.0],))
-        x, _ = maximize_distance(toy_pair, [0.2], lat, prefer=[np.array([0.5])])
+        x, _, _ = maximize_distance(toy_pair, [0.2], lat, prefer=[np.array([0.5])])
         assert x[0] == 1.0  # strict maximum, preference cannot override
 
 
@@ -141,7 +145,7 @@ class TestFailureHandling:
             parameter_space=Box([0.0], [1.0]),
         )
         lat = Lattice(([0.2, 0.6, 0.8],))
-        x, v = maximize_distance(pair, [0.5], lat)
+        x, v, _ = maximize_distance(pair, [0.5], lat)
         assert x[0] == 0.8
 
     def test_nonfinite_point_skipped(self):
@@ -151,7 +155,7 @@ class TestFailureHandling:
             alternative=lambda X, th: np.where(X < 0.5, np.nan, 0.0),
             parameter_space=Box([0.0], [1.0]),
         )
-        x, v = maximize_distance(pair, [0.5], Lattice(([0.2, 0.6, 0.8],)))
+        x, v, _ = maximize_distance(pair, [0.5], Lattice(([0.2, 0.6, 0.8],)))
         assert x[0] == 0.8 and v == 0.8**2
 
     def test_failed_refinement_keeps_its_best_evaluated_point(self):
@@ -174,7 +178,7 @@ class TestFailureHandling:
             alternative=alternative,
             parameter_space=Box([0.0], [1.0]),
         )
-        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
+        x, v, _ = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         grid_max = evaluated[0].max()
         refined_max = max(e.max() for e in evaluated[1:])
         assert len(evaluated) == 5 and refined_max > grid_max
@@ -195,7 +199,7 @@ class TestFailureHandling:
         }
         models[failing] = failing_at_node(models[failing])
         pair = ModelPair(**{k: pointwise(f) for k, f in models.items()}, parameter_space=Box([0.0], [1.0]))
-        x, v = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
+        x, v, _ = maximize_distance(pair, [0.0], Box([0.0], [1.0]))
         assert x[0] == pytest.approx(0.341, abs=1e-3)
         assert v == pytest.approx(1.0, abs=1e-6)
 
@@ -351,7 +355,7 @@ class TestRefinementGradient:
 
         monkeypatch.setattr(search, "lbfgsb", recording_lbfgsb)
         counted, calls = _counting(pair)
-        x, v = maximize_distance(counted, theta, space, grid=scan_grid(pair, space))
+        x, v, _ = maximize_distance(counted, theta, space, grid=scan_grid(pair, space))
         expected_x, expected_v, n_starts = _reference_box_search(pair, theta, space)
         assert np.array_equal(x, expected_x) and v == expected_v
         # The scan is one call; every refinement step is one more.
@@ -428,3 +432,36 @@ class TestScanGrid:
         pair = dataclasses.replace(toy_pair, reference=lambda X: refs.append(len(X)) or toy_pair.reference(X))
         assert maximize_distance(pair, [0.5], space, grid=grid)[1] == maximize_distance(toy_pair, [0.5], space)[1]
         assert refs == []
+
+
+class TestScanValues:
+    """The search hands out phi at its scan points, as the certificate's ``scan_phi``: squared_distance's there,
+    bit for bit, in scan_grid's order, and NaN where the alternative failed."""
+
+    @pytest.mark.parametrize("case", ["mm box", "2-D box", "kinetics lattice"])
+    def test_scan_phi_is_the_squared_distance(self, case):
+        if case == "mm box":
+            pair, space, theta = make_mm_pair(), Box([0.001], [5.0]), np.array([1.86, 2.15])
+        elif case == "2-D box":
+            pair, space, theta = _toy_2d(), Box([0.0, 0.0], [1.0, 2.0]), np.array([0.3, -0.2])
+        else:
+            cfg = load_config(Path(__file__).parent.parent / "benchmarks" / "kinetics.config")
+            pair, space = cfg.pair, cfg.space
+            theta = (pair.parameter_space.lower + pair.parameter_space.upper) / 2
+        X, _ = scan_grid(pair, space)
+        expected = squared_distance(pair, X, theta).tobytes()
+        design = Design(X[:1], np.array([1.0]))
+        for grid in (None, scan_grid(pair, space)):
+            assert maximize_distance(pair, theta, space, grid=grid)[2].tobytes() == expected
+            assert check_optimality(pair, design, theta, space, grid=grid).scan_phi.tobytes() == expected
+
+    def test_failed_points_are_nan(self):
+        pair = ModelPair(
+            reference=lambda X: X,
+            alternative=pointwise(lambda x, th: np.array([0.0]) if x[0] > 0.5 else 1 / 0),
+            parameter_space=Box([0.0], [1.0]),
+        )
+        space = Lattice(([0.2, 0.6, 0.8],))
+        _, _, scan_phi = maximize_distance(pair, [0.5], space)
+        assert np.isnan(scan_phi[0])
+        assert scan_phi[1:].tobytes() == squared_distance(pair, np.array([[0.6], [0.8]]), [0.5]).tobytes()
